@@ -160,6 +160,8 @@ class Graph:
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InstanceError(f"graph.n: must be >= 0, got {self.n}")
         object.__setattr__(
             self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
         )
@@ -351,6 +353,8 @@ class Network:
     targets: frozenset[int]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise InstanceError(f"network.n: must be >= 0, got {self.n}")
         object.__setattr__(
             self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
         )

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ._gf2 import gf2_independent
+from ._gf2 import gf2_independent, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError
 
 COVER_GROUND_CAP = 16
@@ -16,15 +16,20 @@ class IndependenceOracle:
     """A matroid presented by its independence predicate.
 
     The descriptor records the construction (kind + parameters) so oracles
-    can be serialized; results of the predicate are memoized.
+    can be serialized; results of the predicate are memoized. Each concrete
+    construction also passes a rank_fn computing the rank of a frozenset
+    of ground elements directly; an oracle built from a bare predicate
+    falls back to a greedy basis over memoized independence queries.
     """
 
     def __init__(self, ground_size: int, predicate: Callable[[frozenset[int]], bool],
-                 descriptor: dict):
+                 descriptor: dict,
+                 rank_fn: Optional[Callable[[frozenset[int]], int]] = None):
         if ground_size < 0:
             raise InstanceError("ground size must be >= 0")
         self.ground_size = ground_size
         self._pred = predicate
+        self._rank_fn = rank_fn
         self.descriptor = descriptor
         self._cache: dict[frozenset[int], bool] = {}
 
@@ -39,21 +44,27 @@ class IndependenceOracle:
         return hit
 
     def rank(self, subset: Optional[Iterable[int]] = None) -> int:
-        """Size of a maximal independent subset, built greedily."""
-        pool = sorted(range(self.ground_size) if subset is None else set(subset))
+        """Size of a maximal independent subset (of the whole ground if
+        subset is None), by the construction's own rank function.
+
+        Raises InstanceError naming the smallest element outside the ground.
+        """
+        s = frozenset(range(self.ground_size) if subset is None else subset)
+        outside = [x for x in s if not 0 <= x < self.ground_size]
+        if outside:
+            raise InstanceError(
+                f"element {min(outside)} outside ground of size {self.ground_size}"
+            )
+        if self._rank_fn is None:
+            return self._greedy_rank(s)
+        return self._rank_fn(s)
+
+    def _greedy_rank(self, s: frozenset[int]) -> int:
         acc: set[int] = set()
-        for x in pool:
+        for x in sorted(s):
             if self.is_independent(acc | {x}):
                 acc.add(x)
         return len(acc)
-
-    def max_independent_subset(self, subset: Optional[Iterable[int]] = None) -> frozenset[int]:
-        pool = sorted(range(self.ground_size) if subset is None else set(subset))
-        acc: set[int] = set()
-        for x in pool:
-            if self.is_independent(acc | {x}):
-                acc.add(x)
-        return frozenset(acc)
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
         """True iff adding x does not raise the rank of the subset."""
@@ -103,13 +114,16 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
     def pred(s: frozenset[int]) -> bool:
         return all(len(s & p) <= c for p, c in zip(part_sets, caps))
 
+    def rank(s: frozenset[int]) -> int:
+        return len(s - seen) + sum(min(len(s & p), c) for p, c in zip(part_sets, caps))
+
     desc = {
         "kind": "partition",
         "ground_size": ground_size,
         "parts": [sorted(p) for p in part_sets],
         "caps": list(caps),
     }
-    return IndependenceOracle(ground_size, pred, desc)
+    return IndependenceOracle(ground_size, pred, desc, rank)
 
 
 def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
@@ -117,18 +131,20 @@ def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("uniform matroid needs k >= 0")
     desc = {"kind": "uniform", "ground_size": ground_size, "k": k}
-    return IndependenceOracle(ground_size, lambda s: len(s) <= k, desc)
+    return IndependenceOracle(ground_size, lambda s: len(s) <= k, desc,
+                              lambda s: min(len(s), k))
 
 
 def free_matroid(ground_size: int) -> IndependenceOracle:
     desc = {"kind": "free", "ground_size": ground_size}
-    return IndependenceOracle(ground_size, lambda s: True, desc)
+    return IndependenceOracle(ground_size, lambda s: True, desc, len)
 
 
 def graphic_matroid(g: Graph) -> IndependenceOracle:
     """Ground = edge ids of g; independent iff the edge set is acyclic."""
 
-    def pred(s: frozenset[int]) -> bool:
+    def rank(s: frozenset[int]) -> int:
+        """Number of union-find merges made by the edges of s."""
         parent = list(range(g.n))
 
         def find(a: int) -> int:
@@ -137,19 +153,20 @@ def graphic_matroid(g: Graph) -> IndependenceOracle:
                 a = parent[a]
             return a
 
+        merges = 0
         for e in s:
             u, v = g.edges[e]
             ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            if ru != rv:
+                parent[ru] = rv
+                merges += 1
+        return merges
 
     desc = {
         "kind": "graphic",
         "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
     }
-    return IndependenceOracle(g.num_edges, pred, desc)
+    return IndependenceOracle(g.num_edges, lambda s: rank(s) == len(s), desc, rank)
 
 
 def binary_matroid(columns: list[int]) -> IndependenceOracle:
@@ -165,7 +182,8 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         "kind": "binary",
         "matrix": [[(c >> r) & 1 for c in cols] for r in range(nbits)],
     }
-    return IndependenceOracle(len(cols), pred, desc)
+    return IndependenceOracle(len(cols), pred, desc,
+                              lambda s: gf2_rank([cols[i] for i in s]))
 
 
 def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
@@ -174,7 +192,8 @@ def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
         raise InstanceError("truncation needs k >= 0")
     desc = {"kind": "truncation", "k": k, "inner": m.descriptor}
     return IndependenceOracle(
-        m.ground_size, lambda s: len(s) <= k and m.is_independent(s), desc
+        m.ground_size, lambda s: len(s) <= k and m.is_independent(s), desc,
+        lambda s: min(k, m.rank(s)),
     )
 
 
@@ -182,13 +201,20 @@ def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOrac
     """Disjoint union; n's elements are shifted up by m's ground size."""
     off = m.ground_size
 
+    def split(s: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
+        return (frozenset(x for x in s if x < off),
+                frozenset(x - off for x in s if x >= off))
+
     def pred(s: frozenset[int]) -> bool:
-        left = frozenset(x for x in s if x < off)
-        right = frozenset(x - off for x in s if x >= off)
+        left, right = split(s)
         return m.is_independent(left) and n.is_independent(right)
 
+    def rank(s: frozenset[int]) -> int:
+        left, right = split(s)
+        return m.rank(left) + n.rank(right)
+
     desc = {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor}
-    return IndependenceOracle(off + n.ground_size, pred, desc)
+    return IndependenceOracle(off + n.ground_size, pred, desc, rank)
 
 
 def from_descriptor(desc: dict, default_ground: Optional[int] = None) -> IndependenceOracle:

@@ -92,6 +92,16 @@ def brute_matroid_intersection_size(m1, m2) -> int:
     return best
 
 
+def brute_rank(oracle, subset) -> int:
+    """Size of the largest independent subset of subset, by enumerating its
+    subsets from the largest down; uses only is_independent."""
+    pool = sorted(set(subset))
+    for r in range(len(pool), -1, -1):
+        if any(oracle.is_independent(c) for c in itertools.combinations(pool, r)):
+            return r
+    return 0
+
+
 def brute_intersection_minmax(m1, m2) -> int:
     """min over bipartitions (A, complement) of rank1(A) + rank2(comp)."""
     m = m1.ground_size
@@ -99,7 +109,7 @@ def brute_intersection_minmax(m1, m2) -> int:
     for mask in range(1 << m):
         a = frozenset(i for i in range(m) if mask >> i & 1)
         b = frozenset(range(m)) - a
-        val = m1.rank(a) + m2.rank(b)
+        val = brute_rank(m1, a) + brute_rank(m2, b)
         if best is None or val < best:
             best = val
     return best

@@ -148,6 +148,13 @@ class TestGraphValidation:
         with pytest.raises(InstanceError):
             Graph(2, ((1, 1),))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(InstanceError, match=r"graph\.n: must be >= 0"):
+            Graph(-1, ())
+
+    def test_empty_graph(self):
+        assert Graph(0, ()).num_edges == 0
+
     def test_bipartition_must_cross(self):
         with pytest.raises(InstanceError):
             Graph(2, ((0, 1),), (frozenset({0, 1}), frozenset()))
@@ -166,6 +173,10 @@ class TestNetworkValidation:
     def test_edge_out_of_target(self):
         with pytest.raises(InstanceError, match="leaves a target"):
             Network(3, ((1, 0),), frozenset({2}), frozenset({1}))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(InstanceError, match=r"network\.n: must be >= 0"):
+            Network(-1, (), frozenset(), frozenset())
 
     def test_terminals_disjoint(self):
         with pytest.raises(InstanceError):

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from rainbowsets.core import Graph, InstanceError, ResourceCapError
+from rainbowsets.harness import random_matroid
 from rainbowsets.matroids import (
+    IndependenceOracle,
     SetComplex,
     binary_matroid,
     check_two_cover,
@@ -23,6 +25,7 @@ from rainbowsets.matroids import (
 from oracles import (
     brute_intersection_minmax,
     brute_matroid_intersection_size,
+    brute_rank,
     is_matroid,
 )
 
@@ -33,6 +36,32 @@ def k4() -> Graph:
 
 def c3() -> Graph:
     return Graph(3, ((0, 1), (1, 2), (2, 0)))
+
+
+def subsets(ground: int) -> list[frozenset[int]]:
+    return [frozenset(i for i in range(ground) if mask >> i & 1)
+            for mask in range(1 << ground)]
+
+
+# One oracle per construction (and edge case) whose rank has its own code.
+RANK_CASES = {
+    # elements 5 and 6 lie in no part; the second part has capacity 0
+    "partition-free-caps-0-2": lambda: partition_matroid(7, [[0, 1, 2], [3, 4]], [2, 0]),
+    "uniform-k0": lambda: uniform_matroid(4, 0),
+    "uniform-k2": lambda: uniform_matroid(5, 2),
+    "free": lambda: free_matroid(4),
+    "graphic-parallel": lambda: graphic_matroid(
+        Graph(5, ((0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4)))),
+    "binary-zero-duplicate": lambda: binary_matroid([0, 0b011, 0b011, 0b101, 0, 0b110, 0b001]),
+    "truncated-graphic": lambda: truncate(graphic_matroid(k4()), 2),
+    "truncated-binary": lambda: truncate(binary_matroid([0b01, 0b10, 0b11, 0b01, 0]), 1),
+    "direct-sum-graphic-binary": lambda: direct_sum(
+        graphic_matroid(c3()), binary_matroid([0b01, 0b01, 0, 0b10])),
+    # a bare predicate (at most one of {0, 1}, at most three overall) uses
+    # the greedy fallback
+    "predicate-only": lambda: IndependenceOracle(
+        5, lambda s: len(s & {0, 1}) <= 1 and len(s) <= 3, {"kind": "test-predicate"}),
+}
 
 
 class TestConstructions:
@@ -109,6 +138,32 @@ class TestConstructions:
 
 
 class TestRankAndSpan:
+    @pytest.mark.parametrize("name", sorted(RANK_CASES))
+    def test_rank_matches_brute_on_every_subset(self, name):
+        m = RANK_CASES[name]()
+        for s in subsets(m.ground_size):
+            assert m.rank(s) == brute_rank(m, s), (name, sorted(s))
+        assert m.rank() == brute_rank(m, range(m.ground_size))
+
+    def test_random_matroid_rank_matches_brute(self):
+        for seed in range(50):
+            m = random_matroid(random.Random(seed), 3 + seed % 5)
+            for s in subsets(m.ground_size):
+                assert m.rank(s) == brute_rank(m, s), (m.descriptor, sorted(s))
+
+    @pytest.mark.parametrize("name", sorted(RANK_CASES))
+    def test_out_of_range_rejected(self, name):
+        m = RANK_CASES[name]()
+        g = m.ground_size
+        with pytest.raises(InstanceError, match=f"element {g} outside"):
+            m.rank({0, g})
+        with pytest.raises(InstanceError, match="element -1 outside"):
+            m.rank({g + 1, -1, 0})
+        with pytest.raises(InstanceError, match=f"element {g} outside"):
+            m.in_span({0}, g)
+        with pytest.raises(InstanceError, match=f"element {g} outside"):
+            m.in_span({g}, 0)
+
     def test_rank_empty(self):
         assert uniform_matroid(4, 2).rank(set()) == 0
 
