@@ -51,14 +51,36 @@ def _require(instance: dict, field: str):
     return instance[field]
 
 
+def _sets(instance: dict, field: str) -> tuple[frozenset, ...]:
+    """A required array of arrays, each item as a frozenset."""
+    items = _require(instance, field)
+    for i, item in enumerate(items):
+        if not isinstance(item, list):
+            raise InstanceError(f"instance.{field}[{i}]: expected an array")
+    return tuple(frozenset(item) for item in items)
+
+
+def _as_edges(edges, path: str) -> tuple[tuple, ...]:
+    if not isinstance(edges, list):
+        raise InstanceError(f"instance.{path}: expected an array")
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise InstanceError(f"instance.{path}[{i}]: expected a pair of vertices")
+    return tuple(tuple(e) for e in edges)
+
+
 def _as_graph(obj, path: str = "graph") -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InstanceError(f"instance.{path}: expected an object with n and edges")
     bip = None
     if "bipartition" in obj:
-        a, b = obj["bipartition"]
-        bip = (frozenset(a), frozenset(b))
-    return Graph(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]), bip)
+        bip = obj["bipartition"]
+        if not (isinstance(bip, list) and len(bip) == 2
+                and all(isinstance(side, list) for side in bip)):
+            raise InstanceError(
+                f"instance.{path}.bipartition: expected a pair of vertex arrays")
+        bip = (frozenset(bip[0]), frozenset(bip[1]))
+    return Graph(int(obj["n"]), _as_edges(obj["edges"], f"{path}.edges"), bip)
 
 
 def _as_network(obj) -> Network:
@@ -67,7 +89,7 @@ def _as_network(obj) -> Network:
             raise InstanceError(f"instance.network.{field}: required field is missing")
     return Network(
         int(obj["n"]),
-        tuple(tuple(e) for e in obj["edges"]),
+        _as_edges(obj["edges"], "network.edges"),
         frozenset(int(v) for v in obj["sources"]),
         frozenset(int(v) for v in obj["targets"]),
     )
@@ -75,14 +97,12 @@ def _as_network(obj) -> Network:
 
 def _as_family(instance: dict) -> ColoredFamily:
     ground = GroundSet(int(_require(instance, "ground_size")))
-    colors = _require(instance, "colors")
-    return ColoredFamily(ground, tuple(frozenset(c) for c in colors))
+    return ColoredFamily(ground, _sets(instance, "colors"))
 
 
 def _as_edge_family(instance: dict) -> EdgeFamily:
     g = _as_graph(_require(instance, "graph"))
-    colors = _require(instance, "colors")
-    return EdgeFamily(g, tuple(frozenset(c) for c in colors))
+    return EdgeFamily(g, _sets(instance, "colors"))
 
 
 def _choice_payload(f) -> dict:
@@ -154,7 +174,7 @@ def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    families = [frozenset(c) for c in _require(instance, "colors")]
+    families = _sets(instance, "colors")
     result = rainbow_disjoint_paths(net, families, args.p)
     return {
         "status": "rainbow-paths",
@@ -181,7 +201,7 @@ def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
 
 def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
     g = _as_graph(_require(instance, "graph"))
-    families = [frozenset(f) for f in _require(instance, "families")]
+    families = _sets(instance, "families")
     fn = cooperative_odd_cycle_check if args.cooperative else rainbow_odd_cycle
     result = fn(g, families)
     return {
@@ -195,7 +215,7 @@ def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
 def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
     fam_ground = int(_require(instance, "ground_size"))
     matroid = from_descriptor(_require(instance, "matroid"), fam_ground)
-    sets = [frozenset(c) for c in _require(instance, "colors")]
+    sets = _sets(instance, "colors")
     target = frozenset(int(t) for t in _require(instance, "target"))
     result = rainbow_spanning_set(matroid, target, sets)
     payload = {
@@ -221,16 +241,16 @@ def _run_latin(instance: dict, args) -> tuple[dict, int]:
 
 
 HANDLERS = {
-    "hall": (_run_hall, True),
-    "rado": (_run_rado, True),
-    "rainbow-matching": (_run_rainbow_matching, True),
-    "arrow-check": (_run_arrow_check, True),
-    "rainbow-path": (_run_rainbow_path, True),
-    "rainbow-paths-disjoint": (_run_rainbow_paths_disjoint, True),
-    "scrambled-path": (_run_scrambled_path, True),
-    "odd-cycle": (_run_odd_cycle, True),
-    "span-rainbow": (_run_span_rainbow, True),
-    "latin": (_run_latin, True),
+    "hall": _run_hall,
+    "rado": _run_rado,
+    "rainbow-matching": _run_rainbow_matching,
+    "arrow-check": _run_arrow_check,
+    "rainbow-path": _run_rainbow_path,
+    "rainbow-paths-disjoint": _run_rainbow_paths_disjoint,
+    "scrambled-path": _run_scrambled_path,
+    "odd-cycle": _run_odd_cycle,
+    "span-rainbow": _run_span_rainbow,
+    "latin": _run_latin,
 }
 
 
@@ -247,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", default=None,
                        help="instance JSON file (default: stdin)")
         p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-        p.add_argument("--cap", type=int, default=10**6, help="instance cap")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="pretty", action="store_false",
                          default=False, help="compact machine output (default)")
@@ -278,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     common(p)
+    p.add_argument("--cap", type=int, default=10**6, help="instance cap")
     p.add_argument("--conjecture", required=True)
     p.add_argument("--params", nargs="*", default=[],
                    metavar="KEY=VALUE", help="integer sweep parameters")
@@ -361,9 +381,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.command == "sweep":
             return _run_sweep_command(args)
-        handler, needs_instance = HANDLERS[args.command]
-        instance = _read_instance(args) if needs_instance else {}
-        payload, code = handler(instance, args)
+        payload, code = HANDLERS[args.command](_read_instance(args), args)
         payload = {"header": _header(args.seed), **payload}
         _emit(payload, args.pretty)
         return code

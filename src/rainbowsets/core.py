@@ -9,7 +9,7 @@ kernels work on bitmasks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 
 class InstanceError(ValueError):
@@ -254,26 +254,41 @@ def matching_check(g: Graph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
-def _kuhn_max_matching(left: list[int], adj: dict[int, list[tuple[int, int]]]) -> dict[int, int]:
-    """Augmenting-path bipartite matching; returns {edge_id: 1} keyed selection.
+def _kuhn_max_matching(lefts: Iterable[int],
+                       neighbors: Callable[[int], Iterable[int]]) -> dict[int, int]:
+    """Maximum bipartite matching by augmenting paths; returns {right: left}.
 
-    adj maps a left vertex to (edge_id, right_vertex) pairs in id order.
+    Each left vertex in turn roots one depth-first search; neighbors(u)
+    gives u's right vertices in the order they are tried. The search keeps
+    an explicit stack, so path length is not bounded by the recursion limit.
+    The visit order, and so the result and its insertion order, is that of
+    the textbook recursive search.
     """
-    match_right: dict[int, tuple[int, int]] = {}  # right vertex -> (left, edge)
-
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for e, v in adj.get(u, ()):
-            if v in visited:
-                continue
-            visited.add(v)
-            if v not in match_right or try_augment(match_right[v][0], visited):
-                match_right[v] = (u, e)
-                return True
-        return False
-
-    for u in sorted(left):
-        try_augment(u, set())
-    return {e: 1 for (_, e) in match_right.values()}
+    match: dict[int, int] = {}
+    for root in lefts:
+        visited: set[int] = set()
+        stack = [iter(neighbors(root))]
+        path: list[int] = []  # matched right vertices from the root down
+        while stack:
+            for v in stack[-1]:
+                if v in visited:
+                    continue
+                visited.add(v)
+                if v in match:
+                    path.append(v)
+                    stack.append(iter(neighbors(match[v])))
+                    break
+                u = root
+                for w in path:
+                    match[w], u = u, match[w]
+                match[v] = u
+                stack.clear()
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
+    return match
 
 
 def _max_matching_general(edge_ids: list[int], masks: list[int]) -> frozenset[int]:
@@ -322,14 +337,14 @@ def max_matching(g: Graph) -> Matching:
     sides = find_bipartition(g)
     if sides is not None:
         left_side = sides[0]
-        adj: dict[int, list[tuple[int, int]]] = {}
+        adj: dict[int, list[int]] = {}
+        edge_of: dict[tuple[int, int], int] = {}
         for e, (u, v) in enumerate(g.edges):
             lu, rv = (u, v) if u in left_side else (v, u)
-            adj.setdefault(lu, []).append((e, rv))
-        for lst in adj.values():
-            lst.sort()
-        picked = _kuhn_max_matching(sorted(left_side), adj)
-        return Matching(frozenset(picked))
+            if edge_of.setdefault((lu, rv), e) == e:
+                adj.setdefault(lu, []).append(rv)
+        match = _kuhn_max_matching(sorted(left_side), lambda u: adj.get(u, ()))
+        return Matching(frozenset(edge_of[u, v] for v, u in match.items()))
     if g.n > 24:
         raise ResourceCapError(
             f"exact general matching capped at 24 vertices, got {g.n}"

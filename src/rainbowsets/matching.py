@@ -18,6 +18,7 @@ from .core import (
     TheoremViolation,
     find_bipartition,
     matching_check,
+    _kuhn_max_matching,
     _max_matching_general,
 )
 from .sweeps import SweepReport, SweepRun, SweepSpec
@@ -128,21 +129,7 @@ class _RainbowSearch:
                     continue
                 seen_pairs.add(pair)
                 adj.setdefault(pair[0], []).append(pair[1])
-            match: dict[int, int] = {}
-
-            def aug(u: int, vis: set[int]) -> bool:
-                for v in adj[u]:
-                    if v in vis:
-                        continue
-                    vis.add(v)
-                    if v not in match or aug(match[v], vis):
-                        match[v] = u
-                        return True
-                return False
-
-            for u in adj:
-                aug(u, set())
-            return len(match)
+            return len(_kuhn_max_matching(adj, adj.__getitem__))
         pairs = sorted({tuple(sorted(self.g.edges[e])) for e in edge_ids})
         masks = [(1 << u) | (1 << v) for u, v in pairs]
         return len(_max_matching_general(list(range(len(masks))), masks))
@@ -242,20 +229,9 @@ def _representation_map(matchings: Sequence[frozenset[int]],
                         edges: Iterable[int]) -> ChoiceFunction:
     """Maximum injective map color -> distinct edge with edge in color."""
     edge_list = sorted(edges)
-    match: dict[int, int] = {}  # edge -> color
-
-    def aug(c: int, vis: set[int]) -> bool:
-        for e in edge_list:
-            if e in vis or e not in matchings[c]:
-                continue
-            vis.add(e)
-            if e not in match or aug(match[e], vis):
-                match[e] = c
-                return True
-        return False
-
-    for c in range(len(matchings)):
-        aug(c, set())
+    match = _kuhn_max_matching(
+        range(len(matchings)),
+        lambda c: [e for e in edge_list if e in matchings[c]])
     return ChoiceFunction(tuple((c, e) for e, c in match.items()))
 
 

@@ -67,13 +67,13 @@ class IndependenceOracle:
         return len(acc)
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
-        """True iff adding x does not raise the rank of the subset."""
-        s = set(subset)
-        if not 0 <= x < self.ground_size:
-            raise InstanceError(f"element {x} outside ground of size {self.ground_size}")
-        if x in s:
-            return True
-        return self.rank(s | {x}) == self.rank(s)
+        """True iff adding x does not raise the rank of the subset.
+
+        Raises InstanceError naming the smallest element outside the ground.
+        """
+        s = frozenset(subset)
+        grown = self.rank(s | {x})
+        return x in s or grown == self.rank(s)
 
     def loops(self) -> frozenset[int]:
         return frozenset(

@@ -18,6 +18,7 @@ from .core import (
     ResourceCapError,
     TheoremViolation,
     WeightMap,
+    _kuhn_max_matching,
 )
 from .matching import EdgeFamily, max_rainbow_matching, validate_scrambling
 
@@ -750,23 +751,13 @@ def scrambled_rainbow_path(net: Network, paths: Sequence[Sequence[int]],
 
     # match enforcer members to scrambling classes through shared edges
     class_sets = [frozenset(c) for c in classes]
-    member_match: dict[int, int] = {}  # class -> member
-
-    def aug(i: int, vis: set[int]) -> bool:
-        for c, cl in enumerate(class_sets):
-            if c in vis or not (enforcer.sets[i] & cl):
-                continue
-            vis.add(c)
-            if c not in member_match or aug(member_match[c], vis):
-                member_match[c] = i
-                return True
-        return False
-
-    for i in range(len(enforcer.sets)):
-        if not aug(i, set()):
-            raise TheoremViolation(
-                "no system of distinct scrambling classes for the enforcer"
-            )
+    member_match = _kuhn_max_matching(  # class -> member
+        range(len(enforcer.sets)),
+        lambda i: [c for c, cl in enumerate(class_sets) if enforcer.sets[i] & cl])
+    if len(member_match) < len(enforcer.sets):
+        raise TheoremViolation(
+            "no system of distinct scrambling classes for the enforcer"
+        )
     chosen: dict[int, int] = {}
     for c, i in member_match.items():
         e = min(enforcer.sets[i] & class_sets[c])

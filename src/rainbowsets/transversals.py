@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import ChoiceFunction, ColoredFamily, InstanceError, family_union
+from .core import ChoiceFunction, ColoredFamily, InstanceError, _kuhn_max_matching, family_union
 from .matroids import IndependenceOracle, _intersection_augment
 
 
@@ -32,37 +32,23 @@ def hall_rainbow(fam: ColoredFamily) -> HallResult:
     unmatched colors form a Hall violator.
     """
     k = fam.num_colors
-    match_elem: dict[int, int] = {}   # element -> color
-    match_color: dict[int, int] = {}  # color -> element
-
-    def try_augment(c: int, visited: set[int]) -> bool:
-        for x in sorted(fam.sets[c]):
-            if x in visited:
-                continue
-            visited.add(x)
-            if x not in match_elem or try_augment(match_elem[x], visited):
-                match_elem[x] = c
-                match_color[c] = x
-                return True
-        return False
-
-    for c in range(k):
-        try_augment(c, set())
-    if len(match_color) == k:
-        return ChoiceFunction(tuple(sorted(match_color.items())))
+    adj = [sorted(s) for s in fam.sets]
+    match = _kuhn_max_matching(range(k), adj.__getitem__)  # element -> color
+    if len(match) == k:
+        return ChoiceFunction(tuple((c, x) for x, c in match.items()))
 
     # alternating reachability from the unmatched colors
-    reached_colors = {c for c in range(k) if c not in match_color}
+    reached_colors = set(range(k)) - set(match.values())
     reached_elems: set[int] = set()
     frontier = sorted(reached_colors)
     while frontier:
         nxt: list[int] = []
         for c in frontier:
-            for x in sorted(fam.sets[c]):
+            for x in adj[c]:
                 if x in reached_elems:
                     continue
                 reached_elems.add(x)
-                owner = match_elem.get(x)
+                owner = match.get(x)
                 if owner is not None and owner not in reached_colors:
                     reached_colors.add(owner)
                     nxt.append(owner)

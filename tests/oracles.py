@@ -33,6 +33,26 @@ def brute_max_matching(g: Graph) -> int:
     return best
 
 
+def kuhn_reference(lefts, neighbors) -> dict:
+    """Maximum bipartite matching {right: left} by recursive augmenting
+    paths, trying lefts and each one's neighbors in the given order."""
+    match: dict = {}
+
+    def aug(u, visited: set) -> bool:
+        for v in neighbors(u):
+            if v in visited:
+                continue
+            visited.add(v)
+            if v not in match or aug(match[v], visited):
+                match[v] = u
+                return True
+        return False
+
+    for u in lefts:
+        aug(u, set())
+    return match
+
+
 def brute_max_rainbow(fam: EdgeFamily) -> int:
     """Maximum rainbow matching over all injective choice functions."""
     g = fam.graph
@@ -204,19 +224,9 @@ def brute_weighted_rainbow_path_feasible(net: Network, weights, paths,
         if sum(weights.weight(e) for e in cand) > bound:
             continue
         # injective edge -> path assignment via bipartite matching
-        match: dict[int, int] = {}
-
-        def aug(e: int, vis: set[int]) -> bool:
-            for i, ps in enumerate(path_sets):
-                if i in vis or e not in ps:
-                    continue
-                vis.add(i)
-                if i not in match or aug(match[i], vis):
-                    match[i] = e
-                    return True
-            return False
-
-        if all(aug(e, set()) for e in cand):
+        match = kuhn_reference(
+            cand, lambda e: [i for i, ps in enumerate(path_sets) if e in ps])
+        if len(match) == len(cand):
             return True
     return False
 
@@ -262,19 +272,9 @@ def brute_rainbow_odd_cycle_exists(g: Graph, families) -> bool:
     for cycle in all_cycles(g):
         if len(cycle) % 2 == 0:
             continue
-        match: dict[int, int] = {}
-
-        def aug(e: int, vis: set[int]) -> bool:
-            for i, fs in enumerate(fam_sets):
-                if i in vis or e not in fs:
-                    continue
-                vis.add(i)
-                if i not in match or aug(match[i], vis):
-                    match[i] = e
-                    return True
-            return False
-
-        if all(aug(e, set()) for e in cycle):
+        match = kuhn_reference(
+            cycle, lambda e: [i for i, fs in enumerate(fam_sets) if e in fs])
+        if len(match) == len(cycle):
             return True
     return False
 

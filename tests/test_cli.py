@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowsets import cli
 
 
@@ -11,17 +13,23 @@ def run_cli(tmp_path, capsys, argv, instance):
 
 
 class TestInputErrors:
-    def test_negative_graph_n_exits_2(self, tmp_path, capsys):
-        code, payload = run_cli(tmp_path, capsys, ["rainbow-matching"],
-                                {"graph": {"n": -1, "edges": []}, "colors": []})
+    @pytest.mark.parametrize("argv, instance, field", [
+        pytest.param(["rainbow-matching"], {"graph": {"n": -1, "edges": []}, "colors": []},
+                     "graph.n", id="graph-n-negative"),
+        pytest.param(["rainbow-path"],
+                     {"network": {"n": -1, "edges": [], "sources": [], "targets": []},
+                      "colors": []},
+                     "network.n", id="network-n-negative"),
+        pytest.param(["hall"], {"ground_size": 6, "colors": [5]},
+                     "instance.colors[0]", id="colors-scalar"),
+        pytest.param(["rainbow-matching"], {"graph": {"n": 2, "edges": [[0]]}, "colors": [[0]]},
+                     "instance.graph.edges[0]", id="edge-short"),
+        pytest.param(["rainbow-matching"],
+                     {"graph": {"n": 2, "edges": [[0, 1]], "bipartition": 5}, "colors": [[0]]},
+                     "instance.graph.bipartition", id="bipartition-scalar"),
+    ])
+    def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
+        code, payload = run_cli(tmp_path, capsys, argv, instance)
         assert code == cli.EXIT_INPUT == 2
         assert payload["status"] == "error"
-        assert "graph.n" in payload["error"]
-
-    def test_negative_network_n_exits_2(self, tmp_path, capsys):
-        instance = {"network": {"n": -1, "edges": [], "sources": [], "targets": []},
-                    "colors": []}
-        code, payload = run_cli(tmp_path, capsys, ["rainbow-path"], instance)
-        assert code == 2
-        assert payload["status"] == "error"
-        assert "network.n" in payload["error"]
+        assert field in payload["error"]

@@ -21,9 +21,10 @@ from rainbowsets.core import (
     matching_check,
     max_matching,
     transversal_check,
+    _kuhn_max_matching,
 )
 
-from oracles import brute_max_matching
+from oracles import brute_max_matching, kuhn_reference
 
 
 def fam(ground: int, *sets) -> ColoredFamily:
@@ -137,6 +138,37 @@ class TestMaxMatching:
                     edges.append((u, v))
             g = Graph(n, tuple(edges))
             assert len(max_matching(g)) == brute_max_matching(g)
+
+    def test_networkx_agreement(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        for _ in range(40):
+            nl, nr = rng.randint(1, 30), rng.randint(1, 30)
+            p = rng.random() * 0.3
+            edges = [(u, nl + v) for u in range(nl) for v in range(nr)
+                     if rng.random() < p]
+            ref = nx.Graph()
+            ref.add_nodes_from(range(nl + nr))
+            ref.add_edges_from(edges)
+            expect = len(nx.bipartite.hopcroft_karp_matching(ref, range(nl))) // 2
+            assert len(max_matching(Graph(nl + nr, tuple(edges)))) == expect
+
+
+class TestKuhnKernel:
+    def test_matches_recursive_reference(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            nl, nr = rng.randint(1, 4), rng.randint(1, 4)
+            p = rng.random()
+            adj = {u: [nl + v for v in range(nr) if rng.random() < p]
+                   for u in range(nl)}
+            for nbrs in adj.values():
+                rng.shuffle(nbrs)
+            lefts = rng.sample(range(nl), nl)
+            got = _kuhn_max_matching(lefts, adj.__getitem__)
+            assert list(got.items()) == list(kuhn_reference(lefts, adj.__getitem__).items())
+            g = Graph(nl + nr, tuple((u, v) for u in adj for v in adj[u]))
+            assert len(got) == brute_max_matching(g)
 
 
 class TestGraphValidation:

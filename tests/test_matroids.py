@@ -163,6 +163,8 @@ class TestRankAndSpan:
             m.in_span({0}, g)
         with pytest.raises(InstanceError, match=f"element {g} outside"):
             m.in_span({g}, 0)
+        with pytest.raises(InstanceError, match=f"element {g} outside"):
+            m.in_span({0, g}, 0)
 
     def test_rank_empty(self):
         assert uniform_matroid(4, 2).rank(set()) == 0

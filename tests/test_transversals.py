@@ -74,6 +74,14 @@ class TestHall:
                 expect = brute_full_injective_choice(list(f.sets))
                 assert isinstance(got, ChoiceFunction) == expect
 
+    def test_chain_longer_than_recursion_limit(self):
+        # color i tries i-1 first, so its search walks down to color 0
+        n = 1500
+        f = fam(n, {0}, *[{i - 1, i} for i in range(1, n)])
+        out = hall_rainbow(f)
+        assert isinstance(out, ChoiceFunction)
+        assert out.as_dict() == {i: i for i in range(n)}
+
 
 class TestRado:
     def test_free_matroid(self):
