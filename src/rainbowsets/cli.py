@@ -8,6 +8,7 @@ witness), 2 input error, 3 counterexample found, 4 cap exhausted,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import Optional
@@ -25,7 +26,7 @@ from .core import (
     TheoremViolation,
     WeightMap,
 )
-from .harness import latin_transversal, run_sweep
+from .harness import SWEEPS, latin_transversal, run_sweep
 from .matching import ArrowStatement, EdgeFamily, check_arrow_instance, max_rainbow_matching
 from .matroids import from_descriptor
 from .networks import (
@@ -51,20 +52,41 @@ def _require(instance: dict, field: str):
     return instance[field]
 
 
+def _int(value, path: str) -> int:
+    """A JSON integer: not a boolean, a float or a string."""
+    if type(value) is not int:
+        raise InstanceError(f"instance.{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _ints(items, path: str) -> frozenset[int]:
+    """An array of integers, as a set."""
+    if not isinstance(items, list):
+        raise InstanceError(f"instance.{path}: expected an array")
+    return frozenset(_int(x, f"{path}[{i}]") for i, x in enumerate(items))
+
+
+def _int_arrays(items, path: str) -> list:
+    """An array of integer arrays. One fast pass checks the types; the entry
+    to blame is looked up only when it fails."""
+    if not isinstance(items, list):
+        raise InstanceError(f"instance.{path}: expected an array")
+    if not (all(type(item) is list for item in items)
+            and set(map(type, itertools.chain.from_iterable(items))) <= {int}):
+        for i, item in enumerate(items):
+            _ints(item, f"{path}[{i}]")
+    return items
+
+
 def _sets(instance: dict, field: str) -> tuple[frozenset, ...]:
-    """A required array of arrays, each item as a frozenset."""
-    items = _require(instance, field)
-    for i, item in enumerate(items):
-        if not isinstance(item, list):
-            raise InstanceError(f"instance.{field}[{i}]: expected an array")
+    """A required array of integer arrays, each item as a frozenset."""
+    items = _int_arrays(_require(instance, field), field)
     return tuple(frozenset(item) for item in items)
 
 
 def _as_edges(edges, path: str) -> tuple[tuple, ...]:
-    if not isinstance(edges, list):
-        raise InstanceError(f"instance.{path}: expected an array")
-    for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
+    for i, e in enumerate(_int_arrays(edges, path)):
+        if len(e) != 2:
             raise InstanceError(f"instance.{path}[{i}]: expected a pair of vertices")
     return tuple(tuple(e) for e in edges)
 
@@ -72,15 +94,14 @@ def _as_edges(edges, path: str) -> tuple[tuple, ...]:
 def _as_graph(obj, path: str = "graph") -> Graph:
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise InstanceError(f"instance.{path}: expected an object with n and edges")
-    bip = None
-    if "bipartition" in obj:
-        bip = obj["bipartition"]
-        if not (isinstance(bip, list) and len(bip) == 2
-                and all(isinstance(side, list) for side in bip)):
+    bip = obj.get("bipartition")
+    if bip is not None:
+        if len(_int_arrays(bip, f"{path}.bipartition")) != 2:
             raise InstanceError(
                 f"instance.{path}.bipartition: expected a pair of vertex arrays")
         bip = (frozenset(bip[0]), frozenset(bip[1]))
-    return Graph(int(obj["n"]), _as_edges(obj["edges"], f"{path}.edges"), bip)
+    return Graph(_int(obj["n"], f"{path}.n"), _as_edges(obj["edges"], f"{path}.edges"),
+                 bip)
 
 
 def _as_network(obj) -> Network:
@@ -88,16 +109,20 @@ def _as_network(obj) -> Network:
         if not isinstance(obj, dict) or field not in obj:
             raise InstanceError(f"instance.network.{field}: required field is missing")
     return Network(
-        int(obj["n"]),
+        _int(obj["n"], "network.n"),
         _as_edges(obj["edges"], "network.edges"),
-        frozenset(int(v) for v in obj["sources"]),
-        frozenset(int(v) for v in obj["targets"]),
+        _ints(obj["sources"], "network.sources"),
+        _ints(obj["targets"], "network.targets"),
     )
 
 
 def _as_family(instance: dict) -> ColoredFamily:
-    ground = GroundSet(int(_require(instance, "ground_size")))
+    ground = GroundSet(_int(_require(instance, "ground_size"), "ground_size"))
     return ColoredFamily(ground, _sets(instance, "colors"))
+
+
+def _as_latin(rows: list) -> LatinSquare:
+    return LatinSquare(len(rows), tuple(tuple(r) for r in _int_arrays(rows, "latin")))
 
 
 def _as_edge_family(instance: dict) -> EdgeFamily:
@@ -213,10 +238,10 @@ def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
-    fam_ground = int(_require(instance, "ground_size"))
+    fam_ground = _int(_require(instance, "ground_size"), "ground_size")
     matroid = from_descriptor(_require(instance, "matroid"), fam_ground)
     sets = _sets(instance, "colors")
-    target = frozenset(int(t) for t in _require(instance, "target"))
+    target = _ints(_require(instance, "target"), "target")
     result = rainbow_spanning_set(matroid, target, sets)
     payload = {
         "status": "span-rainbow",
@@ -229,8 +254,7 @@ def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_latin(instance: dict, args) -> tuple[dict, int]:
-    square = LatinSquare(len(_require(instance, "latin")),
-                         tuple(tuple(r) for r in instance["latin"]))
+    square = _as_latin(_require(instance, "latin"))
     t = latin_transversal(square)
     return {
         "status": "transversal",
@@ -298,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep")
     common(p)
     p.add_argument("--cap", type=int, default=10**6, help="instance cap")
-    p.add_argument("--conjecture", required=True)
+    p.add_argument("--conjecture", required=True, choices=SWEEPS)
     p.add_argument("--params", nargs="*", default=[],
                    metavar="KEY=VALUE", help="integer sweep parameters")
     return parser
@@ -345,7 +369,7 @@ def parse_instance(raw: bytes) -> dict:
     if "network" in data:
         _as_network(data["network"])
     if "latin" in data:
-        LatinSquare(len(data["latin"]), tuple(tuple(r) for r in data["latin"]))
+        _as_latin(data["latin"])
     return data
 
 

@@ -8,32 +8,41 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .core import (
     Graph,
     HypothesisViolation,
     InstanceError,
     LatinSquare,
+    TheoremViolation,
     Transversal,
 )
 from .matching import (
+    ArrowStatement,
     EdgeFamily,
+    SearchSpace,
+    SizeSequence,
+    _claim_sweep,
+    _serialize_family_instance,
+    drisko_statement,
     max_rainbow_matching,
     random_matching_family,
+    stairs_sequence,
     validate_scrambling,
 )
 from .matroids import (
     IndependenceOracle,
     binary_matroid,
+    check_two_cover,
     covering_number,
-    from_descriptor,
     graphic_matroid,
     partition_matroid,
     truncate,
     uniform_matroid,
 )
-from .sweeps import SweepReport, SweepRun, SweepSpec
+from .sweeps import SweepReport, SweepSpec, sweep
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +84,8 @@ def latin_transversal(square: LatinSquare) -> Transversal:
 
 
 def enumerate_latin_squares(n: int, reduced: bool = True) -> Iterator[LatinSquare]:
-    """All Latin squares of order n by row-by-row extension.
+    """All Latin squares of order n, filling the cells row by row and each
+    cell with the free symbols in increasing order.
 
     With reduced=True only squares whose first row is 1..n are produced;
     every square is a column permutation of exactly one of these, and
@@ -88,63 +98,48 @@ def enumerate_latin_squares(n: int, reduced: bool = True) -> Iterator[LatinSquar
         else [tuple(p) for p in itertools.permutations(range(1, n + 1))]
     )
     for first in first_rows:
-        rows = [first]
+        rows = [list(first)] + [[0] * n for _ in range(n - 1)]
+        row_used = [0] * n
         col_used = [1 << s for s in first]
 
-        def extend(r: int) -> Iterator[LatinSquare]:
-            if r == n:
-                yield LatinSquare(n, tuple(rows))
+        def fill(k: int) -> Iterator[LatinSquare]:
+            if k == n * n:
+                yield LatinSquare(n, tuple(map(tuple, rows)))
                 return
-            row: list[int] = []
-            used = 0
+            r, c = divmod(k, n)
+            for s in range(1, n + 1):
+                bit = 1 << s
+                if (row_used[r] | col_used[c]) & bit:
+                    continue
+                rows[r][c] = s
+                row_used[r] |= bit
+                col_used[c] |= bit
+                yield from fill(k + 1)
+                row_used[r] &= ~bit
+                col_used[c] &= ~bit
 
-            def cells(c: int) -> Iterator[LatinSquare]:
-                if c == n:
-                    rows.append(tuple(row))
-                    for col, s in enumerate(row):
-                        col_used[col] |= 1 << s
-                    yield from extend(r + 1)
-                    rows.pop()
-                    for col, s in enumerate(row):
-                        col_used[col] &= ~(1 << s)
-                    return
-                nonlocal used
-                for s in range(1, n + 1):
-                    if used >> s & 1 or col_used[c] >> s & 1:
-                        continue
-                    row.append(s)
-                    used |= 1 << s
-                    yield from cells(c + 1)
-                    row.pop()
-                    used &= ~(1 << s)
-
-            yield from cells(0)
-
-        yield from extend(1)
+        yield from fill(n)
 
 
 def check_brs(n: int, seed: int = 0, cap: int = 10**6,
               on_record: Optional[Callable[[dict], None]] = None) -> SweepReport:
     """Exhaustively check order-n Latin squares for a partial transversal
     of size n-1, and a full transversal when n is odd."""
-    if n > 5:
-        raise InstanceError("exhaustive Latin-square sweep supported for n <= 5")
-    spec = SweepSpec("brs", (("n", n),), mode="exhaustive", seed=seed,
-                     instance_cap=cap)
-    run = SweepRun(spec, on_record=on_record)
-    for square in enumerate_latin_squares(n, reduced=True):
-        if run.over_cap():
-            return run.capped(n=n)
+    return run_sweep(SweepSpec("brs", (("n", n),), seed=seed, instance_cap=cap),
+                     on_record)
+
+
+def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
+    def check(square: LatinSquare) -> Optional[tuple[dict, dict]]:
         t = latin_transversal(square)
-        ok = len(t) >= n - 1 and (n % 2 == 0 or len(t) == n)
-        run.record("ok" if ok else "counterexample",
-                   None if ok else {"latin": [list(r) for r in square.rows]})
-        if not ok:
-            return run.counterexample(
-                {"latin": [list(r) for r in square.rows]},
-                transversal=len(t), n=n,
-            )
-    return run.verified(n=n, reduction="first-row-normalized")
+        if len(t) >= n - 1 and (n % 2 == 0 or len(t) == n):
+            return None
+        return ({"latin": [list(r) for r in square.rows]},
+                {"transversal": len(t), "n": n})
+
+    return sweep(spec, enumerate_latin_squares(n, reduced=True), check,
+                 {"n": n, "reduction": "first-row-normalized"}, on_record,
+                 record_witness=True)
 
 
 # ---------------------------------------------------------------------------
@@ -264,36 +259,30 @@ def weighted_drisko_search(n: int, weight_max: int = 10, seed: int = 0,
     """Random bipartite instances of 2n-1 matchings of size n with integer
     edge weights; each must contain a rainbow matching of size n whose
     weight stays within the heaviest input matching."""
-    if n > 4:
-        raise InstanceError("weighted sweep supported for n <= 4")
-    spec = SweepSpec(
-        "weighted-drisko", (("n", n), ("wmax", weight_max)), mode="random",
-        seed=seed, instance_cap=cap,
-    )
-    run = SweepRun(spec, on_record=on_record)
-    rng = random.Random(seed)
-    for _ in range(instances):
-        if run.over_cap():
-            return run.capped(n=n)
-        fam = random_matching_family(rng, [n] * (2 * n - 1))
-        weights = [rng.randint(0, weight_max) for _ in range(fam.graph.num_edges)]
-        budget = max(
-            sum(weights[e] for e in color) for color in fam.colors
-        )
-        ok = _weighted_rainbow_exists(fam, weights, n, budget)
-        run.record("ok" if ok else "counterexample")
-        if not ok:
-            return run.counterexample(
-                {
-                    "graph": {"n": fam.graph.n,
-                              "edges": [list(e) for e in fam.graph.edges]},
-                    "colors": [sorted(c) for c in fam.colors],
-                    "weights": weights,
-                    "budget": budget,
-                },
-                n=n,
-            )
-    return run.verified(n=n, instances=instances)
+    params = (("n", n), ("wmax", weight_max), ("instances", instances))
+    spec = SweepSpec("weighted-drisko", params, seed=seed, instance_cap=cap)
+    return run_sweep(spec, on_record)
+
+
+def _weighted_drisko(spec: SweepSpec, on_record, n: int, wmax: int,
+                     instances: int) -> SweepReport:
+    rng = random.Random(spec.seed)
+
+    def candidates():
+        for _ in range(instances):
+            fam = random_matching_family(rng, [n] * (2 * n - 1))
+            yield fam, [rng.randint(0, wmax) for _ in range(fam.graph.num_edges)]
+
+    def check(candidate) -> Optional[tuple[dict, dict]]:
+        fam, weights = candidate
+        budget = max(sum(weights[e] for e in color) for color in fam.colors)
+        if _weighted_rainbow_exists(fam, weights, n, budget):
+            return None
+        return ({**_serialize_family_instance(fam.graph, fam.colors),
+                 "weights": weights, "budget": budget}, {"n": n})
+
+    return sweep(spec, candidates(), check, {"n": n, "instances": instances},
+                 on_record)
 
 
 # ---------------------------------------------------------------------------
@@ -396,48 +385,46 @@ def scrambled_sharpness_search(n: int, seed: int = 0, instances: int = 1000,
     """Randomized hunt for an n-scrambling of n-choose-2 matchings of size
     n in a bipartite graph with no rainbow matching of size n; hits are
     re-verified by the exact solver before being reported."""
-    if n < 4:
-        raise HypothesisViolation(
-            f"sharpness instances exist only for n >= 4, got n = {n}"
-        )
-    count = n * (n - 1) // 2
-    spec = SweepSpec(
-        "scrambled-sharpness", (("n", n),), mode="random", seed=seed,
-        instance_cap=cap,
-    )
-    run = SweepRun(spec, on_record=on_record)
-    rng = random.Random(seed)
-    for _ in range(instances):
-        if run.over_cap():
-            return run.capped(n=n)
-        fam = random_matching_family(rng, [n] * count)
-        pool = sorted(e for c in fam.colors for e in c)
-        rng.shuffle(pool)
-        classes = [tuple(sorted(pool[i:i + n])) for i in range(0, len(pool), n)]
-        validate_scrambling([sorted(c) for c in fam.colors], classes, n)
+    spec = SweepSpec("scrambled-sharpness", (("n", n), ("instances", instances)),
+                     seed=seed, instance_cap=cap)
+    return run_sweep(spec, on_record)
+
+
+def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
+                         instances: int) -> SweepReport:
+    rng = random.Random(spec.seed)
+
+    def candidates():
+        for _ in range(instances):
+            fam = random_matching_family(rng, [n] * (n * (n - 1) // 2))
+            pool = sorted(e for c in fam.colors for e in c)
+            rng.shuffle(pool)
+            classes = [tuple(sorted(pool[i:i + n])) for i in range(0, len(pool), n)]
+            validate_scrambling([sorted(c) for c in fam.colors], classes, n)
+            yield fam, classes
+
+    def check(candidate) -> Optional[tuple[dict, dict]]:
+        fam, classes = candidate
         scrambled = EdgeFamily(fam.graph, tuple(frozenset(c) for c in classes))
         matching, _ = max_rainbow_matching(scrambled, target=n)
-        hit = len(matching) < n
-        run.record("sharpness-witness" if hit else "ok")
-        if hit:
-            instance = {
-                "graph": {"n": fam.graph.n,
-                          "edges": [list(e) for e in fam.graph.edges]},
-                "colors": [sorted(c) for c in fam.colors],
-                "scrambling": [list(c) for c in classes],
-            }
-            # replay from the serialized instance to confirm
-            g2 = Graph(instance["graph"]["n"],
-                       tuple(tuple(e) for e in instance["graph"]["edges"]))
-            fam2 = EdgeFamily(
-                g2, tuple(frozenset(c) for c in instance["scrambling"])
+        if len(matching) >= n:
+            return None
+        instance = {**_serialize_family_instance(fam.graph, fam.colors),
+                    "scrambling": [list(c) for c in classes]}
+        # replay from the serialized instance to confirm
+        g2 = Graph(instance["graph"]["n"],
+                   tuple(tuple(e) for e in instance["graph"]["edges"]))
+        fam2 = EdgeFamily(g2, tuple(frozenset(c) for c in instance["scrambling"]))
+        again, _ = max_rainbow_matching(fam2, target=n)
+        if len(again) >= n:
+            raise TheoremViolation(
+                f"the replayed sharpness witness has a rainbow matching of size {n}"
             )
-            again, _ = max_rainbow_matching(fam2, target=n)
-            if len(again) < n:
-                return run.counterexample(
-                    instance, meaning="sharpness witness", max_rainbow=len(again)
-                )
-    return run.capped(n=n, note="no sharpness instance found in the sample")
+        return instance, {"meaning": "sharpness witness", "max_rainbow": len(again)}
+
+    return sweep(spec, candidates(), check, {"n": n}, on_record,
+                 hit_verdict="sharpness-witness",
+                 exhausted_note="no sharpness instance found in the sample")
 
 
 # ---------------------------------------------------------------------------
@@ -483,157 +470,155 @@ def random_matroid(rng: random.Random, ground: int) -> IndependenceOracle:
 # sweep dispatch
 
 
-def run_sweep(spec: SweepSpec,
-              on_record: Optional[Callable[[dict], None]] = None) -> SweepReport:
-    """Run the named conjecture sweep; see the CLI for the tag list."""
-    from .matching import (
-        ArrowStatement,
-        SearchSpace,
-        counterexample_search,
-        drisko_statement,
-        stairs_sequence,
-    )
-    from .matroids import check_two_cover
+def _random_claim(claim_of: Callable[[int], object], spec: SweepSpec, on_record,
+                  n: int, instances: int) -> SweepReport:
+    """A sweep of seeded random instances of the claim claim_of(n)."""
+    space = SearchSpace("random", instances=instances)
+    return _claim_sweep(spec, claim_of(n), space, on_record)
 
-    tag = spec.conjecture
-    if tag == "brs":
-        return check_brs(spec.param("n"), seed=spec.seed,
-                         cap=spec.instance_cap, on_record=on_record)
-    if tag == "drisko":
-        n = spec.param("n")
-        space = SearchSpace("random", instances=spec.param("instances", 1000))
-        report = counterexample_search(
-            drisko_statement(n), space, seed=spec.seed,
-            cap=spec.instance_cap, on_record=on_record,
-        )
-        report.conjecture = tag
-        return report
-    if tag == "stairs":
-        n = spec.param("n")
-        space = SearchSpace("random", instances=spec.param("instances", 1000))
-        report = counterexample_search(
-            stairs_sequence(n), space, seed=spec.seed,
-            cap=spec.instance_cap, on_record=on_record,
-        )
-        report.conjecture = tag
-        return report
-    if tag == "ab":
-        n = spec.param("n")
-        space = SearchSpace(
-            "bipartite-exhaustive", max_vertices=spec.param("max_vertices", 6)
-        )
-        report = counterexample_search(
-            ArrowStatement(n, n, n - 1, "bipartite"), space, seed=spec.seed,
-            cap=spec.instance_cap, on_record=on_record,
-        )
-        report.conjecture = tag
-        return report
-    if tag == "coercive-244":
-        from .matching import SizeSequence
 
-        sigma = SizeSequence((2, 4, 4), 3)
-        single = counterexample_search(
-            sigma, SearchSpace("cycles", ambients=((8,), (10,))),
-            seed=spec.seed, cap=spec.instance_cap,
-        )
-        double = counterexample_search(
-            sigma, SearchSpace("cycles", ambients=((4, 4),)),
-            seed=spec.seed, cap=spec.instance_cap, on_record=on_record,
-        )
-        double.conjecture = tag
-        double.detail["single_cycle_verdict"] = single.verdict
-        double.detail["single_cycle_instances"] = single.instances_tested
-        return double
-    if tag == "weighted-drisko":
-        return weighted_drisko_search(
-            spec.param("n"), weight_max=spec.param("wmax", 10), seed=spec.seed,
-            instances=spec.param("instances", 1000), cap=spec.instance_cap,
-            on_record=on_record,
-        )
-    if tag == "rho-two-cover":
-        ground = spec.param("ground", 8)
-        spec2 = SweepSpec(tag, spec.params, mode="random", seed=spec.seed,
-                          instance_cap=spec.instance_cap)
-        run = SweepRun(spec2, on_record=on_record)
-        rng = random.Random(spec.seed)
-        for _ in range(spec.param("instances", 500)):
-            if run.over_cap():
-                return run.capped(ground=ground)
-            m1 = random_matroid(rng, ground)
-            m2 = random_matroid(rng, ground)
-            report = check_two_cover(m1, m2)
-            run.record("ok" if report.holds else "counterexample")
-            if not report.holds:
-                return run.counterexample(
-                    {"matroid": m1.descriptor, "matroid2": m2.descriptor},
-                    rho_m=report.rho_m, rho_n=report.rho_n,
-                    rho_meet=report.rho_meet,
-                )
-        return run.verified(ground=ground)
-    if tag == "scrambled-sharpness":
-        return scrambled_sharpness_search(
-            spec.param("n"), seed=spec.seed,
-            instances=spec.param("instances", 1000), cap=spec.instance_cap,
-            on_record=on_record,
-        )
-    if tag == "rota":
-        n = spec.param("n")
-        spec2 = SweepSpec(tag, spec.params, mode="random", seed=spec.seed,
-                          instance_cap=spec.instance_cap)
-        run = SweepRun(spec2, on_record=on_record)
-        rng = random.Random(spec.seed)
-        produced = 0
-        while produced < spec.param("instances", 50):
-            if run.over_cap():
-                return run.capped(n=n)
-            cols = [rng.randint(1, (1 << n) - 1) for _ in range(n * n)]
-            matroid = binary_matroid(cols)
-            if covering_number(matroid)[0] != n:
-                continue  # rejection sampling: need covering number exactly n
-            produced += 1
+def _ab(spec: SweepSpec, on_record, n: int, max_vertices: int) -> SweepReport:
+    space = SearchSpace("bipartite-exhaustive", max_vertices=max_vertices)
+    return _claim_sweep(spec, ArrowStatement(n, n, n - 1, "bipartite"), space, on_record)
+
+
+def _coercive_244(spec: SweepSpec, on_record) -> SweepReport:
+    sigma = SizeSequence((2, 4, 4), 3)
+    single = _claim_sweep(spec, sigma, SearchSpace("cycles", ambients=((8,), (10,))))
+    double = _claim_sweep(spec, sigma, SearchSpace("cycles", ambients=((4, 4),)),
+                          on_record)
+    double.detail["single_cycle_verdict"] = single.verdict
+    double.detail["single_cycle_instances"] = single.instances_tested
+    return double
+
+
+def _rho_two_cover(spec: SweepSpec, on_record, ground: int,
+                   instances: int) -> SweepReport:
+    rng = random.Random(spec.seed)
+
+    def check(pair) -> Optional[tuple[dict, dict]]:
+        m1, m2 = pair
+        report = check_two_cover(m1, m2)
+        if report.holds:
+            return None
+        return ({"matroid": m1.descriptor, "matroid2": m2.descriptor},
+                {"rho_m": report.rho_m, "rho_n": report.rho_n,
+                 "rho_meet": report.rho_meet})
+
+    pairs = ((random_matroid(rng, ground), random_matroid(rng, ground))
+             for _ in range(instances))
+    return sweep(spec, pairs, check, {"ground": ground}, on_record)
+
+
+def _rota(spec: SweepSpec, on_record, n: int, instances: int) -> SweepReport:
+    rng = random.Random(spec.seed)
+
+    def candidates():
+        for _ in range(instances):
+            while True:  # rejection sampling: need covering number exactly n
+                cols = [rng.randint(1, (1 << n) - 1) for _ in range(n * n)]
+                matroid = binary_matroid(cols)
+                if covering_number(matroid)[0] == n:
+                    break
             elements = list(range(n * n))
             rng.shuffle(elements)
-            parts = [sorted(elements[i * n:(i + 1) * n]) for i in range(n)]
-            result = rota_scrambled_search(matroid, parts)
-            run.record("ok" if result.succeeded else "counterexample")
-            if not result.succeeded:
-                return run.counterexample(
-                    {"matroid": matroid.descriptor,
-                     "parts": [list(p) for p in parts]},
-                    n=n,
-                )
-        return run.verified(n=n, instances=produced)
-    if tag == "short-cycle":
-        n = spec.param("n")
-        r = spec.param("r")
-        spec2 = SweepSpec(tag, spec.params, mode="random", seed=spec.seed,
-                          instance_cap=spec.instance_cap)
-        run = SweepRun(spec2, on_record=on_record)
-        rng = random.Random(spec.seed)
-        need = -(-n // r)
-        for _ in range(spec.param("instances", 200)):
-            if run.over_cap():
-                return run.capped(n=n, r=r)
+            yield matroid, [sorted(elements[i * n:(i + 1) * n]) for i in range(n)]
+
+    def check(candidate) -> Optional[tuple[dict, dict]]:
+        matroid, parts = candidate
+        if rota_scrambled_search(matroid, parts).succeeded:
+            return None
+        return ({"matroid": matroid.descriptor, "parts": [list(p) for p in parts]},
+                {"n": n})
+
+    return sweep(spec, candidates(), check, {"n": n, "instances": instances},
+                 on_record)
+
+
+def _short_cycle(spec: SweepSpec, on_record, n: int, r: int,
+                 instances: int) -> SweepReport:
+    rng = random.Random(spec.seed)
+    need = -(-n // r)
+    sets = [list(range(c * need, (c + 1) * need)) for c in range(n)]
+
+    def candidates():
+        for _ in range(instances):
             edges: list[tuple[int, int]] = []
-            sets: list[list[int]] = []
-            for _c in range(n):
-                cls = []
-                for _e in range(need):
-                    u = rng.randrange(n)
+            for _e in range(n * need):
+                u = rng.randrange(n)
+                v = rng.randrange(n)
+                while v == u:
                     v = rng.randrange(n)
-                    while v == u:
-                        v = rng.randrange(n)
-                    cls.append(len(edges))
-                    edges.append((u, v))
-                sets.append(cls)
-            g = Graph(n, tuple(edges))
-            hit = rainbow_short_cycle(g, sets, r)
-            run.record("ok" if hit is not None else "counterexample")
-            if hit is None:
-                return run.counterexample(
-                    {"graph": {"n": n, "edges": [list(e) for e in edges]},
-                     "families": sets},
-                    n=n, r=r,
-                )
-        return run.verified(n=n, r=r)
-    raise InstanceError(f"unknown sweep conjecture {tag!r}")
+                edges.append((u, v))
+            yield Graph(n, tuple(edges))
+
+    def check(g: Graph) -> Optional[tuple[dict, dict]]:
+        if rainbow_short_cycle(g, sets, r) is not None:
+            return None
+        graph = {"n": n, "edges": [list(e) for e in g.edges]}
+        return {"graph": graph, "families": sets}, {"n": n, "r": r}
+
+    return sweep(spec, candidates(), check, {"n": n, "r": r}, on_record)
+
+
+class SweepParam(NamedTuple):
+    """A sweep parameter: its default (None if required) and its bounds."""
+
+    name: str
+    default: Optional[int] = None
+    minimum: int = 1
+    maximum: Optional[int] = None
+
+
+# tag -> (sweep, declared parameters); the sweep takes the spec, the record
+# callback and each declared parameter by name.
+SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
+    "brs": (_brs, (SweepParam("n", maximum=5),)),
+    "drisko": (partial(_random_claim, drisko_statement),
+               (SweepParam("n"), SweepParam("instances", 1000))),
+    "stairs": (partial(_random_claim, stairs_sequence),
+               (SweepParam("n"), SweepParam("instances", 1000))),
+    "ab": (_ab, (SweepParam("n"), SweepParam("max_vertices", 6, minimum=2))),
+    "coercive-244": (_coercive_244, ()),
+    "weighted-drisko": (_weighted_drisko, (SweepParam("n", maximum=4),
+                                           SweepParam("wmax", 10, minimum=0),
+                                           SweepParam("instances", 1000))),
+    "rho-two-cover": (_rho_two_cover,
+                      (SweepParam("ground", 8), SweepParam("instances", 500))),
+    "scrambled-sharpness": (_scrambled_sharpness, (SweepParam("n", minimum=4),
+                                                   SweepParam("instances", 1000))),
+    "rota": (_rota, (SweepParam("n"), SweepParam("instances", 50))),
+    "short-cycle": (_short_cycle, (SweepParam("n", minimum=2),
+                                   SweepParam("r", minimum=2),
+                                   SweepParam("instances", 200))),
+}
+
+
+def run_sweep(spec: SweepSpec,
+              on_record: Optional[Callable[[dict], None]] = None) -> SweepReport:
+    """Run the named conjecture sweep; SWEEPS lists the tags (as does the
+    CLI's `sweep --help`) and the parameters each one takes, and every
+    parameter is checked against it before any instance is built."""
+    tag = spec.conjecture
+    if tag not in SWEEPS:
+        raise InstanceError(f"unknown sweep conjecture {tag!r}")
+    run, declared = SWEEPS[tag]
+    names = [p.name for p in declared]
+    given: dict[str, int] = {}
+    for name, value in spec.params:
+        if name not in names or name in given:
+            raise InstanceError(f"sweep {tag}: parameter {name!r} is unknown or "
+                                f"repeated (takes: {', '.join(names) or 'none'})")
+        given[name] = value
+    values = {}
+    for p in declared:
+        value = given.get(p.name, p.default)
+        where = f"sweep {tag}: parameter {p.name!r}"
+        if value is None:
+            raise InstanceError(f"{where} is required")
+        if value < p.minimum:
+            raise InstanceError(f"{where} must be >= {p.minimum}, got {value}")
+        if p.maximum is not None and value > p.maximum:
+            raise InstanceError(f"{where} must be <= {p.maximum}, got {value}")
+        values[p.name] = value
+    return run(spec, on_record, **values)

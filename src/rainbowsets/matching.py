@@ -5,9 +5,10 @@ rainbow matchings, scrambled matchings, and counterexample sweeps."""
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ChoiceFunction,
@@ -21,7 +22,7 @@ from .core import (
     _kuhn_max_matching,
     _max_matching_general,
 )
-from .sweeps import SweepReport, SweepRun, SweepSpec
+from .sweeps import SweepReport, SweepSpec, sweep
 
 
 @dataclass(frozen=True)
@@ -666,13 +667,33 @@ def counterexample_search(claim, space: SearchSpace, seed: int = 0,
     """
     sizes, need = _claim_sizes(claim)
     tag = f"claim-{'-'.join(map(str, sizes))}-to-{need}"
-    spec = SweepSpec(tag, mode=space.mode, seed=seed, instance_cap=cap)
-    run = SweepRun(spec, on_record=on_record)
+    return _claim_sweep(SweepSpec(tag, seed=seed, instance_cap=cap), claim, space,
+                        on_record)
 
-    def simple_target(fam: EdgeFamily) -> bool:
+
+def _claim_sweep(spec: SweepSpec, claim, space: SearchSpace,
+                 on_record=None) -> SweepReport:
+    """counterexample_search reporting under the given spec."""
+    sizes, need = _claim_sizes(claim)
+
+    def check(fam: EdgeFamily) -> Optional[tuple[dict, dict]]:
         matching, _ = max_rainbow_matching(fam, target=need)
-        return len(matching) >= need
+        if len(matching) >= need:
+            return None
+        return _serialize_family_instance(fam.graph, fam.colors), {}
 
+    detail = {
+        "cycles": {"ambients": list(map(list, space.ambients))},
+        "bipartite-exhaustive": {"max_vertices": space.max_vertices},
+        "random": {"instances": space.instances},
+    }[space.mode]
+    return sweep(spec, _claim_candidates(sizes, space, spec.seed), check, detail,
+                 on_record)
+
+
+def _claim_candidates(sizes: tuple[int, ...], space: SearchSpace,
+                      seed: int) -> Iterator[EdgeFamily]:
+    """The families of the given color sizes that the space holds."""
     if space.mode == "cycles":
         for lengths in space.ambients:
             g = _cycle_graph(lengths)
@@ -681,18 +702,8 @@ def counterexample_search(claim, space: SearchSpace, seed: int = 0,
             if any(not options for options in per_color):
                 continue
             for fam_sets in _family_product(per_color, sizes):
-                if run.over_cap():
-                    return run.capped(ambients=list(map(list, space.ambients)))
-                fam = EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
-                ok = simple_target(fam)
-                run.record("ok" if ok else "counterexample")
-                if not ok:
-                    return run.counterexample(
-                        _serialize_family_instance(g, fam_sets)
-                    )
-        return run.verified(ambients=list(map(list, space.ambients)))
-
-    if space.mode == "bipartite-exhaustive":
+                yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
+    elif space.mode == "bipartite-exhaustive":
         smax = max(sizes) if sizes else 0
         canonical_on = smax <= 3 and space.max_vertices <= 8
         seen: set = set()
@@ -700,17 +711,13 @@ def counterexample_search(claim, space: SearchSpace, seed: int = 0,
             for nr in range(nl, space.max_vertices - nl + 1):
                 if nr < smax:
                     continue
-                pairs = [(l, r) for l in range(nl) for r in range(nr)]
-                per_color = []
-                for s in sizes:
-                    opts = []
-                    for lefts in itertools.combinations(range(nl), s):
-                        for rights in itertools.permutations(range(nr), s):
-                            opts.append(tuple(sorted(zip(lefts, rights))))
-                    per_color.append(sorted(set(opts)))
+                per_color = [
+                    sorted(tuple(zip(lefts, rights))
+                           for lefts in itertools.combinations(range(nl), s)
+                           for rights in itertools.permutations(range(nr), s))
+                    for s in sizes
+                ]
                 for fam_pairs in _family_product(per_color, sizes):
-                    if run.over_cap():
-                        return run.capped(max_vertices=space.max_vertices)
                     covered_l = {l for m in fam_pairs for l, _ in m}
                     covered_r = {r for m in fam_pairs for _, r in m}
                     if len(covered_l) != nl or len(covered_r) != nr:
@@ -720,42 +727,27 @@ def counterexample_search(claim, space: SearchSpace, seed: int = 0,
                         if key in seen:
                             continue
                         seen.add(key)
-                    edges: list[tuple[int, int]] = []
-                    colors: list[frozenset[int]] = []
-                    for m in fam_pairs:
-                        ids = []
-                        for l, r in m:
-                            ids.append(len(edges))
-                            edges.append((l, nl + r))
-                        colors.append(frozenset(ids))
-                    g = Graph(
-                        nl + nr, tuple(edges),
-                        (frozenset(range(nl)), frozenset(range(nl, nl + nr))),
-                    )
-                    fam = EdgeFamily(g, tuple(colors))
-                    ok = simple_target(fam)
-                    run.record("ok" if ok else "counterexample")
-                    if not ok:
-                        return run.counterexample(
-                            _serialize_family_instance(g, colors)
-                        )
-        return run.verified(max_vertices=space.max_vertices)
+                    yield _bipartite_family(nl, nr, fam_pairs)
+    else:  # seeded bipartite instances from permutation matchings
+        rng = random.Random(seed)
+        for _ in range(space.instances):
+            yield random_matching_family(rng, sizes)
 
-    # random mode: seeded bipartite instances from permutation matchings
-    import random as _random
 
-    rng = _random.Random(seed)
-    for _ in range(space.instances):
-        if run.over_cap():
-            return run.capped(instances=space.instances)
-        fam = random_matching_family(rng, sizes)
-        ok = simple_target(fam)
-        run.record("ok" if ok else "counterexample")
-        if not ok:
-            return run.counterexample(
-                _serialize_family_instance(fam.graph, fam.colors)
-            )
-    return run.verified(instances=space.instances)
+def _bipartite_family(nl: int, nr: int,
+                      matchings: Iterable[Iterable[tuple[int, int]]]) -> EdgeFamily:
+    """Matchings of (left, right) pairs as a family on the bipartite graph
+    with sides 0..nl-1 and nl..nl+nr-1; every pair is a fresh edge id."""
+    edges: list[tuple[int, int]] = []
+    colors: list[frozenset[int]] = []
+    for m in matchings:
+        ids = []
+        for l, r in m:
+            ids.append(len(edges))
+            edges.append((l, nl + r))
+        colors.append(frozenset(ids))
+    sides = (frozenset(range(nl)), frozenset(range(nl, nl + nr)))
+    return EdgeFamily(Graph(nl + nr, tuple(edges), sides), tuple(colors))
 
 
 def random_matching_family(rng, sizes: Sequence[int]) -> EdgeFamily:
@@ -764,18 +756,9 @@ def random_matching_family(rng, sizes: Sequence[int]) -> EdgeFamily:
     restricted to its first entries; repeats across colors become parallel
     edges with fresh ids."""
     m = max(sizes) if sizes else 1
-    edges: list[tuple[int, int]] = []
-    colors: list[frozenset[int]] = []
+    matchings = []
     for s in sizes:
         perm = list(range(m))
         rng.shuffle(perm)
-        ids = []
-        for l in range(s):
-            ids.append(len(edges))
-            edges.append((l, m + perm[l]))
-        colors.append(frozenset(ids))
-    g = Graph(
-        2 * m, tuple(edges),
-        (frozenset(range(m)), frozenset(range(m, 2 * m))),
-    )
-    return EdgeFamily(g, tuple(colors))
+        matchings.append(zip(range(s), perm))
+    return _bipartite_family(m, m, matchings)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import InstanceError
 
@@ -15,11 +15,10 @@ CAP_EXHAUSTED = "cap-exhausted"
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """What to sweep: a conjecture tag, size parameters, mode and caps."""
+    """What to sweep: a conjecture tag, size parameters and caps."""
 
     conjecture: str
     params: tuple[tuple[str, int], ...] = ()
-    mode: str = "exhaustive"
     seed: int = 0
     instance_cap: int = 10**6
     time_cap: Optional[float] = None
@@ -32,14 +31,6 @@ class SweepSpec:
         object.__setattr__(
             self, "params", tuple((str(k), int(v)) for k, v in self.params)
         )
-
-    def param(self, name: str, default: Optional[int] = None) -> int:
-        for k, v in self.params:
-            if k == name:
-                return v
-        if default is None:
-            raise InstanceError(f"sweep parameter {name!r} is required")
-        return default
 
 
 @dataclass
@@ -78,12 +69,9 @@ class SweepRun:
         self._on_record = on_record
 
     def over_cap(self) -> bool:
-        if self.tested >= self.spec.instance_cap:
-            return True
-        if (self.spec.time_cap is not None
-                and time.monotonic() - self._started > self.spec.time_cap):
-            return True
-        return False
+        return self.tested >= self.spec.instance_cap or (
+            self.spec.time_cap is not None
+            and time.monotonic() - self._started > self.spec.time_cap)
 
     def record(self, verdict: str, witness: Optional[dict] = None):
         index = self.tested
@@ -94,20 +82,38 @@ class SweepRun:
                 rec["witness"] = witness
             self._on_record(rec)
 
-    def verified(self, **detail) -> SweepReport:
-        return SweepReport(
-            self.spec.conjecture, VERIFIED_RANGE, self.tested, self.spec.seed,
-            detail=dict(detail),
-        )
+    def report(self, verdict: str, counterexample: Optional[dict] = None,
+               **detail) -> SweepReport:
+        return SweepReport(self.spec.conjecture, verdict, self.tested,
+                           self.spec.seed, counterexample, dict(detail))
 
-    def counterexample(self, instance: dict, **detail) -> SweepReport:
-        return SweepReport(
-            self.spec.conjecture, COUNTEREXAMPLE, self.tested, self.spec.seed,
-            counterexample=instance, detail=dict(detail),
-        )
 
-    def capped(self, **detail) -> SweepReport:
-        return SweepReport(
-            self.spec.conjecture, CAP_EXHAUSTED, self.tested, self.spec.seed,
-            detail=dict(detail),
-        )
+def sweep(spec: SweepSpec, candidates: Iterable,
+          check: Callable[..., Optional[tuple[dict, dict]]],
+          detail: dict, on_record: Optional[Callable[[dict], None]] = None, *,
+          hit_verdict: str = COUNTEREXAMPLE, record_witness: bool = False,
+          exhausted_note: Optional[str] = None) -> SweepReport:
+    """Check each candidate until one is a hit or a cap fires.
+
+    `candidates` does its own skipping, so each one it yields is counted.
+    `check` returns None for a candidate that satisfies the statement, and
+    for a hit the serialized instance and the counterexample report's
+    detail. A hit is recorded as `hit_verdict` (carrying the instance if
+    `record_witness`) and ends the sweep. Verified and cap-exhausted reports
+    carry `detail`. With `exhausted_note`, running out of candidates ends
+    cap-exhausted with that note instead of verified.
+    """
+    run = SweepRun(spec, on_record=on_record)
+    for candidate in candidates:
+        if run.over_cap():
+            return run.report(CAP_EXHAUSTED, **detail)
+        hit = check(candidate)
+        if hit is None:
+            run.record("ok")
+            continue
+        instance, hit_detail = hit
+        run.record(hit_verdict, instance if record_witness else None)
+        return run.report(COUNTEREXAMPLE, instance, **hit_detail)
+    if exhausted_note is not None:
+        return run.report(CAP_EXHAUSTED, **detail, note=exhausted_note)
+    return run.report(VERIFIED_RANGE, **detail)

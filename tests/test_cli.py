@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rainbowsets import cli
+from rainbowsets.harness import SWEEPS
 
 
 def run_cli(tmp_path, capsys, argv, instance):
@@ -27,9 +28,42 @@ class TestInputErrors:
         pytest.param(["rainbow-matching"],
                      {"graph": {"n": 2, "edges": [[0, 1]], "bipartition": 5}, "colors": [[0]]},
                      "instance.graph.bipartition", id="bipartition-scalar"),
+        pytest.param(["rainbow-matching"], {"graph": {"n": "q", "edges": []}, "colors": []},
+                     "instance.graph.n", id="graph-n-string"),
+        pytest.param(["rainbow-matching"],
+                     {"graph": {"n": 2, "edges": [["a", 1]]}, "colors": [[0]]},
+                     "instance.graph.edges[0][0]", id="edge-endpoint-string"),
+        pytest.param(["hall"], {"ground_size": "x", "colors": [[0]]},
+                     "instance.ground_size", id="ground-size-string"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)
         assert code == cli.EXIT_INPUT == 2
         assert payload["status"] == "error"
         assert field in payload["error"]
+
+
+class TestSweepParams:
+    @pytest.mark.parametrize("tag, params, name", [
+        pytest.param("short-cycle", ["n=1", "r=2"], "'n'", id="short-cycle-n1"),
+        pytest.param("short-cycle", ["n=4", "r=0"], "'r'", id="short-cycle-r0"),
+        pytest.param("weighted-drisko", ["n=0"], "'n'", id="weighted-n0"),
+        pytest.param("weighted-drisko", ["n=3", "wmax=-1"], "'wmax'", id="weighted-wmax-negative"),
+        pytest.param("drisko", ["n=3", "bogus=1"], "'bogus'", id="unknown-parameter"),
+        pytest.param("drisko", [], "'n'", id="missing-parameter"),
+        pytest.param("drisko", ["n=2", "n=3"], "'n'", id="repeated-parameter"),
+        pytest.param("brs", ["n=6"], "'n'", id="brs-n-above-maximum"),
+    ])
+    def test_bad_parameter_exits_2(self, capsys, tag, params, name):
+        code = cli.main(["sweep", "--conjecture", tag, "--params", *params])
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_INPUT == 2
+        assert payload["status"] == "error"
+        assert name in payload["error"]
+
+    def test_help_lists_every_tag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["sweep", "--help"])
+        out = capsys.readouterr().out
+        for tag in SWEEPS:
+            assert tag in out

@@ -5,8 +5,11 @@ and detail), the full stream of per-instance records, and the report when
 the instance cap stops the sweep after three instances.
 """
 
+import json
+
 import pytest
 
+from rainbowsets import cli
 from rainbowsets.harness import run_sweep
 from rainbowsets.sweeps import SweepSpec
 
@@ -24,7 +27,8 @@ CASES = [
      {"verdict": "verified-range", "instances_tested": 24,
       "detail": {"n": 4, "reduction": "first-row-normalized"}},
      ["ok"] * 24,
-     {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"n": 4}}),
+     {"verdict": "cap-exhausted", "instances_tested": 3,
+      "detail": {"n": 4, "reduction": "first-row-normalized"}}),
     ("drisko", {"n": 3, "instances": 50},
      {"verdict": "verified-range", "instances_tested": 50, "detail": {"instances": 50}},
      ["ok"] * 50,
@@ -49,7 +53,8 @@ CASES = [
      {"verdict": "verified-range", "instances_tested": 50,
       "detail": {"n": 3, "instances": 50}},
      ["ok"] * 50,
-     {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"n": 3}}),
+     {"verdict": "cap-exhausted", "instances_tested": 3,
+      "detail": {"n": 3, "instances": 50}}),
     ("rho-two-cover", {"ground": 6, "instances": 30},
      {"verdict": "verified-range", "instances_tested": 30, "detail": {"ground": 6}},
      ["ok"] * 30,
@@ -63,7 +68,8 @@ CASES = [
      {"verdict": "verified-range", "instances_tested": 10,
       "detail": {"n": 2, "instances": 10}},
      ["ok"] * 10,
-     {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"n": 2}}),
+     {"verdict": "cap-exhausted", "instances_tested": 3,
+      "detail": {"n": 2, "instances": 10}}),
     ("short-cycle", {"n": 6, "r": 3, "instances": 30},
      {"verdict": "verified-range", "instances_tested": 30, "detail": {"n": 6, "r": 3}},
      ["ok"] * 30,
@@ -94,9 +100,19 @@ def test_sweep_pinned(tag, params, full, verdicts, capped):
 
 
 def test_ab_cap_at_full_count():
-    """The cap is checked before the candidates the sweep skips, so a cap
-    equal to the whole range still fires."""
+    """Skipped candidates are never counted, so a cap equal to the whole
+    range lets the sweep finish."""
     report, records = sweep("ab", {"n": 3, "max_vertices": 6}, cap=5)
-    assert report.verdict == "cap-exhausted"
+    assert report.verdict == "verified-range"
     assert report.instances_tested == 5
     assert records == expected_records(["ok"] * 5)
+
+
+def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
+    """The (2, 4, 4) -> 3 counterexample has no rainbow matching of size 3."""
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(COERCIVE_HIT))
+    code = cli.main(["rainbow-matching", "--target", "3", "--input", str(path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_NEGATIVE == 1
+    assert payload["size"] < 3
