@@ -179,9 +179,10 @@ def _run_arrow_check(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _require(instance, "paths")]
+    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "paths")]
     if args.weights:
-        weights = WeightMap(tuple(_require(instance, "weights")))
+        weights = WeightMap(tuple(_int(w, f"weights[{i}]")
+                                  for i, w in enumerate(_require(instance, "weights"))))
     else:
         weights = WeightMap.zeros(net.num_edges)
     bound = args.bound
@@ -212,8 +213,8 @@ def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
 
 def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _require(instance, "paths")]
-    scrambling = _require(instance, "scrambling")
+    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "paths")]
+    scrambling = _int_arrays(_require(instance, "scrambling"), "scrambling")
     result = scrambled_rainbow_path(net, paths, scrambling, args.n)
     return {
         "status": "scrambled-path",

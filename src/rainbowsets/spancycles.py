@@ -4,7 +4,6 @@ rainbow odd cycles with explicit extraction."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,10 +18,7 @@ from .core import (
     TheoremViolation,
 )
 from .matroids import IndependenceOracle, binary_matroid
-from .transversals import Violator, rado_rainbow
-
-HYPOTHESIS_EXHAUSTIVE_LIMIT = 12
-HYPOTHESIS_SAMPLES = 4096
+from .transversals import rado_rainbow
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ def is_bipartite_via_span(g: Graph) -> bool:
 class SpanningRainbowResult:
     """A rainbow set whose span contains the target, with provenance.
 
-    When the cooperative route fired, deficient_colors is the minimal
-    rank-deficient color set and dropped_color the member left out."""
+    When the cooperative route fired, deficient_colors is the rank-deficient
+    color set the proof used and dropped_color the member left out."""
 
     function: ChoiceFunction
     deficient_colors: Optional[frozenset[int]]
@@ -73,41 +69,6 @@ class SpanningRainbowResult:
         return self.function.image
 
 
-def _check_cooperative_hypothesis(matroid: IndependenceOracle,
-                                  target: frozenset[int],
-                                  sets: Sequence[frozenset[int]],
-                                  seed: int = 0):
-    """Every color subset J must satisfy rank(union) >= |J| or have the
-    target inside its span; exhaustive for few colors, sampled beyond."""
-    n = len(sets)
-
-    def check(indices: tuple[int, ...]) -> bool:
-        union: set[int] = set()
-        for i in indices:
-            union |= sets[i]
-        if matroid.rank(union) >= len(indices):
-            return True
-        return all(matroid.in_span(union, t) for t in target)
-
-    if n <= HYPOTHESIS_EXHAUSTIVE_LIMIT:
-        subsets = (
-            tuple(i for i in range(n) if mask >> i & 1)
-            for mask in range(1, 1 << n)
-        )
-    else:
-        rng = random.Random(seed)
-        pool = [tuple(sorted(rng.sample(range(n), rng.randint(1, n))))
-                for _ in range(HYPOTHESIS_SAMPLES)]
-        pool += [(i,) for i in range(n)]
-        subsets = iter(set(pool))
-    for indices in subsets:
-        if not check(indices):
-            raise HypothesisViolation(
-                f"color set {sorted(indices)} is rank-deficient and does not span the target",
-                witness=frozenset(indices),
-            )
-
-
 def rainbow_spanning_set(matroid: IndependenceOracle,
                          target: Iterable[int],
                          sets: Sequence[Iterable[int]]) -> SpanningRainbowResult:
@@ -115,9 +76,11 @@ def rainbow_spanning_set(matroid: IndependenceOracle,
     that every color subset J has rank(union) >= |J| or spans the target.
 
     If no rank-deficient color subset exists the full Rado rainbow base
-    spans everything; otherwise a minimal deficient J is shrunk out, one
-    of its colors is dropped, and Rado on the rest yields a rainbow set
-    with the same span as J's union.
+    spans everything; otherwise a deficient J is shrunk until dropping its
+    smallest color leaves a family with a full Rado rainbow set, which then
+    has the same span as J's union. The proof uses the hypothesis on that
+    J alone, so only J is checked: if its union misses the target, J is
+    raised as the witness of a HypothesisViolation.
     """
     tset = frozenset(int(t) for t in target)
     a_sets = [frozenset(int(x) for x in s) for s in sets]
@@ -130,7 +93,6 @@ def rainbow_spanning_set(matroid: IndependenceOracle,
         raise HypothesisViolation(
             f"matroid rank {full_rank} exceeds the number of color classes {n}"
         )
-    _check_cooperative_hypothesis(matroid, tset, a_sets)
 
     ground = GroundSet(matroid.ground_size)
     outcome = rado_rainbow(ColoredFamily(ground, tuple(a_sets)), matroid)
@@ -140,21 +102,28 @@ def rainbow_spanning_set(matroid: IndependenceOracle,
         return result
 
     deficient = _minimal_deficient(matroid, a_sets, outcome.colors)
-    dropped = min(deficient)
-    keep = sorted(deficient - {dropped})
-    sub = rado_rainbow(
-        ColoredFamily(ground, tuple(a_sets[i] for i in keep)), matroid
-    )
-    if isinstance(sub, Violator):
-        raise TheoremViolation(
-            "Rado failed below a minimal deficient color set"
+    while True:
+        dropped = min(deficient)
+        keep = sorted(deficient - {dropped})
+        sub = rado_rainbow(
+            ColoredFamily(ground, tuple(a_sets[i] for i in keep)), matroid
+        )
+        if isinstance(sub, ChoiceFunction):
+            break
+        # Rado's violator is a deficient set strictly inside this one
+        deficient = _minimal_deficient(
+            matroid, a_sets, frozenset(keep[c] for c in sub.colors))
+    union: set[int] = set()
+    for i in deficient:
+        union |= a_sets[i]
+    if not all(matroid.in_span(union, t) for t in tset):
+        raise HypothesisViolation(
+            f"color set {sorted(deficient)} is rank-deficient and does not span the target",
+            witness=deficient,
         )
     remapped = ChoiceFunction(
         tuple((keep[c], x) for c, x in sub.assignments)
     )
-    union: set[int] = set()
-    for i in deficient:
-        union |= a_sets[i]
     if matroid.rank(remapped.image) != len(deficient) - 1 or (
         matroid.rank(union) != len(deficient) - 1
     ):
@@ -175,8 +144,9 @@ def _assert_spans(matroid: IndependenceOracle, image: frozenset[int],
 def _minimal_deficient(matroid: IndependenceOracle,
                        sets: Sequence[frozenset[int]],
                        start: frozenset[int]) -> frozenset[int]:
-    """Shrink a deficient color set to an inclusion-minimal one by greedy
-    element removal, smallest index first."""
+    """Shrink a deficient color set by greedy element removal, smallest
+    index first, until no single removal leaves it deficient. A smaller
+    deficient subset may remain: deficiency is not monotone."""
 
     def is_deficient(indices: frozenset[int]) -> bool:
         union: set[int] = set()
@@ -332,58 +302,15 @@ def cooperative_odd_cycle_check(g: Graph, families: Sequence[Iterable[int]]
                                 ) -> OddCycleResult:
     """A rainbow odd cycle from n edge sets on n vertices satisfying the
     cooperative condition: every color subset J either has a spanning
-    forest of at least |J| edges in its union or an odd cycle there."""
+    forest of at least |J| edges in its union or an odd cycle there.
+
+    On the augmented edge vectors that condition is the cooperative
+    spanning hypothesis, so the pipeline checks it on the one color set
+    its proof uses."""
     a_sets = [frozenset(int(e) for e in f) for f in families]
     if len(a_sets) != g.n:
         raise HypothesisViolation(
             f"expected {g.n} color classes (one per vertex), got {len(a_sets)}",
             witness=len(a_sets),
         )
-    n = len(a_sets)
-
-    def graphic_rank_and_odd(union: set[int]) -> tuple[int, bool]:
-        parent = list(range(g.n))
-        side = [0] * g.n
-
-        def find(x: int) -> tuple[int, int]:
-            acc = 0
-            while parent[x] != x:
-                acc ^= side[x]
-                x = parent[x]
-            return x, acc
-
-        rank = 0
-        odd = False
-        for e in sorted(union):
-            u, v = g.edges[e]
-            ru, pu = find(u)
-            rv, pv = find(v)
-            if ru == rv:
-                if pu == pv:
-                    odd = True
-            else:
-                parent[ru] = rv
-                side[ru] = pu ^ pv ^ 1
-                rank += 1
-        return rank, odd
-
-    if n <= HYPOTHESIS_EXHAUSTIVE_LIMIT:
-        masks = range(1, 1 << n)
-    else:
-        rng = random.Random(0)
-        masks = sorted({
-            sum(1 << i for i in rng.sample(range(n), rng.randint(1, n)))
-            for _ in range(HYPOTHESIS_SAMPLES)
-        } | {1 << i for i in range(n)})
-    for mask in masks:
-        indices = [i for i in range(n) if mask >> i & 1]
-        union: set[int] = set()
-        for i in indices:
-            union |= a_sets[i]
-        rank, odd = graphic_rank_and_odd(union)
-        if rank < len(indices) and not odd:
-            raise HypothesisViolation(
-                f"color set {indices}: forest rank {rank} < {len(indices)} "
-                f"and no odd cycle in the union", witness=frozenset(indices),
-            )
     return _odd_cycle_pipeline(g, a_sets)

@@ -122,6 +122,19 @@ def brute_rank(oracle, subset) -> int:
     return 0
 
 
+def brute_cooperative_violations(m, target, sets) -> list[frozenset[int]]:
+    """Every color set J whose union has rank below |J| and does not span
+    the target (some t raises the rank when added); uses only brute_rank."""
+    out = []
+    for r in range(1, len(sets) + 1):
+        for combo in itertools.combinations(range(len(sets)), r):
+            union = set().union(*(sets[i] for i in combo))
+            rank = brute_rank(m, union)
+            if rank < r and any(brute_rank(m, union | {t}) > rank for t in target):
+                out.append(frozenset(combo))
+    return out
+
+
 def brute_intersection_minmax(m1, m2) -> int:
     """min over bipartitions (A, complement) of rank1(A) + rank2(comp)."""
     m = m1.ground_size

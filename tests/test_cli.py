@@ -13,6 +13,19 @@ def run_cli(tmp_path, capsys, argv, instance):
     return code, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
 
 
+NET = {"n": 2, "edges": [[0, 1]], "sources": [0], "targets": [1]}
+
+# Colors [0], [0] and [1, c] for c = 2..16 on the unit columns e0..e16,
+# target e1: the pair {0, 1} is rank-deficient and misses the target.
+SPAN_17 = {
+    "ground_size": 17,
+    "matroid": {"kind": "binary",
+                "matrix": [[int(i == j) for j in range(17)] for i in range(17)]},
+    "colors": [[0], [0]] + [[1, c] for c in range(2, 17)],
+    "target": [1],
+}
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("argv, instance, field", [
         pytest.param(["rainbow-matching"], {"graph": {"n": -1, "edges": []}, "colors": []},
@@ -35,6 +48,19 @@ class TestInputErrors:
                      "instance.graph.edges[0][0]", id="edge-endpoint-string"),
         pytest.param(["hall"], {"ground_size": "x", "colors": [[0]]},
                      "instance.ground_size", id="ground-size-string"),
+        pytest.param(["rainbow-path"], {"network": NET, "paths": [["a"]]},
+                     "instance.paths[0][0]", id="path-edge-string"),
+        pytest.param(["rainbow-path", "--weights"],
+                     {"network": NET, "paths": [[0]], "weights": ["x", 1]},
+                     "instance.weights[0]", id="weight-string"),
+        pytest.param(["scrambled-path", "--n", "2"],
+                     {"network": NET, "paths": [["a"]], "scrambling": [[0]]},
+                     "instance.paths[0][0]", id="scrambled-path-edge-string"),
+        pytest.param(["scrambled-path", "--n", "2"],
+                     {"network": NET, "paths": [[0]], "scrambling": [["a"]]},
+                     "instance.scrambling[0][0]", id="scrambling-edge-string"),
+        pytest.param(["span-rainbow"], SPAN_17,
+                     "[0, 1]", id="span-rainbow-17-colors-deficient-pair"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rainbowsets.core import Graph, HypothesisViolation, InstanceError
-from rainbowsets.matroids import free_matroid, uniform_matroid
+from rainbowsets.matroids import binary_matroid, free_matroid, uniform_matroid
 from rainbowsets.spancycles import (
     augmented_vector,
     cooperative_odd_cycle_check,
@@ -14,7 +14,12 @@ from rainbowsets.spancycles import (
     rainbow_spanning_set,
 )
 
-from oracles import brute_is_bipartite, brute_rainbow_odd_cycle_exists
+from oracles import (
+    brute_cooperative_violations,
+    brute_is_bipartite,
+    brute_rainbow_odd_cycle_exists,
+    brute_rank,
+)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -127,8 +132,6 @@ class TestRainbowSpanningSet:
 
     def test_deficient_route(self):
         # two copies of the same parallel class force the cooperative route
-        from rainbowsets.matroids import binary_matroid
-
         m = binary_matroid([0b01, 0b01, 0b10])
         res = rainbow_spanning_set(m, {1}, [frozenset({0, 1}), frozenset({0, 1})])
         assert res.deficient_colors == {0, 1}
@@ -147,10 +150,55 @@ class TestRainbowSpanningSet:
             )
         assert err.value.witness == {0, 1}
 
+    def test_deficient_pair_among_many_colors_rejected(self):
+        # 17 colors: [0], [0] and [1, c] for c = 2..16 on unit columns,
+        # target e1. Only the pair {0, 1} breaks the hypothesis.
+        m = binary_matroid([1 << i for i in range(17)])
+        sets = [frozenset({0}), frozenset({0})] + [
+            frozenset({1, c}) for c in range(2, 17)]
+        with pytest.raises(HypothesisViolation) as err:
+            rainbow_spanning_set(m, {1}, sets)
+        assert err.value.witness == {0, 1}
+
+    def test_deficient_set_hiding_a_smaller_one(self):
+        # Greedy removal stops at colors {1, 2, 3, 4}, but Rado fails below
+        # it: {2, 4} (both {0}) is deficient and is the set the proof uses.
+        m = binary_matroid([0b101, 0b011, 0b110, 0b010])
+        sets = [frozenset({2, 3}), frozenset({0, 2, 3}), frozenset({0}),
+                frozenset({1, 2, 3}), frozenset({0})]
+        res = rainbow_spanning_set(m, {0}, sets)
+        assert res.deficient_colors == {2, 4}
+        assert res.function.as_dict() == {4: 0}
+        with pytest.raises(HypothesisViolation) as err:
+            rainbow_spanning_set(m, {3}, sets)
+        assert err.value.witness == {2, 4}
+
+    def test_agrees_with_brute_hypothesis(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            bits = rng.randint(1, 3)
+            ground = rng.randint(bits, 5)
+            m = binary_matroid([rng.randint(0, (1 << bits) - 1) for _ in range(ground)])
+            n = m.rank() + rng.randint(0, 2)
+            target = set(rng.sample(range(ground), rng.randint(1, min(2, ground))))
+            sets = [frozenset(x for x in range(ground) if rng.random() < 0.4)
+                    or frozenset({rng.randrange(ground)}) for _ in range(n)]
+            violations = brute_cooperative_violations(m, target, sets)
+            try:
+                res = rainbow_spanning_set(m, target, sets)
+            except HypothesisViolation as err:
+                assert violations
+                assert err.witness in violations
+                continue
+            image = res.image
+            assert len(image) == len(res.function)
+            for c, x in res.function.assignments:
+                assert x in sets[c]
+            rank = brute_rank(m, image)
+            assert all(brute_rank(m, image | {t}) == rank for t in target)
+
     def test_output_invariants_random(self):
         rng = random.Random(5)
-        from rainbowsets.matroids import binary_matroid
-
         for _ in range(40):
             bits = rng.randint(1, 4)
             ground = rng.randint(bits, 6)
@@ -226,6 +274,16 @@ class TestCooperativeOddCycle:
         with pytest.raises(HypothesisViolation) as err:
             cooperative_odd_cycle_check(g, [frozenset({0}), frozenset({0})])
         assert err.value.witness == {0, 1}
+
+    def test_violation_outside_deficient_set_answers(self):
+        # {0, 1} breaks the condition (one edge, no odd cycle), but the
+        # minimal deficient set the proof uses is {1, 2, 3, 4}, which has
+        # a triangle, so the answer is verified instead of rejected.
+        g = Graph(5, ((0, 1), (1, 2), (2, 0)))
+        fams = [frozenset({0}), frozenset({0})] + [frozenset({0, 1, 2})] * 3
+        res = cooperative_odd_cycle_check(g, fams)
+        check_result(g, fams, res)
+        assert sorted(res.colors) == [2, 3, 4]
 
     def test_triangle_plus_forests(self):
         # n = 3: one triangle class plus two forest classes with high rank
