@@ -104,6 +104,40 @@ def _as_graph(obj, path: str = "graph") -> Graph:
                  bip)
 
 
+def _matroid_descriptor(desc, path: str = "matroid") -> dict:
+    """A matroid descriptor whose fields have the shapes from_descriptor
+    reads; nested descriptors are checked in turn."""
+    if not isinstance(desc, dict):
+        raise InstanceError(f"instance.{path}: expected an object")
+
+    def field(name: str):
+        if name not in desc:
+            raise InstanceError(f"instance.{path}.{name}: required field is missing")
+        return desc[name]
+
+    kind = desc.get("kind")
+    if desc.get("ground_size") is not None:
+        _int(desc["ground_size"], f"{path}.ground_size")
+    if kind in ("uniform", "truncation"):
+        _int(field("k"), f"{path}.k")
+    if kind == "partition":
+        _int_arrays(field("parts"), f"{path}.parts")
+        if desc.get("caps") is not None:
+            _ints(desc["caps"], f"{path}.caps")
+    elif kind == "graphic":
+        _as_graph(field("graph"), f"{path}.graph")
+    elif kind == "binary":
+        rows = _int_arrays(field("matrix"), f"{path}.matrix")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InstanceError(f"instance.{path}.matrix: rows differ in length")
+    elif kind == "truncation":
+        _matroid_descriptor(field("inner"), f"{path}.inner")
+    elif kind == "direct-sum":
+        _matroid_descriptor(field("left"), f"{path}.left")
+        _matroid_descriptor(field("right"), f"{path}.right")
+    return desc
+
+
 def _as_network(obj) -> Network:
     for field in ("n", "edges", "sources", "targets"):
         if not isinstance(obj, dict) or field not in obj:
@@ -147,7 +181,8 @@ def _run_hall(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rado(instance: dict, args) -> tuple[dict, int]:
     fam = _as_family(instance)
-    matroid = from_descriptor(_require(instance, "matroid"), fam.ground.size)
+    matroid = from_descriptor(_matroid_descriptor(_require(instance, "matroid")),
+                              fam.ground.size)
     outcome = rado_rainbow(fam, matroid)
     if isinstance(outcome, Violator):
         return {"status": "violator", "colors": sorted(outcome.colors)}, EXIT_NEGATIVE
@@ -240,7 +275,8 @@ def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
 
 def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
     fam_ground = _int(_require(instance, "ground_size"), "ground_size")
-    matroid = from_descriptor(_require(instance, "matroid"), fam_ground)
+    matroid = from_descriptor(_matroid_descriptor(_require(instance, "matroid")),
+                              fam_ground)
     sets = _sets(instance, "colors")
     target = _ints(_require(instance, "target"), "target")
     result = rainbow_spanning_set(matroid, target, sets)

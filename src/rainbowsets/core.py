@@ -292,47 +292,89 @@ def _kuhn_max_matching(lefts: Iterable[int],
 
 
 def _max_matching_general(edge_ids: list[int], masks: list[int]) -> frozenset[int]:
-    """Exact maximum matching by branch and bound; for small general graphs."""
-    order = sorted(range(len(edge_ids)), key=lambda i: edge_ids[i])
-    best: list[frozenset[int]] = [frozenset()]
+    """Maximum matching of a general graph by Edmonds' blossom algorithm.
 
-    def bound(used: int, pool: list[int]) -> int:
-        # valid upper bound on edges still addable: half the free vertices
-        free = 0
-        verts = 0
-        for i in pool:
-            if not masks[i] & used:
-                free += 1
-                verts |= masks[i] & ~used
-        return min(free, bin(verts).count("1") // 2)
+    masks[i] has the two endpoint bits of edge edge_ids[i]. Of parallel
+    edges only the lowest id is used. Vertices are tried as roots in
+    ascending order, each vertex's edges by ascending id and the search
+    tree grows breadth first, so the result is deterministic.
+    """
+    lowest: dict[int, int] = {}
+    for e, m in sorted(zip(edge_ids, masks)):
+        lowest.setdefault(m, e)
+    n = max((m.bit_length() for m in lowest), default=0)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for m in lowest:
+        u, v = (m & -m).bit_length() - 1, m.bit_length() - 1
+        adj[u].append(v)
+        adj[v].append(u)
+    match = [-1] * n
 
-    def search(used: int, pool: list[int], chosen: list[int]):
-        pool = [i for i in pool if not masks[i] & used]
-        if len(chosen) + bound(used, pool) <= len(best[0]):
-            return
-        if not pool:
-            if len(chosen) > len(best[0]):
-                best[0] = frozenset(edge_ids[i] for i in chosen)
-            return
-        # branch on the lowest free vertex: either some incident edge or none
-        low = min(masks[i] & -(masks[i]) for i in pool)
-        incident = [i for i in pool if masks[i] & low]
-        others = [i for i in pool if not masks[i] & low]
-        for i in incident:
-            chosen.append(i)
-            search(used | masks[i], pool, chosen)
-            chosen.pop()
-        search(used | low, others, chosen)
+    def augment(root: int):
+        parent = [-1] * n
+        base = list(range(n))
+        outer = [False] * n
+        outer[root] = True
+        queue = [root]
 
-    search(0, order, [])
-    return best[0]
+        def lca(a: int, b: int) -> int:
+            seen = set()
+            while True:
+                a = base[a]
+                seen.add(a)
+                if match[a] == -1:
+                    break
+                a = parent[match[a]]
+            while base[b] not in seen:
+                b = parent[match[base[b]]]
+            return base[b]
+
+        def mark(v: int, b: int, child: int, blossom: set[int]):
+            while base[v] != b:
+                blossom.add(base[v])
+                blossom.add(base[match[v]])
+                parent[v] = child
+                child = match[v]
+                v = parent[child]
+
+        for v in queue:
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if outer[w]:
+                    b = lca(v, w)
+                    blossom: set[int] = set()
+                    mark(v, b, w, blossom)
+                    mark(w, b, v, blossom)
+                    for i in range(n):
+                        if base[i] in blossom:
+                            base[i] = b
+                            if not outer[i]:
+                                outer[i] = True
+                                queue.append(i)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if match[w] == -1:
+                        while w != -1:  # flip the path back to the root
+                            u = parent[w]
+                            nxt = match[u]
+                            match[u], match[w] = w, u
+                            w = nxt
+                        return
+                    outer[match[w]] = True
+                    queue.append(match[w])
+
+    for root in range(n):
+        if match[root] == -1 and adj[root]:
+            augment(root)
+    return frozenset(lowest[(1 << u) | (1 << match[u])] for u in range(n) if match[u] > u)
 
 
 def max_matching(g: Graph) -> Matching:
     """Maximum-cardinality matching.
 
     Bipartite graphs (declared or detected) use augmenting paths; other
-    graphs use exact branch and bound, intended for desk-scale instances.
+    graphs use Edmonds' blossom algorithm, with no cap on the vertex count.
     """
     sides = find_bipartition(g)
     if sides is not None:
@@ -345,10 +387,6 @@ def max_matching(g: Graph) -> Matching:
                 adj.setdefault(lu, []).append(rv)
         match = _kuhn_max_matching(sorted(left_side), lambda u: adj.get(u, ()))
         return Matching(frozenset(edge_of[u, v] for v, u in match.items()))
-    if g.n > 24:
-        raise ResourceCapError(
-            f"exact general matching capped at 24 vertices, got {g.n}"
-        )
     masks = [g.edge_mask(e) for e in range(g.num_edges)]
     return Matching(_max_matching_general(list(range(g.num_edges)), masks))
 

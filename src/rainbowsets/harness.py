@@ -178,7 +178,15 @@ def rota_scrambled_search(matroid: IndependenceOracle,
     rho, _ = covering_number(matroid)
     if rho != n:
         raise InstanceError(f"covering number is {rho}, expected n = {n}")
+    return _rota_partition(matroid, part_sets)
 
+
+def _rota_partition(matroid: IndependenceOracle,
+                    part_sets: list[frozenset[int]]) -> RotaSearchResult:
+    """rota_scrambled_search on parts already known to partition the ground
+    of a matroid with covering number len(part_sets)."""
+    n = len(part_sets)
+    ground = matroid.ground_size
     part_of = {}
     for i, p in enumerate(part_sets):
         for x in p:
@@ -526,7 +534,8 @@ def _rota(spec: SweepSpec, on_record, n: int, instances: int) -> SweepReport:
 
     def check(candidate) -> Optional[tuple[dict, dict]]:
         matroid, parts = candidate
-        if rota_scrambled_search(matroid, parts).succeeded:
+        # the rejection loop has fixed the covering number at n
+        if _rota_partition(matroid, [frozenset(p) for p in parts]).succeeded:
             return None
         return ({"matroid": matroid.descriptor, "parts": [list(p) for p in parts]},
                 {"n": n})

@@ -97,7 +97,9 @@ class _RainbowSearch:
     Branches on the color class with the fewest compatible edges (edges by
     id within a class, then the skip branch); prunes with the size of the
     current partial plus a maximum matching of the remaining classes' union
-    restricted to unused vertices.
+    restricted to unused vertices. The skip branch also drops every class
+    whose live edges cover the same vertex pairs as the branch class
+    (orbital branching on the orbit of identical classes).
     """
 
     def __init__(self, fam: EdgeFamily, target: Optional[int]):
@@ -131,9 +133,7 @@ class _RainbowSearch:
                 seen_pairs.add(pair)
                 adj.setdefault(pair[0], []).append(pair[1])
             return len(_kuhn_max_matching(adj, adj.__getitem__))
-        pairs = sorted({tuple(sorted(self.g.edges[e])) for e in edge_ids})
-        masks = [(1 << u) | (1 << v) for u, v in pairs]
-        return len(_max_matching_general(list(range(len(masks))), masks))
+        return len(_max_matching_general(edge_ids, [self.masks[e] for e in edge_ids]))
 
     def run(self) -> list[tuple[int, int]]:
         compatible = {
@@ -170,7 +170,13 @@ class _RainbowSearch:
             chosen.pop()
             if self._done():
                 return
-        self._search(used, rest, chosen)
+        # A skip-branch solution using a class with the same live vertex
+        # pairs maps to a take-branch solution of the same size, so the
+        # skip branch drops every such class.
+        size = len(live[branch_color])
+        pairs = {self.masks[e] for e in live[branch_color]}
+        self._search(used, {c: es for c, es in rest.items() if len(es) != size
+                            or {self.masks[e] for e in es} != pairs}, chosen)
 
 
 def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None

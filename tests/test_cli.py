@@ -61,6 +61,15 @@ class TestInputErrors:
                      "instance.scrambling[0][0]", id="scrambling-edge-string"),
         pytest.param(["span-rainbow"], SPAN_17,
                      "[0, 1]", id="span-rainbow-17-colors-deficient-pair"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": 5},
+                     "instance.matroid", id="matroid-scalar"),
+        pytest.param(["rado"],
+                     {"ground_size": 2, "colors": [[0]], "matroid": {"kind": "uniform"}},
+                     "instance.matroid.k", id="uniform-matroid-without-k"),
+        pytest.param(["span-rainbow"],
+                     {"ground_size": 2, "colors": [[0]], "target": [0],
+                      "matroid": {"kind": "binary", "matrix": [["a", 1]]}},
+                     "instance.matroid.matrix[0][0]", id="binary-matrix-entry-string"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)

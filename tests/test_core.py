@@ -22,6 +22,7 @@ from rainbowsets.core import (
     max_matching,
     transversal_check,
     _kuhn_max_matching,
+    _max_matching_general,
 )
 
 from oracles import brute_max_matching, kuhn_reference
@@ -152,6 +153,77 @@ class TestMaxMatching:
             ref.add_edges_from(edges)
             expect = len(nx.bipartite.hopcroft_karp_matching(ref, range(nl))) // 2
             assert len(max_matching(Graph(nl + nr, tuple(edges)))) == expect
+
+
+def random_general_graph(rng: random.Random) -> Graph:
+    """A small graph with a planted odd cycle, parallel edges and isolated
+    vertices, each with some probability."""
+    n = rng.randint(1, 9)
+    edges = []
+    if n >= 3 and rng.random() < 0.5:
+        length = rng.choice([k for k in (3, 5, 7, 9) if k <= n])
+        cycle = rng.sample(range(n), length)
+        edges += [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+    for _ in range(rng.randint(0, 8)):
+        if n >= 2:
+            edges.append(tuple(rng.sample(range(n), 2)))
+    for _ in range(rng.randint(0, 2)):
+        if edges:
+            edges.append(rng.choice(edges)[::rng.choice((1, -1))])
+    rng.shuffle(edges)
+    return Graph(n + rng.randint(0, 2), tuple(edges))
+
+
+class TestBlossomKernel:
+    def test_brute_force_agreement_general_graphs(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            g = random_general_graph(rng)
+            m = max_matching(g)
+            assert matching_check(g, m.edges)
+            assert len(m) == brute_max_matching(g), g
+
+    def test_kernel_on_a_subset_of_edge_ids(self):
+        """The kernel takes any edge ids with their masks; of parallel edges
+        it keeps the lowest id."""
+        rng = random.Random(6)
+        for _ in range(300):
+            g = random_general_graph(rng)
+            ids = sorted(rng.sample(range(g.num_edges), rng.randint(0, g.num_edges)))
+            got = _max_matching_general(ids, [g.edge_mask(e) for e in ids])
+            assert got <= set(ids) and matching_check(g, got)
+            sub = Graph(g.n, tuple(g.edges[e] for e in ids))
+            assert len(got) == brute_max_matching(sub)
+            for e in got:
+                assert e == min(f for f in ids if g.edge_mask(f) == g.edge_mask(e))
+
+    def test_deterministic_choice(self):
+        # a triangle 0-1-2 with a pendant 2-3: root 0 takes its lowest edge
+        # id (1, to vertex 1), then root 2 takes edge 0 to vertex 3
+        g = Graph(4, ((2, 3), (0, 1), (1, 2), (0, 2)))
+        assert max_matching(g).edges == {0, 1}
+
+    def test_networkx_agreement(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(13)
+        for _ in range(60):
+            n = rng.randint(1, 60)
+            p = rng.random() * 0.15
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p]
+            g = Graph(n, tuple(edges))
+            ref = nx.Graph()
+            ref.add_nodes_from(range(n))
+            ref.add_edges_from(edges)
+            m = max_matching(g)
+            assert matching_check(g, m.edges)
+            assert len(m) == len(nx.max_weight_matching(ref, maxcardinality=True))
+
+    def test_large_odd_cycle(self):
+        """C_51 is past the old 24-vertex cap of the general case."""
+        g = Graph(51, tuple((i, (i + 1) % 51) for i in range(51)))
+        m = max_matching(g)
+        assert len(m) == 25 and matching_check(g, m.edges)
 
 
 class TestKuhnKernel:

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from rainbowsets import cli
+from rainbowsets import cli, harness
 from rainbowsets.harness import run_sweep
 from rainbowsets.sweeps import SweepSpec
 
@@ -116,3 +116,22 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_NEGATIVE == 1
     assert payload["size"] < 3
+
+
+def test_rota_computes_each_covering_number_once(monkeypatch):
+    """The rejection loop's covering number is the one the check relies on:
+    one covering_number call per drawn matroid, none again per instance."""
+    counts = {"drawn": 0, "covering": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "binary_matroid", counted("drawn", harness.binary_matroid))
+    monkeypatch.setattr(harness, "covering_number",
+                        counted("covering", harness.covering_number))
+    report, _ = sweep("rota", {"n": 3, "instances": 20})
+    assert report.verdict == "verified-range"
+    assert counts == {"drawn": 25, "covering": 25}

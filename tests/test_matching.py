@@ -11,6 +11,7 @@ from rainbowsets.core import (
     matching_check,
 )
 from rainbowsets.core import ColoredFamily, GroundSet
+from rainbowsets import matching
 from rainbowsets.matching import (
     ArrowStatement,
     EdgeFamily,
@@ -126,6 +127,103 @@ class TestMaxRainbowMatching:
             fam = EdgeFamily(g, tuple(cleaned))
             got, _ = max_rainbow_matching(fam)
             assert len(got) == brute_max_rainbow(fam)
+
+
+def drisko_sharpness(n: int) -> EdgeFamily:
+    """n-1 copies of each perfect matching of C_2n, every copy with fresh
+    edge ids; its largest rainbow matching has n-1 edges."""
+    halves = [[(i, (i + 1) % (2 * n)) for i in range(offset, 2 * n, 2)]
+              for offset in (0, 1)]
+    return family_from_pairs(2 * n, *[h for h in halves for _ in range(n - 1)])
+
+
+def k5_family(k: int) -> EdgeFamily:
+    """2k+1 copies of the edge set of k disjoint K5s; the optimum is 2k."""
+    blocks = [(5 * b + i, 5 * b + j) for b in range(k)
+              for i in range(5) for j in range(i + 1, 5)]
+    return family_from_pairs(5 * k, *[blocks] * (2 * k + 1))
+
+
+def repeated_class_family(rng: random.Random) -> EdgeFamily:
+    """Colors drawn with repetition from a few base edge sets, each copy
+    with fresh edge ids; bipartite matchings or arbitrary general edges."""
+    n = rng.randint(2, 8)
+    bases = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            rights = list(range(n // 2, n))
+            rng.shuffle(rights)
+            bases.append(list(zip(range(n // 2), rights))[:rng.randint(1, max(1, n // 2))])
+        else:
+            bases.append([rng.sample(range(n), 2) for _ in range(rng.randint(1, 4))])
+    return family_from_pairs(n, *[rng.choice(bases) for _ in range(rng.randint(1, 5))])
+
+
+# (first color, edge id) choices of the witness each family gives, which
+# the orbit pruning and the blossom bound leave as they were
+DRISKO_WITNESSES = {
+    7: ((0, 0), (1, 10), (2, 18), (3, 26), (4, 34), (6, 43)),
+    8: ((0, 0), (1, 11), (2, 20), (3, 29), (4, 38), (5, 47), (7, 57)),
+    9: ((0, 0), (1, 12), (2, 22), (3, 32), (4, 42), (5, 52), (6, 62), (8, 73)),
+    10: ((0, 0), (1, 13), (2, 24), (3, 35), (4, 46), (5, 57), (6, 68), (7, 79),
+         (9, 91)),
+    11: ((0, 0), (1, 14), (2, 26), (3, 38), (4, 50), (5, 62), (6, 74), (7, 86),
+         (8, 98), (10, 111)),
+    12: ((0, 0), (1, 15), (2, 28), (3, 41), (4, 54), (5, 67), (6, 80), (7, 93),
+         (8, 106), (9, 119), (11, 133)),
+    13: ((0, 0), (1, 16), (2, 30), (3, 44), (4, 58), (5, 72), (6, 86), (7, 100),
+         (8, 114), (9, 128), (10, 142), (12, 157)),
+}
+K5_WITNESSES = {
+    3: ((0, 0), (1, 37), (2, 70), (3, 107), (4, 140), (5, 177)),
+    4: ((0, 0), (1, 47), (2, 90), (3, 137), (4, 180), (5, 227), (6, 270), (7, 317)),
+}
+
+
+class TestOrbitPruning:
+    def test_repeated_classes_brute_force_agreement(self):
+        rng = random.Random(21)
+        for _ in range(320):
+            fam = repeated_class_family(rng)
+            best = brute_max_rainbow(fam)
+            target = rng.randint(1, 4)
+            for want, (got, function) in ((best, max_rainbow_matching(fam)),
+                                          (min(best, target),
+                                           max_rainbow_matching(fam, target=target))):
+                assert len(got) == want
+                assert matching_check(fam.graph, got.edges)
+                assert all(e in fam.colors[c] for c, e in function.assignments)
+                assert frozenset(e for _, e in function.assignments) == got.edges
+
+    @pytest.mark.parametrize("n", sorted(DRISKO_WITNESSES))
+    def test_drisko_sharpness_witness(self, n):
+        got, function = max_rainbow_matching(drisko_sharpness(n), target=n)
+        assert function.assignments == DRISKO_WITNESSES[n]
+        assert got.edges == {e for _, e in DRISKO_WITNESSES[n]}
+
+    @pytest.mark.parametrize("k", sorted(K5_WITNESSES))
+    def test_k5_witness(self, k):
+        _, function = max_rainbow_matching(k5_family(k), target=2 * k + 1)
+        assert function.assignments == K5_WITNESSES[k]
+
+    def test_bound_calls_on_drisko_12(self, monkeypatch):
+        """Without the orbit pruning this search makes 8,944 bound calls."""
+        calls = []
+        bound = matching._RainbowSearch._matching_bound
+
+        def counted(self, edge_ids):
+            calls.append(1)
+            return bound(self, edge_ids)
+
+        monkeypatch.setattr(matching._RainbowSearch, "_matching_bound", counted)
+        got, _ = max_rainbow_matching(drisko_sharpness(12), target=12)
+        assert len(got) == 11
+        assert len(calls) <= 8944 * 5 // 100
+
+    def test_k5_family_6(self):
+        """The bound on k disjoint K5s is a general matching."""
+        got, _ = max_rainbow_matching(k5_family(6), target=13)
+        assert len(got) == 12
 
 
 class TestArrowAndSequences:
