@@ -33,11 +33,6 @@ def gf2_in_span(vectors: list[int], target: int) -> bool:
     return _reduce(target, basis) == 0
 
 
-def gf2_independent(vectors: list[int]) -> bool:
-    """True iff the vectors are linearly independent over GF(2)."""
-    return gf2_rank(vectors) == len(vectors)
-
-
 def gf2_solve_subset(vectors: list[int], target: int) -> list[int] | None:
     """Indices of a subset of vectors summing to target, or None.
 

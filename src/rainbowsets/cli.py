@@ -8,7 +8,6 @@ witness), 2 input error, 3 counterexample found, 4 cap exhausted,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import sys
 from typing import Optional
@@ -16,7 +15,6 @@ from typing import Optional
 from . import __version__
 from .core import (
     ColoredFamily,
-    Graph,
     GroundSet,
     HypothesisViolation,
     InstanceError,
@@ -25,10 +23,15 @@ from .core import (
     ResourceCapError,
     TheoremViolation,
     WeightMap,
+    _as_edges,
+    _as_graph,
+    _int,
+    _int_arrays,
+    _ints,
 )
 from .harness import SWEEPS, latin_transversal, run_sweep
 from .matching import ArrowStatement, EdgeFamily, check_arrow_instance, max_rainbow_matching
-from .matroids import from_descriptor
+from .matroids import _from_descriptor
 from .networks import (
     rainbow_disjoint_paths,
     rainbow_path_weighted,
@@ -52,90 +55,10 @@ def _require(instance: dict, field: str):
     return instance[field]
 
 
-def _int(value, path: str) -> int:
-    """A JSON integer: not a boolean, a float or a string."""
-    if type(value) is not int:
-        raise InstanceError(f"instance.{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _ints(items, path: str) -> frozenset[int]:
-    """An array of integers, as a set."""
-    if not isinstance(items, list):
-        raise InstanceError(f"instance.{path}: expected an array")
-    return frozenset(_int(x, f"{path}[{i}]") for i, x in enumerate(items))
-
-
-def _int_arrays(items, path: str) -> list:
-    """An array of integer arrays. One fast pass checks the types; the entry
-    to blame is looked up only when it fails."""
-    if not isinstance(items, list):
-        raise InstanceError(f"instance.{path}: expected an array")
-    if not (all(type(item) is list for item in items)
-            and set(map(type, itertools.chain.from_iterable(items))) <= {int}):
-        for i, item in enumerate(items):
-            _ints(item, f"{path}[{i}]")
-    return items
-
-
 def _sets(instance: dict, field: str) -> tuple[frozenset, ...]:
     """A required array of integer arrays, each item as a frozenset."""
-    items = _int_arrays(_require(instance, field), field)
+    items = _int_arrays(_require(instance, field), f"instance.{field}")
     return tuple(frozenset(item) for item in items)
-
-
-def _as_edges(edges, path: str) -> tuple[tuple, ...]:
-    for i, e in enumerate(_int_arrays(edges, path)):
-        if len(e) != 2:
-            raise InstanceError(f"instance.{path}[{i}]: expected a pair of vertices")
-    return tuple(tuple(e) for e in edges)
-
-
-def _as_graph(obj, path: str = "graph") -> Graph:
-    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
-        raise InstanceError(f"instance.{path}: expected an object with n and edges")
-    bip = obj.get("bipartition")
-    if bip is not None:
-        if len(_int_arrays(bip, f"{path}.bipartition")) != 2:
-            raise InstanceError(
-                f"instance.{path}.bipartition: expected a pair of vertex arrays")
-        bip = (frozenset(bip[0]), frozenset(bip[1]))
-    return Graph(_int(obj["n"], f"{path}.n"), _as_edges(obj["edges"], f"{path}.edges"),
-                 bip)
-
-
-def _matroid_descriptor(desc, path: str = "matroid") -> dict:
-    """A matroid descriptor whose fields have the shapes from_descriptor
-    reads; nested descriptors are checked in turn."""
-    if not isinstance(desc, dict):
-        raise InstanceError(f"instance.{path}: expected an object")
-
-    def field(name: str):
-        if name not in desc:
-            raise InstanceError(f"instance.{path}.{name}: required field is missing")
-        return desc[name]
-
-    kind = desc.get("kind")
-    if desc.get("ground_size") is not None:
-        _int(desc["ground_size"], f"{path}.ground_size")
-    if kind in ("uniform", "truncation"):
-        _int(field("k"), f"{path}.k")
-    if kind == "partition":
-        _int_arrays(field("parts"), f"{path}.parts")
-        if desc.get("caps") is not None:
-            _ints(desc["caps"], f"{path}.caps")
-    elif kind == "graphic":
-        _as_graph(field("graph"), f"{path}.graph")
-    elif kind == "binary":
-        rows = _int_arrays(field("matrix"), f"{path}.matrix")
-        if any(len(row) != len(rows[0]) for row in rows):
-            raise InstanceError(f"instance.{path}.matrix: rows differ in length")
-    elif kind == "truncation":
-        _matroid_descriptor(field("inner"), f"{path}.inner")
-    elif kind == "direct-sum":
-        _matroid_descriptor(field("left"), f"{path}.left")
-        _matroid_descriptor(field("right"), f"{path}.right")
-    return desc
 
 
 def _as_network(obj) -> Network:
@@ -143,24 +66,24 @@ def _as_network(obj) -> Network:
         if not isinstance(obj, dict) or field not in obj:
             raise InstanceError(f"instance.network.{field}: required field is missing")
     return Network(
-        _int(obj["n"], "network.n"),
-        _as_edges(obj["edges"], "network.edges"),
-        _ints(obj["sources"], "network.sources"),
-        _ints(obj["targets"], "network.targets"),
+        _int(obj["n"], "instance.network.n"),
+        _as_edges(obj["edges"], "instance.network.edges"),
+        _ints(obj["sources"], "instance.network.sources"),
+        _ints(obj["targets"], "instance.network.targets"),
     )
 
 
 def _as_family(instance: dict) -> ColoredFamily:
-    ground = GroundSet(_int(_require(instance, "ground_size"), "ground_size"))
+    ground = GroundSet(_int(_require(instance, "ground_size"), "instance.ground_size"))
     return ColoredFamily(ground, _sets(instance, "colors"))
 
 
 def _as_latin(rows: list) -> LatinSquare:
-    return LatinSquare(len(rows), tuple(tuple(r) for r in _int_arrays(rows, "latin")))
+    return LatinSquare(len(rows), tuple(tuple(r) for r in _int_arrays(rows, "instance.latin")))
 
 
 def _as_edge_family(instance: dict) -> EdgeFamily:
-    g = _as_graph(_require(instance, "graph"))
+    g = _as_graph(_require(instance, "graph"), "instance.graph")
     return EdgeFamily(g, _sets(instance, "colors"))
 
 
@@ -181,8 +104,8 @@ def _run_hall(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rado(instance: dict, args) -> tuple[dict, int]:
     fam = _as_family(instance)
-    matroid = from_descriptor(_matroid_descriptor(_require(instance, "matroid")),
-                              fam.ground.size)
+    matroid = _from_descriptor(_require(instance, "matroid"), fam.ground.size,
+                               "instance.matroid")
     outcome = rado_rainbow(fam, matroid)
     if isinstance(outcome, Violator):
         return {"status": "violator", "colors": sorted(outcome.colors)}, EXIT_NEGATIVE
@@ -214,9 +137,9 @@ def _run_arrow_check(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "paths")]
+    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
     if args.weights:
-        weights = WeightMap(tuple(_int(w, f"weights[{i}]")
+        weights = WeightMap(tuple(_int(w, f"instance.weights[{i}]")
                                   for i, w in enumerate(_require(instance, "weights"))))
     else:
         weights = WeightMap.zeros(net.num_edges)
@@ -248,8 +171,8 @@ def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
 
 def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "paths")]
-    scrambling = _int_arrays(_require(instance, "scrambling"), "scrambling")
+    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
+    scrambling = _int_arrays(_require(instance, "scrambling"), "instance.scrambling")
     result = scrambled_rainbow_path(net, paths, scrambling, args.n)
     return {
         "status": "scrambled-path",
@@ -261,7 +184,7 @@ def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
-    g = _as_graph(_require(instance, "graph"))
+    g = _as_graph(_require(instance, "graph"), "instance.graph")
     families = _sets(instance, "families")
     fn = cooperative_odd_cycle_check if args.cooperative else rainbow_odd_cycle
     result = fn(g, families)
@@ -274,11 +197,10 @@ def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
-    fam_ground = _int(_require(instance, "ground_size"), "ground_size")
-    matroid = from_descriptor(_matroid_descriptor(_require(instance, "matroid")),
-                              fam_ground)
+    fam_ground = _int(_require(instance, "ground_size"), "instance.ground_size")
+    matroid = _from_descriptor(_require(instance, "matroid"), fam_ground, "instance.matroid")
     sets = _sets(instance, "colors")
-    target = _ints(_require(instance, "target"), "target")
+    target = _ints(_require(instance, "target"), "instance.target")
     result = rainbow_spanning_set(matroid, target, sets)
     payload = {
         "status": "span-rainbow",
@@ -327,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser):
         p.add_argument("--input", default=None,
                        help="instance JSON file (default: stdin)")
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="pretty", action="store_false",
                          default=False, help="compact machine output (default)")
@@ -358,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep")
     common(p)
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p.add_argument("--cap", type=int, default=10**6, help="instance cap")
     p.add_argument("--conjecture", required=True, choices=SWEEPS)
     p.add_argument("--params", nargs="*", default=[],
@@ -365,8 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _header(seed: int) -> dict:
-    return {"tool": "rainbowsets", "version": __version__, "seed": seed}
+def _header(args) -> dict:
+    """Only sweep takes a seed; every other header reads seed 0."""
+    return {"tool": "rainbowsets", "version": __version__,
+            "seed": getattr(args, "seed", 0)}
 
 
 def _emit(payload: dict, pretty: bool, out=None):
@@ -402,7 +326,7 @@ def parse_instance(raw: bytes) -> dict:
             raise InstanceError(f"instance.{field}: expected an array")
     # eager typed validation for the structured fields
     if "graph" in data:
-        _as_graph(data["graph"])
+        _as_graph(data["graph"], "instance.graph")
     if "network" in data:
         _as_network(data["network"])
     if "latin" in data:
@@ -422,13 +346,13 @@ def _run_sweep_command(args) -> int:
             raise InstanceError(f"--params {k}: integer required, got {v!r}") from exc
     spec = SweepSpec(args.conjecture, tuple(params), seed=args.seed,
                      instance_cap=args.cap)
-    _emit({"header": _header(args.seed), "sweep": args.conjecture}, False)
+    _emit({"header": _header(args), "sweep": args.conjecture}, False)
 
     def on_record(rec: dict):
         _emit(rec, False)
 
     report = run_sweep(spec, on_record=on_record)
-    payload = {"header": _header(args.seed), **report.as_dict()}
+    payload = {"header": _header(args), **report.as_dict()}
     _emit(payload, args.pretty)
     if report.verdict == COUNTEREXAMPLE:
         return EXIT_COUNTEREXAMPLE
@@ -443,20 +367,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "sweep":
             return _run_sweep_command(args)
         payload, code = HANDLERS[args.command](_read_instance(args), args)
-        payload = {"header": _header(args.seed), **payload}
+        payload = {"header": _header(args), **payload}
         _emit(payload, args.pretty)
         return code
     except (InstanceError, HypothesisViolation) as exc:
-        _emit({"header": _header(getattr(args, "seed", 0)),
+        _emit({"header": _header(args),
                "status": "error", "error": str(exc)}, getattr(args, "pretty", False))
         return EXIT_INPUT
     except ResourceCapError as exc:
-        _emit({"header": _header(getattr(args, "seed", 0)),
+        _emit({"header": _header(args),
                "status": "cap-exhausted", "error": str(exc)},
               getattr(args, "pretty", False))
         return EXIT_CAP
     except TheoremViolation as exc:
-        _emit({"header": _header(getattr(args, "seed", 0)),
+        _emit({"header": _header(args),
                "status": "theorem-violation", "error": str(exc)},
               getattr(args, "pretty", False))
         return EXIT_THEOREM

@@ -8,6 +8,7 @@ kernels work on bitmasks.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -193,6 +194,54 @@ class Graph:
 
     def incident(self, v: int) -> list[int]:
         return [e for e, (a, b) in enumerate(self.edges) if v in (a, b)]
+
+
+# Shape checks for JSON input; each error names the offending field by the
+# full path it is given.
+
+
+def _int(value, path: str) -> int:
+    """A JSON integer: not a boolean, a float or a string."""
+    if type(value) is not int:
+        raise InstanceError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _ints(items, path: str) -> frozenset[int]:
+    """An array of integers, as a set."""
+    if not isinstance(items, list):
+        raise InstanceError(f"{path}: expected an array")
+    return frozenset(_int(x, f"{path}[{i}]") for i, x in enumerate(items))
+
+
+def _int_arrays(items, path: str) -> list:
+    """An array of integer arrays. One fast pass checks the types; the entry
+    to blame is looked up only when it fails."""
+    if not isinstance(items, list):
+        raise InstanceError(f"{path}: expected an array")
+    if not (all(type(item) is list for item in items)
+            and set(map(type, itertools.chain.from_iterable(items))) <= {int}):
+        for i, item in enumerate(items):
+            _ints(item, f"{path}[{i}]")
+    return items
+
+
+def _as_edges(edges, path: str) -> tuple[tuple, ...]:
+    for i, e in enumerate(_int_arrays(edges, path)):
+        if len(e) != 2:
+            raise InstanceError(f"{path}[{i}]: expected a pair of vertices")
+    return tuple(tuple(e) for e in edges)
+
+
+def _as_graph(obj, path: str) -> Graph:
+    if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
+        raise InstanceError(f"{path}: expected an object with n and edges")
+    bip = obj.get("bipartition")
+    if bip is not None:
+        if len(_int_arrays(bip, f"{path}.bipartition")) != 2:
+            raise InstanceError(f"{path}.bipartition: expected a pair of vertex arrays")
+        bip = (frozenset(bip[0]), frozenset(bip[1]))
+    return Graph(_int(obj["n"], f"{path}.n"), _as_edges(obj["edges"], f"{path}.edges"), bip)
 
 
 def find_bipartition(g: Graph) -> Optional[tuple[frozenset[int], frozenset[int]]]:

@@ -6,42 +6,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ._gf2 import gf2_independent, gf2_rank
-from .core import Graph, InstanceError, ResourceCapError
+from ._gf2 import gf2_rank
+from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
 
 COVER_GROUND_CAP = 16
 
 
 class IndependenceOracle:
-    """A matroid presented by its independence predicate.
+    """A matroid presented by its rank function.
 
     The descriptor records the construction (kind + parameters) so oracles
-    can be serialized; results of the predicate are memoized. Each concrete
-    construction also passes a rank_fn computing the rank of a frozenset
-    of ground elements directly; an oracle built from a bare predicate
-    falls back to a greedy basis over memoized independence queries.
+    can be serialized; ranks are memoized by subset, and a subset is
+    independent iff its rank equals its size.
     """
 
-    def __init__(self, ground_size: int, predicate: Callable[[frozenset[int]], bool],
-                 descriptor: dict,
-                 rank_fn: Optional[Callable[[frozenset[int]], int]] = None):
+    def __init__(self, ground_size: int, rank_fn: Callable[[frozenset[int]], int],
+                 descriptor: dict):
         if ground_size < 0:
             raise InstanceError("ground size must be >= 0")
         self.ground_size = ground_size
-        self._pred = predicate
         self._rank_fn = rank_fn
         self.descriptor = descriptor
-        self._cache: dict[frozenset[int], bool] = {}
+        self._cache: dict[frozenset[int], int] = {}
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
-        for x in s:
-            if not 0 <= x < self.ground_size:
-                raise InstanceError(f"element {x} outside ground of size {self.ground_size}")
-        hit = self._cache.get(s)
-        if hit is None:
-            hit = self._cache[s] = bool(self._pred(s))
-        return hit
+        return self.rank(s) == len(s)
 
     def rank(self, subset: Optional[Iterable[int]] = None) -> int:
         """Size of a maximal independent subset (of the whole ground if
@@ -50,21 +40,16 @@ class IndependenceOracle:
         Raises InstanceError naming the smallest element outside the ground.
         """
         s = frozenset(range(self.ground_size) if subset is None else subset)
-        outside = [x for x in s if not 0 <= x < self.ground_size]
-        if outside:
-            raise InstanceError(
-                f"element {min(outside)} outside ground of size {self.ground_size}"
-            )
-        if self._rank_fn is None:
-            return self._greedy_rank(s)
-        return self._rank_fn(s)
-
-    def _greedy_rank(self, s: frozenset[int]) -> int:
-        acc: set[int] = set()
-        for x in sorted(s):
-            if self.is_independent(acc | {x}):
-                acc.add(x)
-        return len(acc)
+        r = self._cache.get(s)
+        if r is None:
+            # only ranks inside the ground are cached, so a hit needs no check
+            outside = [x for x in s if not 0 <= x < self.ground_size]
+            if outside:
+                raise InstanceError(
+                    f"element {min(outside)} outside ground of size {self.ground_size}"
+                )
+            r = self._cache[s] = self._rank_fn(s)
+        return r
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
         """True iff adding x does not raise the rank of the subset.
@@ -74,11 +59,6 @@ class IndependenceOracle:
         s = frozenset(subset)
         grown = self.rank(s | {x})
         return x in s or grown == self.rank(s)
-
-    def loops(self) -> frozenset[int]:
-        return frozenset(
-            x for x in range(self.ground_size) if not self.is_independent({x})
-        )
 
     def __repr__(self) -> str:
         return f"IndependenceOracle({self.descriptor.get('kind', '?')}, m={self.ground_size})"
@@ -111,9 +91,6 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
         if c < 0:
             raise InstanceError(f"caps[{i}]: negative capacity")
 
-    def pred(s: frozenset[int]) -> bool:
-        return all(len(s & p) <= c for p, c in zip(part_sets, caps))
-
     def rank(s: frozenset[int]) -> int:
         return len(s - seen) + sum(min(len(s & p), c) for p, c in zip(part_sets, caps))
 
@@ -123,7 +100,7 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
         "parts": [sorted(p) for p in part_sets],
         "caps": list(caps),
     }
-    return IndependenceOracle(ground_size, pred, desc, rank)
+    return IndependenceOracle(ground_size, rank, desc)
 
 
 def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
@@ -131,13 +108,12 @@ def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("uniform matroid needs k >= 0")
     desc = {"kind": "uniform", "ground_size": ground_size, "k": k}
-    return IndependenceOracle(ground_size, lambda s: len(s) <= k, desc,
-                              lambda s: min(len(s), k))
+    return IndependenceOracle(ground_size, lambda s: min(len(s), k), desc)
 
 
 def free_matroid(ground_size: int) -> IndependenceOracle:
     desc = {"kind": "free", "ground_size": ground_size}
-    return IndependenceOracle(ground_size, lambda s: True, desc, len)
+    return IndependenceOracle(ground_size, len, desc)
 
 
 def graphic_matroid(g: Graph) -> IndependenceOracle:
@@ -166,24 +142,19 @@ def graphic_matroid(g: Graph) -> IndependenceOracle:
         "kind": "graphic",
         "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
     }
-    return IndependenceOracle(g.num_edges, lambda s: rank(s) == len(s), desc, rank)
+    return IndependenceOracle(g.num_edges, rank, desc)
 
 
 def binary_matroid(columns: list[int]) -> IndependenceOracle:
     """Ground = column indices; independent iff the columns (int bitsets
     over GF(2)) are linearly independent."""
     cols = [int(c) for c in columns]
-
-    def pred(s: frozenset[int]) -> bool:
-        return gf2_independent([cols[i] for i in sorted(s)])
-
     nbits = max((c.bit_length() for c in cols), default=0)
     desc = {
         "kind": "binary",
         "matrix": [[(c >> r) & 1 for c in cols] for r in range(nbits)],
     }
-    return IndependenceOracle(len(cols), pred, desc,
-                              lambda s: gf2_rank([cols[i] for i in s]))
+    return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in s]), desc)
 
 
 def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
@@ -191,10 +162,7 @@ def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("truncation needs k >= 0")
     desc = {"kind": "truncation", "k": k, "inner": m.descriptor}
-    return IndependenceOracle(
-        m.ground_size, lambda s: len(s) <= k and m.is_independent(s), desc,
-        lambda s: min(k, m.rank(s)),
-    )
+    return IndependenceOracle(m.ground_size, lambda s: min(k, m.rank(s)), desc)
 
 
 def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOracle:
@@ -205,49 +173,63 @@ def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOrac
         return (frozenset(x for x in s if x < off),
                 frozenset(x - off for x in s if x >= off))
 
-    def pred(s: frozenset[int]) -> bool:
-        left, right = split(s)
-        return m.is_independent(left) and n.is_independent(right)
-
     def rank(s: frozenset[int]) -> int:
         left, right = split(s)
         return m.rank(left) + n.rank(right)
 
     desc = {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor}
-    return IndependenceOracle(off + n.ground_size, pred, desc, rank)
+    return IndependenceOracle(off + n.ground_size, rank, desc)
 
 
 def from_descriptor(desc: dict, default_ground: Optional[int] = None) -> IndependenceOracle:
-    """Rebuild an oracle from its serialized descriptor."""
+    """Rebuild an oracle from its serialized descriptor.
+
+    Raises InstanceError naming the first malformed field, as a path
+    under "matroid".
+    """
+    return _from_descriptor(desc, default_ground, "matroid")
+
+
+def _from_descriptor(desc, default_ground: Optional[int], path: str) -> IndependenceOracle:
+    """from_descriptor with errors naming fields under the given path."""
+    if not isinstance(desc, dict):
+        raise InstanceError(f"{path}: expected an object")
+
+    def field(name: str):
+        if name not in desc:
+            raise InstanceError(f"{path}.{name}: required field is missing")
+        return desc[name]
+
     kind = desc.get("kind")
-    ground = desc.get("ground_size", default_ground)
+    ground = desc.get("ground_size")
+    ground = default_ground if ground is None else _int(ground, f"{path}.ground_size")
+    if kind in ("partition", "uniform", "free") and ground is None:
+        raise InstanceError(f"{path}.ground_size: required field is missing")
     if kind == "partition":
-        if ground is None:
-            raise InstanceError("matroid.partition: ground_size required")
-        return partition_matroid(ground, desc["parts"], desc.get("caps"))
+        caps = desc.get("caps")
+        if caps is not None:
+            _ints(caps, f"{path}.caps")
+        return partition_matroid(ground, _int_arrays(field("parts"), f"{path}.parts"), caps)
     if kind == "uniform":
-        if ground is None:
-            raise InstanceError("matroid.uniform: ground_size required")
-        return uniform_matroid(ground, desc["k"])
+        return uniform_matroid(ground, _int(field("k"), f"{path}.k"))
     if kind == "free":
-        if ground is None:
-            raise InstanceError("matroid.free: ground_size required")
         return free_matroid(ground)
     if kind == "graphic":
-        gdesc = desc["graph"]
-        return graphic_matroid(Graph(gdesc["n"], tuple(tuple(e) for e in gdesc["edges"])))
+        return graphic_matroid(_as_graph(field("graph"), f"{path}.graph"))
     if kind == "binary":
-        rows = desc["matrix"]
+        rows = _int_arrays(field("matrix"), f"{path}.matrix")
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise InstanceError(f"{path}.matrix: rows differ in length")
         ncols = len(rows[0]) if rows else (ground or 0)
         cols = [sum((row[j] & 1) << i for i, row in enumerate(rows)) for j in range(ncols)]
         return binary_matroid(cols)
     if kind == "truncation":
-        return truncate(from_descriptor(desc["inner"], default_ground), desc["k"])
+        k = _int(field("k"), f"{path}.k")
+        return truncate(_from_descriptor(field("inner"), default_ground, f"{path}.inner"), k)
     if kind == "direct-sum":
-        return direct_sum(
-            from_descriptor(desc["left"]), from_descriptor(desc["right"])
-        )
-    raise InstanceError(f"matroid.kind: unknown kind {kind!r}")
+        return direct_sum(_from_descriptor(field("left"), None, f"{path}.left"),
+                          _from_descriptor(field("right"), None, f"{path}.right"))
+    raise InstanceError(f"{path}.kind: unknown kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

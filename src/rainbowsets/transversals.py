@@ -78,18 +78,10 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
             incidences.append((c, x))
     m = len(incidences)
 
-    def color_pred(s: frozenset[int]) -> bool:
-        cols = [incidences[i][0] for i in s]
-        return len(set(cols)) == len(cols)
-
-    def lifted_pred(s: frozenset[int]) -> bool:
-        elems = [incidences[i][1] for i in s]
-        if len(set(elems)) != len(elems):
-            return False
-        return matroid.is_independent(elems)
-
-    lift_colors = IndependenceOracle(m, color_pred, {"kind": "internal-color-partition"})
-    lift_matroid = IndependenceOracle(m, lifted_pred, {"kind": "internal-induced"})
+    lift_colors = IndependenceOracle(
+        m, lambda s: len({incidences[i][0] for i in s}), {"kind": "internal-color-partition"})
+    lift_matroid = IndependenceOracle(
+        m, lambda s: matroid.rank({incidences[i][1] for i in s}), {"kind": "internal-induced"})
     common, reachable = _intersection_augment(lift_colors, lift_matroid)
 
     if len(common) == k:

@@ -122,6 +122,98 @@ def brute_rank(oracle, subset) -> int:
     return 0
 
 
+def reference_ground(descriptor: dict) -> int:
+    """Ground size of a serialized matroid, read from its descriptor."""
+    kind = descriptor["kind"]
+    if kind == "graphic":
+        return len(descriptor["graph"]["edges"])
+    if kind == "binary":
+        rows = descriptor["matrix"]
+        return len(rows[0]) if rows else 0
+    if kind == "truncation":
+        return reference_ground(descriptor["inner"])
+    if kind == "direct-sum":
+        return reference_ground(descriptor["left"]) + reference_ground(descriptor["right"])
+    return descriptor["ground_size"]
+
+
+def reference_independent(descriptor: dict, subset) -> bool:
+    """Independence of subset in the matroid a descriptor serializes,
+    computed from the descriptor alone: counting for partition and uniform
+    matroids, a forest walk for graphic ones, row elimination over the
+    chosen columns for binary ones, recursion for truncation and direct
+    sum. Never touches an oracle."""
+    s = sorted(set(subset))
+    kind = descriptor["kind"]
+    if kind == "free":
+        return True
+    if kind == "uniform":
+        return len(s) <= descriptor["k"]
+    if kind == "partition":
+        caps = descriptor.get("caps") or [1] * len(descriptor["parts"])
+        return all(sum(x in part for x in s) <= cap
+                   for part, cap in zip(descriptor["parts"], caps))
+    if kind == "graphic":
+        # walk each component of the chosen edges; meeting a visited vertex
+        # by any edge other than the one walked in on closes a cycle
+        adj: dict[int, list[tuple[int, int]]] = {}
+        for e in s:
+            u, v = descriptor["graph"]["edges"][e]
+            adj.setdefault(u, []).append((v, e))
+            adj.setdefault(v, []).append((u, e))
+        seen: set[int] = set()
+        for root in adj:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, None)]
+            while stack:
+                u, via = stack.pop()
+                for w, e in adj[u]:
+                    if e == via:
+                        continue
+                    if w in seen:
+                        return False
+                    seen.add(w)
+                    stack.append((w, e))
+        return True
+    if kind == "binary":
+        rows = [[row[j] & 1 for j in s] for row in descriptor["matrix"]]
+        rank = 0
+        for col in range(len(s)):
+            pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+            if pivot is None:
+                return False
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            for r in range(len(rows)):
+                if r != rank and rows[r][col]:
+                    rows[r] = [a ^ b for a, b in zip(rows[r], rows[rank])]
+            rank += 1
+        return True
+    if kind == "truncation":
+        return len(s) <= descriptor["k"] and reference_independent(descriptor["inner"], s)
+    if kind == "direct-sum":
+        off = reference_ground(descriptor["left"])
+        return (reference_independent(descriptor["left"], [x for x in s if x < off])
+                and reference_independent(descriptor["right"],
+                                          [x - off for x in s if x >= off]))
+    raise ValueError(f"no reference for matroid kind {kind!r}")
+
+
+def reference_ranks(descriptor: dict, ground: int) -> list[int]:
+    """Rank of every subset of range(ground), indexed by bitmask: the size
+    of the subset if reference_independent, else the largest rank among
+    its one-smaller subsets."""
+    ranks = [0] * (1 << ground)
+    for mask in range(1, 1 << ground):
+        members = [i for i in range(ground) if mask >> i & 1]
+        if reference_independent(descriptor, members):
+            ranks[mask] = len(members)
+        else:
+            ranks[mask] = max(ranks[mask ^ (1 << i)] for i in members)
+    return ranks
+
+
 def brute_cooperative_violations(m, target, sets) -> list[frozenset[int]]:
     """Every color set J whose union has rank below |J| and does not span
     the target (some t raises the rank when added); uses only brute_rank."""

@@ -96,6 +96,11 @@ class TestSweepParams:
         assert payload["status"] == "error"
         assert name in payload["error"]
 
+    def test_seed_is_a_sweep_option_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["hall", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_help_lists_every_tag(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--help"])

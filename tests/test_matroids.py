@@ -25,8 +25,9 @@ from rainbowsets.matroids import (
 from oracles import (
     brute_intersection_minmax,
     brute_matroid_intersection_size,
-    brute_rank,
     is_matroid,
+    reference_independent,
+    reference_ranks,
 )
 
 
@@ -43,7 +44,8 @@ def subsets(ground: int) -> list[frozenset[int]]:
             for mask in range(1 << ground)]
 
 
-# One oracle per construction (and edge case) whose rank has its own code.
+# One oracle per construction (and edge case) whose rank has its own code;
+# each descriptor names a matroid that tests/oracles.py rebuilds on its own.
 RANK_CASES = {
     # elements 5 and 6 lie in no part; the second part has capacity 0
     "partition-free-caps-0-2": lambda: partition_matroid(7, [[0, 1, 2], [3, 4]], [2, 0]),
@@ -57,11 +59,23 @@ RANK_CASES = {
     "truncated-binary": lambda: truncate(binary_matroid([0b01, 0b10, 0b11, 0b01, 0]), 1),
     "direct-sum-graphic-binary": lambda: direct_sum(
         graphic_matroid(c3()), binary_matroid([0b01, 0b01, 0, 0b10])),
-    # a bare predicate (at most one of {0, 1}, at most three overall) uses
-    # the greedy fallback
-    "predicate-only": lambda: IndependenceOracle(
-        5, lambda s: len(s & {0, 1}) <= 1 and len(s) <= 3, {"kind": "test-predicate"}),
+    # an oracle built directly from a rank function: at most one of {0, 1},
+    # at most three overall
+    "bare-rank-fn": lambda: IndependenceOracle(
+        5, lambda s: min(3, len(s - {0, 1}) + min(1, len(s & {0, 1}))),
+        {"kind": "truncation", "k": 3,
+         "inner": {"kind": "partition", "ground_size": 5, "parts": [[0, 1]], "caps": [1]}}),
 }
+
+
+def assert_matches_reference(m: IndependenceOracle, label):
+    """is_independent and rank of every subset agree with the reference
+    computed from the descriptor alone."""
+    ranks = reference_ranks(m.descriptor, m.ground_size)
+    for mask, s in enumerate(subsets(m.ground_size)):
+        assert m.is_independent(s) == reference_independent(m.descriptor, s), (label, sorted(s))
+        assert m.rank(s) == ranks[mask], (label, sorted(s))
+    assert m.rank() == ranks[-1]
 
 
 class TestConstructions:
@@ -136,20 +150,27 @@ class TestConstructions:
                 s = frozenset(i for i in range(m.ground_size) if mask >> i & 1)
                 assert rebuilt.is_independent(s) == m.is_independent(s)
 
+    @pytest.mark.parametrize("desc, field", [
+        pytest.param(5, "matroid: expected an object", id="scalar"),
+        pytest.param({"kind": "uniform"}, "matroid.k: required field", id="uniform-without-k"),
+        pytest.param({"kind": "binary", "matrix": [["a", 1]]}, "matroid.matrix[0][0]",
+                     id="binary-matrix-entry-string"),
+    ])
+    def test_malformed_descriptor_names_the_field(self, desc, field):
+        with pytest.raises(InstanceError) as exc:
+            from_descriptor(desc, 3)
+        assert field in str(exc.value)
+
 
 class TestRankAndSpan:
     @pytest.mark.parametrize("name", sorted(RANK_CASES))
     def test_rank_matches_brute_on_every_subset(self, name):
-        m = RANK_CASES[name]()
-        for s in subsets(m.ground_size):
-            assert m.rank(s) == brute_rank(m, s), (name, sorted(s))
-        assert m.rank() == brute_rank(m, range(m.ground_size))
+        assert_matches_reference(RANK_CASES[name](), name)
 
     def test_random_matroid_rank_matches_brute(self):
         for seed in range(50):
             m = random_matroid(random.Random(seed), 3 + seed % 5)
-            for s in subsets(m.ground_size):
-                assert m.rank(s) == brute_rank(m, s), (m.descriptor, sorted(s))
+            assert_matches_reference(m, m.descriptor)
 
     @pytest.mark.parametrize("name", sorted(RANK_CASES))
     def test_out_of_range_rejected(self, name):
