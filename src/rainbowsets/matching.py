@@ -637,6 +637,31 @@ def _serialize_family_instance(g: Graph, colors: Sequence[Iterable[int]]) -> dic
     }
 
 
+def _bipartite_canonical(nl: int, nr: int,
+                         family: tuple[tuple[tuple[int, int], ...], ...]) -> tuple:
+    """Smallest relabeling of a family of (left, right) pair matchings
+    under side permutations (naive canonical form for small instances)."""
+    best = None
+    swaps = ((False,), (False, True))[nl == nr]
+    for swap in swaps:
+        for lp in itertools.permutations(range(nl)):
+            for rp in itertools.permutations(range(nr)):
+                enc = tuple(
+                    sorted(
+                        tuple(
+                            sorted(
+                                (rp[r], lp[l]) if swap else (lp[l], rp[r])
+                                for l, r in m
+                            )
+                        )
+                        for m in family
+                    )
+                )
+                if best is None or enc < best:
+                    best = enc
+    return best
+
+
 def counterexample_search(claim, space: SearchSpace, seed: int = 0,
                           cap: int = 10**6,
                           on_record=None) -> SweepReport:
@@ -686,6 +711,8 @@ def _claim_candidates(sizes: tuple[int, ...], space: SearchSpace,
                 yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
     elif space.mode == "bipartite-exhaustive":
         smax = max(sizes) if sizes else 0
+        canonical_on = smax <= 3 and space.max_vertices <= 8
+        seen: set = set()
         for nl in range(max(1, smax), space.max_vertices + 1):
             for nr in range(nl, space.max_vertices - nl + 1):
                 if nr < smax:
@@ -701,6 +728,11 @@ def _claim_candidates(sizes: tuple[int, ...], space: SearchSpace,
                     covered_r = {r for m in fam_pairs for _, r in m}
                     if len(covered_l) != nl or len(covered_r) != nr:
                         continue  # counted already at a smaller bipartition
+                    if canonical_on:
+                        key = _bipartite_canonical(nl, nr, fam_pairs)
+                        if key in seen:
+                            continue
+                        seen.add(key)
                     yield _bipartite_family(nl, nr, fam_pairs)
     else:  # seeded bipartite instances from permutation matchings
         rng = random.Random(seed)

@@ -31,7 +31,8 @@ class IndependenceOracle:
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
-        return self.rank(s) == len(s)
+        r = self._cache.get(s)
+        return (self._rank_miss(s) if r is None else r) == len(s)
 
     def rank(self, subset: Optional[Iterable[int]] = None) -> int:
         """Size of a maximal independent subset (of the whole ground if
@@ -41,14 +42,16 @@ class IndependenceOracle:
         """
         s = frozenset(range(self.ground_size) if subset is None else subset)
         r = self._cache.get(s)
-        if r is None:
-            # only ranks inside the ground are cached, so a hit needs no check
+        return self._rank_miss(s) if r is None else r
+
+    def _rank_miss(self, s: frozenset[int]) -> int:
+        # only ranks inside the ground are cached, so a hit needs no check
+        if s and (min(s) < 0 or max(s) >= self.ground_size):
             outside = [x for x in s if not 0 <= x < self.ground_size]
-            if outside:
-                raise InstanceError(
-                    f"element {min(outside)} outside ground of size {self.ground_size}"
-                )
-            r = self._cache[s] = self._rank_fn(s)
+            raise InstanceError(
+                f"element {min(outside)} outside ground of size {self.ground_size}"
+            )
+        r = self._cache[s] = self._rank_fn(s)
         return r
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
