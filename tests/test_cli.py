@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ def run_cli(tmp_path, capsys, argv, instance):
     code = cli.main(argv + ["--input", str(path)])
     return code, json.loads(capsys.readouterr().out.strip().splitlines()[-1])
 
+
+# Instances copied from the benchmark's cli-corpus (seeds 7 and 41), one or
+# more per instance subcommand, with the exact stdout and exit code of each.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 NET = {"n": 2, "edges": [[0, 1]], "sources": [0], "targets": [1]}
 
@@ -107,3 +112,13 @@ class TestSweepParams:
         out = capsys.readouterr().out
         for tag in SWEEPS:
             assert tag in out
+
+
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
+    def test_stdout_is_byte_identical(self, tmp_path, capsys, case):
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(case["instance"]))
+        code = cli.main(case["argv"] + ["--input", str(path)])
+        assert capsys.readouterr().out == case["stdout"]
+        assert code == case["exit"]

@@ -337,6 +337,32 @@ class TestRepeats:
         for c, e in rep.assignments:
             assert e in (m1, m2, m3)[c] and e in matching.edges
 
+    # One instance per reachable exit of the k=2 constructive route, with the
+    # exact witness: (vertices, edges, matchings, n, matching, assignments).
+    @pytest.mark.parametrize("nv, edges, ms, n, want_edges, want_rep", [
+        pytest.param(4, [(2, 1), (1, 3), (2, 0), (2, 0), (3, 1)], [[0], [1, 2], [3, 4]], 2,
+                     [1, 3], ((1, 1), (2, 3)), id="two-cycles"),
+        pytest.param(6, [(4, 1), (3, 5), (2, 0), (3, 2), (5, 0)], [[0], [1, 2], [3, 4]], 2,
+                     [0, 1], ((0, 0), (1, 1)), id="spanning-cycle-e1-off"),
+        pytest.param(8, [(5, 7), (4, 0), (5, 1), (2, 6), (1, 6), (5, 2)],
+                     [[0, 1], [2, 3], [4, 5]], 2,
+                     [0, 3], ((0, 0), (1, 3)), id="spanning-cycle-e1-one-end-on"),
+        pytest.param(8, [(6, 0), (3, 7), (4, 1), (2, 5), (3, 1), (6, 2), (4, 5), (0, 7),
+                         (6, 5), (0, 2), (1, 4)], [[0, 1, 2, 3], [4, 5, 6, 7], [1, 8, 9, 10]], 4,
+                     [0, 1, 2, 3], ((0, 0), (2, 1)), id="spanning-cycle-even-chord-exact"),
+        pytest.param(5, [(4, 2), (1, 3), (2, 1), (4, 3), (2, 4)], [[0, 1], [2, 3], [1, 4]], 2,
+                     [0, 1], ((0, 0), (2, 1)), id="spanning-cycle-odd-chord"),
+        pytest.param(9, [(7, 0), (5, 8), (2, 1), (7, 6)], [[0], [1, 2], [2, 3]], 2,
+                     [1, 2], ((1, 1), (2, 2)), id="mixed-flip-component"),
+        pytest.param(6, [(2, 3), (4, 2), (3, 1), (2, 0), (4, 3)], [[0], [1, 2], [3, 4]], 2,
+                     [2, 3], ((1, 2), (2, 3)), id="no-shape-exact"),
+    ])
+    def test_k2_witnesses_are_pinned(self, nv, edges, ms, n, want_edges, want_rep):
+        g = Graph(nv, tuple(edges))
+        matching, rep = repeats_matching(g, [frozenset(m) for m in ms], 2, n)
+        assert sorted(matching.edges) == want_edges
+        assert rep.assignments == want_rep
+
     def test_k_equals_n_two(self):
         rng = random.Random(17)
         fam = random_matching_family(rng, [2, 2, 2])

@@ -12,6 +12,7 @@ from rainbowsets.core import (
     matching_check,
 )
 from rainbowsets.networks import (
+    ComponentClassification,
     LinearishArborescence,
     PathEnforcer,
     bipartify,
@@ -85,6 +86,20 @@ class TestClassify:
         net = Network(5, ((1, 2), (2, 3), (3, 1)), frozenset({0}), frozenset({4}))
         cls = classify(LinearishArborescence(net, frozenset({0, 1, 2})))
         assert len(cls.cycles) == 1 and not cls.st_paths
+
+    def test_two_cycles_and_every_path_kind(self):
+        # S = {0, 1}, T = {2, 3}; edge 13 is not in the arborescence
+        edges = ((12, 13), (8, 3), (15, 14), (5, 6), (4, 2), (13, 11), (9, 10),
+                 (0, 4), (14, 15), (1, 5), (11, 12), (7, 8), (10, 16), (0, 2))
+        net = Network(17, edges, frozenset({0, 1}), frozenset({2, 3}))
+        cls = classify(LinearishArborescence(net, frozenset(range(13))))
+        assert cls == ComponentClassification(
+            cycles=((0, 5, 10), (2, 8)),
+            st_paths=((7, 4),),
+            s_only_paths=((9, 3),),
+            t_only_paths=((11, 1),),
+            free_paths=((6, 12),),
+        )
 
     def test_degree_violation(self):
         with pytest.raises(InstanceError, match="out-degree"):
