@@ -303,6 +303,27 @@ def matching_check(g: Graph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
+def _trail(g: Graph, remaining: set[int], start: int) -> tuple[list[int], list[int]]:
+    """Walk from start, leaving each vertex by its smallest-id edge still in
+    remaining and removing that edge, until none is left at the current
+    vertex. Returns the edges and the len(edges) + 1 vertices in walk order.
+    """
+    incident: dict[int, list[int]] = {}
+    for e in sorted(remaining):
+        for v in g.edges[e]:
+            incident.setdefault(v, []).append(e)
+    edges: list[int] = []
+    verts = [start]
+    while True:
+        e = next((x for x in incident.get(verts[-1], ()) if x in remaining), None)
+        if e is None:
+            return edges, verts
+        remaining.discard(e)
+        edges.append(e)
+        a, b = g.edges[e]
+        verts.append(b if a == verts[-1] else a)
+
+
 def _kuhn_max_matching(lefts: Iterable[int],
                        neighbors: Callable[[int], Iterable[int]]) -> dict[int, int]:
     """Maximum bipartite matching by augmenting paths; returns {right: left}.

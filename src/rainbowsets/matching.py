@@ -21,6 +21,7 @@ from .core import (
     matching_check,
     _kuhn_max_matching,
     _max_matching_general,
+    _trail,
 )
 from .sweeps import SweepReport, SweepSpec, sweep
 
@@ -281,44 +282,23 @@ def _cycle_components(g: Graph, edge_ids: frozenset[int]
     """
     incident: dict[int, list[int]] = {}
     for e in sorted(edge_ids):
-        u, v = g.edges[e]
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
+        for v in g.edges[e]:
+            incident.setdefault(v, []).append(e)
     for v, es in incident.items():
         if len(es) > 2:
             raise InstanceError(f"vertex {v} has degree > 2 in the edge union")
     remaining = set(edge_ids)
     comps: list[tuple[bool, list[int], list[int]]] = []
-
-    def walk(start: int) -> tuple[bool, list[int], list[int]]:
-        path: list[int] = []
-        verts = [start]
-        cur = start
-        while True:
-            live = [e for e in incident.get(cur, ()) if e in remaining]
-            if not live:
-                break
-            e = min(live)
-            remaining.discard(e)
-            path.append(e)
-            a, b = g.edges[e]
-            cur = b if a == cur else a
-            verts.append(cur)
-        is_cycle = cur == start and len(path) >= 2
-        if is_cycle:
-            verts.pop()
-        return is_cycle, path, verts
-
     while remaining:
         # open walks must start at a degree-1 endpoint; cycles can start anywhere
-        start = None
-        for v in sorted(incident):
-            if len([e for e in incident[v] if e in remaining]) == 1:
-                start = v
-                break
-        if start is None:
-            start = min(g.edges[min(remaining)])
-        comps.append(walk(start))
+        start = next((v for v in sorted(incident)
+                      if sum(e in remaining for e in incident[v]) == 1),
+                     min(g.edges[min(remaining)]))
+        path, verts = _trail(g, remaining, start)
+        is_cycle = verts[-1] == start and len(path) >= 2
+        if is_cycle:
+            verts.pop()
+        comps.append((is_cycle, path, verts))
     return comps
 
 

@@ -155,7 +155,7 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
     nbits = max((c.bit_length() for c in cols), default=0)
     desc = {
         "kind": "binary",
-        "matrix": [[(c >> r) & 1 for c in cols] for r in range(nbits)],
+        "matrix": [[(c >> r) & 1 for c in cols] for r in range(max(nbits, 1))],
     }
     return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in s]), desc)
 

@@ -84,40 +84,26 @@ class ComponentClassification:
         return self.st_paths + self.t_only_paths
 
 
+def _follow(step: dict[int, tuple[int, int]], cur: int) -> tuple[int, ...]:
+    """The edges met walking from cur by step[v] = (edge, next vertex), each
+    step popped as it is taken, until the current vertex has no step."""
+    edges: list[int] = []
+    while cur in step:
+        e, cur = step.pop(cur)
+        edges.append(e)
+    return tuple(edges)
+
+
 def classify(arb: LinearishArborescence) -> ComponentClassification:
     """Decompose into directed paths and cycles and classify the paths."""
     net = arb.network
-    out_edge: dict[int, int] = {}
-    in_edge: dict[int, int] = {}
-    for e in sorted(arb.edges):
-        u, v = net.edges[e]
-        out_edge[u] = e
-        in_edge[v] = e
-    remaining = set(arb.edges)
-    paths: list[tuple[int, ...]] = []
-    starts = sorted(v for v in out_edge if v not in in_edge)
-    for v in starts:
-        path: list[int] = []
-        cur = v
-        while cur in out_edge and out_edge[cur] in remaining:
-            e = out_edge[cur]
-            remaining.discard(e)
-            path.append(e)
-            cur = net.edges[e][1]
-        paths.append(tuple(path))
+    step = {net.edges[e][0]: (e, net.edges[e][1]) for e in arb.edges}
+    heads = {net.edges[e][1] for e in arb.edges}
+    paths = [_follow(step, v) for v in sorted(set(step) - heads)]
     cycles: list[tuple[int, ...]] = []
-    while remaining:
-        e0 = min(remaining)
-        cyc = [e0]
-        remaining.discard(e0)
-        start = net.edges[e0][0]
-        cur = net.edges[e0][1]
-        while cur != start:
-            e = out_edge[cur]
-            remaining.discard(e)
-            cyc.append(e)
-            cur = net.edges[e][1]
-        cycles.append(tuple(cyc))
+    while step:
+        e0 = min(e for e, _ in step.values())
+        cycles.append(_follow(step, net.edges[e0][0]))
     st, s_only, t_only, free = [], [], [], []
     for path in paths:
         first = net.edges[path[0]][0]
@@ -300,17 +286,8 @@ def nu_p(net: Network, edge_ids: Iterable[int]
         if saturated(edge_arcs[e]):
             u, v = net.edges[e]
             next_from[u] = (e, v)
-    paths: list[tuple[int, ...]] = []
-    for s in sorted(net.sources):
-        if not saturated(source_arcs[s]):
-            continue
-        path: list[int] = []
-        cur = s
-        while cur in next_from:
-            e, cur = next_from.pop(cur)
-            path.append(e)
-        paths.append(tuple(path))
-    return value, tuple(paths)
+    return value, tuple(_follow(next_from, s) for s in sorted(net.sources)
+                        if saturated(source_arcs[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +336,9 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
             net, frozenset(e for path in witness[:p] for e in path)
         )
         image = phi(bn, arb)
-        assert len(image) == p + q
-        images.append(frozenset(image))
+        if len(image) != p + q:
+            raise TheoremViolation(f"family {i} maps to {len(image)} B(N) edges, not {p + q}")
+        images.append(image)
 
     w_class = frozenset(bn.w_edges)
     colors = tuple([w_class] * q + images)
@@ -378,7 +356,8 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
             continue  # wildcard color, or a family color spent on a W edge
         picked.append((color - q, back[b_edge]))
     for fam_idx, e in picked:
-        assert e in sets[fam_idx]
+        if e not in sets[fam_idx]:
+            raise TheoremViolation(f"edge {e} is not in family {fam_idx}")
     edges = tuple(sorted(e for _, e in picked))
     value, witness = nu_p(net, edges)
     if value < p:
@@ -464,7 +443,8 @@ def rainbow_path_weighted(net: Network, weights: WeightMap,
         prefix.append(d)
 
     dist = {s: 0}
-    parent: dict[int, tuple[int, int, int]] = {}  # v -> (u, edge, color)
+    parent: dict[int, tuple[int, int]] = {}  # v -> (edge, u)
+    color_of: dict[int, int] = {}  # tree edge -> color
     represented: set[int] = set()
     while t not in dist:
         unrep = [i for i in range(len(path_edges)) if i not in represented]
@@ -484,29 +464,21 @@ def rainbow_path_weighted(net: Network, weights: WeightMap,
         v = net.edges[e][1]
         color = min(i for i in unrep if e in path_edges[i])
         dist[v] = w_new
-        parent[v] = (u, e, color)
+        parent[v] = (e, u)
+        color_of[e] = color
         represented.add(color)
         if check_invariants:
             for i in range(len(path_edges)):
                 if i in represented:
                     continue
                 for x, via in prefix[i].items():
-                    if x in dist:
-                        assert dist[x] <= via, (
+                    if x in dist and dist[x] > via:
+                        raise TheoremViolation(
                             "tree invariant w(T_i u) <= w(P u) failed"
                         )
 
-    edges_rev: list[int] = []
-    colors_rev: list[int] = []
-    cur = t
-    while cur != s:
-        u, e, color = parent[cur]
-        edges_rev.append(e)
-        colors_rev.append(color)
-        cur = u
-    result = RainbowPath(
-        tuple(reversed(edges_rev)), tuple(reversed(colors_rev)), dist[t]
-    )
+    edges = _follow(parent, t)[::-1]
+    result = RainbowPath(edges, tuple(color_of[e] for e in edges), dist[t])
     if result.weight > bound:
         raise TheoremViolation(
             "returned path weight %d exceeds the bound %d" % (result.weight, bound)
@@ -637,49 +609,27 @@ def enforcer_always_has_path(net: Network, enforcer: PathEnforcer,
             f"enforcer choice space of size {product} exceeds the cap {cap}"
         )
     for combo in _it.product(*(sorted(k) for k in enforcer.sets)):
-        if not _edges_reach(net, frozenset(combo), s, t):
+        if t not in _reach(net, combo, s):
             return False
     return True
 
 
-def _edges_reach(net: Network, edge_ids: frozenset[int], s: int, t: int) -> bool:
-    reach = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for e in edge_ids:
-            u, v = net.edges[e]
-            if u in reach and v not in reach:
-                reach.add(v)
-                nxt.append(v)
-        frontier = nxt
-    return t in reach
-
-
-def _extract_path(net: Network, chosen: dict[int, int], s: int, t: int
-                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Shortest s-t path inside the chosen (edge -> color) set by BFS."""
-    parent: dict[int, tuple[int, int]] = {s: (-1, -1)}
+def _reach(net: Network, edge_ids: Iterable[int], s: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first tree from s over the given edges, each vertex's
+    out-edges tried by ascending id: v -> (edge, parent) for every vertex
+    reached other than s."""
+    out: dict[int, list[int]] = {}
+    for e in sorted(edge_ids):
+        out.setdefault(net.edges[e][0], []).append(e)
+    tree: dict[int, tuple[int, int]] = {}
     queue = [s]
-    qi = 0
-    while qi < len(queue) and t not in parent:
-        u = queue[qi]
-        qi += 1
-        for e in sorted(chosen):
-            a, b = net.edges[e]
-            if a == u and b not in parent:
-                parent[b] = (u, e)
-                queue.append(b)
-    if t not in parent:
-        raise TheoremViolation("chosen enforcer edges contain no s-t path")
-    edges_rev, colors_rev = [], []
-    cur = t
-    while cur != s:
-        u, e = parent[cur]
-        edges_rev.append(e)
-        colors_rev.append(chosen[e])
-        cur = u
-    return tuple(reversed(edges_rev)), tuple(reversed(colors_rev))
+    for u in queue:
+        for e in out.get(u, ()):
+            v = net.edges[e][1]
+            if v not in tree:
+                tree[v] = (e, u)
+                queue.append(v)
+    return tree
 
 
 @dataclass(frozen=True)
@@ -762,6 +712,9 @@ def scrambled_rainbow_path(net: Network, paths: Sequence[Sequence[int]],
     for c, i in member_match.items():
         e = min(enforcer.sets[i] & class_sets[c])
         chosen[e] = c
-    edges, colors = _extract_path(net, chosen, s, t)
-    path = RainbowPath(edges, colors, len(edges))
+    tree = _reach(net, chosen, s)
+    if t not in tree:
+        raise TheoremViolation("chosen enforcer edges contain no s-t path")
+    edges = _follow(tree, t)[::-1]
+    path = RainbowPath(edges, tuple(chosen[e] for e in edges), len(edges))
     return ScrambledPathResult(path, enforcer, towers, pivot)

@@ -16,6 +16,7 @@ from .core import (
     HypothesisViolation,
     InstanceError,
     TheoremViolation,
+    _trail,
 )
 from .matroids import IndependenceOracle, binary_matroid
 from .transversals import rado_rainbow
@@ -155,7 +156,8 @@ def _minimal_deficient(matroid: IndependenceOracle,
         return matroid.rank(union) < len(indices)
 
     current = frozenset(start)
-    assert is_deficient(current)
+    if not is_deficient(current):
+        raise TheoremViolation(f"color set {sorted(current)} is not rank-deficient")
     changed = True
     while changed:
         changed = False
@@ -187,66 +189,26 @@ class OddCycleResult:
 def _peel_cycles(g: Graph, edge_ids: Iterable[int]) -> list[list[int]]:
     """Split an even-degree edge set into edge-disjoint simple cycles.
 
-    A walk over unused edges can only stall back at its start vertex with
-    nothing pending (all degrees stay even as cycles are cut out), so
-    cutting at the first vertex revisit peels one simple cycle at a time.
+    A trail over unused edges can only stall back at its start vertex (all
+    degrees stay even as cycles are cut out), so cutting it at each vertex
+    revisit peels one simple cycle at a time.
     """
     remaining = set(edge_ids)
-    incident: dict[int, list[int]] = {}
-    for e in sorted(remaining):
-        u, v = g.edges[e]
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
     cycles: list[list[int]] = []
     while remaining:
         start = min(g.edges[min(remaining)])
+        edges, verts = _trail(g, remaining, start)
         walk_v = [start]
         walk_e: list[int] = []
-        cur = start
-        while True:
-            live = [x for x in incident[cur] if x in remaining]
-            if not live:
-                assert cur == start and not walk_e
-                break
-            e = min(live)
-            remaining.discard(e)
+        for e, v in zip(edges, verts[1:]):
             walk_e.append(e)
-            a, b = g.edges[e]
-            cur = b if a == cur else a
-            if cur in walk_v:
-                at = walk_v.index(cur)
+            if v in walk_v:
+                at = walk_v.index(v)
                 cycles.append(walk_e[at:])
-                walk_v = walk_v[: at + 1]
-                walk_e = walk_e[:at]
+                del walk_v[at + 1:], walk_e[at:]
             else:
-                walk_v.append(cur)
+                walk_v.append(v)
     return cycles
-
-
-def _cycle_order(g: Graph, cycle_edges: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex and edge order around a cycle given its edge set."""
-    remaining = set(cycle_edges)
-    e0 = min(remaining)
-    remaining.discard(e0)
-    u0, v0 = g.edges[e0]
-    verts = [u0, v0]
-    edges = [e0]
-    cur = v0
-    while remaining:
-        nxt = None
-        for e in sorted(remaining):
-            a, b = g.edges[e]
-            if a == cur or b == cur:
-                nxt = e
-                break
-        assert nxt is not None
-        remaining.discard(nxt)
-        a, b = g.edges[nxt]
-        cur = b if a == cur else a
-        edges.append(nxt)
-        verts.append(cur)
-    assert verts[-1] == verts[0]
-    return tuple(verts[:-1]), tuple(edges)
 
 
 def rainbow_odd_cycle(g: Graph, families: Sequence[Iterable[int]]) -> OddCycleResult:
@@ -294,8 +256,11 @@ def _odd_cycle_pipeline(g: Graph, a_sets: Sequence[frozenset[int]]) -> OddCycleR
     odd = [c for c in cycles if len(c) % 2 == 1]
     if not odd:
         raise TheoremViolation("no odd cycle in the target-summing subset")
-    verts, edges = _cycle_order(g, odd[0])
-    return OddCycleResult(verts, edges, tuple(color_of[e] for e in edges))
+    cycle = odd[0]
+    edges, verts = _trail(g, set(cycle), g.edges[min(cycle)][0])
+    if len(edges) != len(cycle) or verts[-1] != verts[0]:
+        raise TheoremViolation("the odd cycle's edges do not close into one cycle")
+    return OddCycleResult(tuple(verts[:-1]), tuple(edges), tuple(color_of[e] for e in edges))
 
 
 def cooperative_odd_cycle_check(g: Graph, families: Sequence[Iterable[int]]

@@ -6,7 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import ChoiceFunction, ColoredFamily, InstanceError, _kuhn_max_matching, family_union
+from .core import (ChoiceFunction, ColoredFamily, InstanceError, TheoremViolation,
+                   _kuhn_max_matching, family_union)
 from .matroids import IndependenceOracle, _intersection_augment
 
 
@@ -54,7 +55,8 @@ def hall_rainbow(fam: ColoredFamily) -> HallResult:
                     nxt.append(owner)
         frontier = sorted(nxt)
     violator = Violator(frozenset(reached_colors))
-    assert len(family_union(fam, violator.colors)) < len(violator.colors)
+    if len(family_union(fam, violator.colors)) >= len(violator.colors):
+        raise TheoremViolation(f"Hall violator {sorted(violator.colors)} is not deficient")
     return violator
 
 
@@ -87,7 +89,8 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
     if len(common) == k:
         pairs = tuple(sorted(incidences[i] for i in common))
         f = ChoiceFunction(pairs)
-        assert matroid.is_independent(f.image)
+        if not matroid.is_independent(f.image):
+            raise TheoremViolation("Rado rainbow set is not independent")
         return f
 
     by_color: dict[int, list[int]] = {c: [] for c in range(k)}
@@ -97,6 +100,6 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
         c for c in range(k) if all(i in reachable for i in by_color[c])
     )
     violator = Violator(deficient)
-    union = family_union(fam, deficient)
-    assert matroid.rank(union) < len(deficient)
+    if matroid.rank(family_union(fam, deficient)) >= len(deficient):
+        raise TheoremViolation(f"Rado violator {sorted(deficient)} is not rank-deficient")
     return violator

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from rainbowsets import cli
+from rainbowsets import cli, transversals
 from rainbowsets.harness import SWEEPS
 
 
@@ -81,6 +81,19 @@ class TestInputErrors:
         assert code == cli.EXIT_INPUT == 2
         assert payload["status"] == "error"
         assert field in payload["error"]
+
+
+class TestSelfChecks:
+    def test_failed_witness_check_exits_5(self, tmp_path, capsys, monkeypatch):
+        # the union of every color set now looks as large as the set itself,
+        # so the Hall violator fails its own deficiency check
+        monkeypatch.setattr(transversals, "family_union",
+                            lambda fam, colors: frozenset(range(len(colors))))
+        code, payload = run_cli(tmp_path, capsys, ["hall"],
+                                {"ground_size": 1, "colors": [[0], [0]]})
+        assert code == cli.EXIT_THEOREM == 5
+        assert payload["status"] == "theorem-violation"
+        assert "not deficient" in payload["error"]
 
 
 class TestSweepParams:

@@ -142,6 +142,8 @@ class TestConstructions:
             binary_matroid([0b01, 0b10, 0b11]),
             truncate(uniform_matroid(4, 3), 2),
             direct_sum(uniform_matroid(2, 1), free_matroid(2)),
+            binary_matroid([0, 0]),
+            direct_sum(binary_matroid([0, 0]), free_matroid(1)),
         ]
         for m in originals:
             rebuilt = from_descriptor(m.descriptor)
