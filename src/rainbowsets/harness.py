@@ -121,14 +121,6 @@ def enumerate_latin_squares(n: int, reduced: bool = True) -> Iterator[LatinSquar
         yield from fill(n)
 
 
-def check_brs(n: int, seed: int = 0, cap: int = 10**6,
-              on_record: Optional[Callable[[dict], None]] = None) -> SweepReport:
-    """Exhaustively check order-n Latin squares for a partial transversal
-    of size n-1, and a full transversal when n is odd."""
-    return run_sweep(SweepSpec("brs", (("n", n),), seed=seed, instance_cap=cap),
-                     on_record)
-
-
 def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
     def check(square: LatinSquare) -> Optional[tuple[dict, dict]]:
         t = latin_transversal(square)
@@ -148,8 +140,8 @@ def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
 
 @dataclass(frozen=True)
 class RotaSearchResult:
-    """A partition of the ground into few rainbow independent sets, or the
-    instance as a counterexample candidate."""
+    """A partition of the ground into the fewest rainbow independent sets,
+    or none when that takes more than n+1 (a counterexample candidate)."""
 
     n: int
     classes: Optional[tuple[frozenset[int], ...]]
@@ -163,9 +155,10 @@ class RotaSearchResult:
 
 def rota_scrambled_search(matroid: IndependenceOracle,
                           parts: Sequence[Iterable[int]]) -> RotaSearchResult:
-    """Try to partition the ground of a matroid with covering number n into
-    at most n+1 (for even n, ideally n) sets that are independent and
-    rainbow with respect to the given partition into n parts of size n."""
+    """Partition the ground of a matroid with covering number n into the
+    fewest sets that are independent and rainbow with respect to the given
+    partition into n parts of size n; it succeeds when at most n+1 sets
+    suffice (for even n, ideally n)."""
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     n = len(part_sets)
     ground = matroid.ground_size
@@ -184,51 +177,17 @@ def rota_scrambled_search(matroid: IndependenceOracle,
 def _rota_partition(matroid: IndependenceOracle,
                     part_sets: list[frozenset[int]]) -> RotaSearchResult:
     """rota_scrambled_search on parts already known to partition the ground
-    of a matroid with covering number len(part_sets)."""
+    of a matroid with covering number len(part_sets): a minimum cover by
+    rainbow independent sets, made disjoint in order."""
     n = len(part_sets)
-    ground = matroid.ground_size
-    part_of = {}
-    for i, p in enumerate(part_sets):
-        for x in p:
-            part_of[x] = i
-
-    def try_partition(num_classes: int) -> Optional[tuple[frozenset[int], ...]]:
-        elements = sorted(range(ground))
-        classes: list[set[int]] = [set() for _ in range(num_classes)]
-        parts_in: list[set[int]] = [set() for _ in range(num_classes)]
-
-        def rec(idx: int) -> bool:
-            if idx == len(elements):
-                return True
-            x = elements[idx]
-            px = part_of[x]
-            for c in range(num_classes):
-                if not classes[c] and c > 0 and not classes[c - 1]:
-                    break  # class symmetry: open empty classes in order
-                if px in parts_in[c]:
-                    continue
-                if not matroid.is_independent(classes[c] | {x}):
-                    continue
-                classes[c].add(x)
-                parts_in[c].add(px)
-                if rec(idx + 1):
-                    return True
-                classes[c].discard(x)
-                parts_in[c].discard(px)
-            return False
-
-        if rec(0):
-            return tuple(frozenset(c) for c in classes if c)
-        return None
-
-    if n % 2 == 0:
-        tight = try_partition(n)
-        if tight is not None:
-            return RotaSearchResult(n, tight, len(tight), True)
-    found = try_partition(n + 1)
-    if found is not None:
-        return RotaSearchResult(n, found, len(found), False)
-    return RotaSearchResult(n, None, None, False)
+    rho, cover = covering_number(matroid, partition_matroid(n * n, part_sets))
+    if rho > n + 1:
+        return RotaSearchResult(n, None, None, False)
+    classes, covered = [], frozenset()
+    for member in cover:
+        classes.append(member - covered)
+        covered |= member
+    return RotaSearchResult(n, tuple(classes), rho, n % 2 == 0 and rho == n)
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +217,6 @@ def _weighted_rainbow_exists(fam: EdgeFamily, weights: Sequence[int],
         return rec(ci + 1, used, count, spent)
 
     return rec(0, 0, 0, 0)
-
-
-def weighted_drisko_search(n: int, weight_max: int = 10, seed: int = 0,
-                           instances: int = 1000, cap: int = 10**6,
-                           on_record: Optional[Callable[[dict], None]] = None
-                           ) -> SweepReport:
-    """Random bipartite instances of 2n-1 matchings of size n with integer
-    edge weights; each must contain a rainbow matching of size n whose
-    weight stays within the heaviest input matching."""
-    params = (("n", n), ("wmax", weight_max), ("instances", instances))
-    spec = SweepSpec("weighted-drisko", params, seed=seed, instance_cap=cap)
-    return run_sweep(spec, on_record)
 
 
 def _weighted_drisko(spec: SweepSpec, on_record, n: int, wmax: int,
@@ -384,18 +331,6 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int,
 
 # ---------------------------------------------------------------------------
 # scrambled-matching sharpness
-
-
-def scrambled_sharpness_search(n: int, seed: int = 0, instances: int = 1000,
-                               cap: int = 10**6,
-                               on_record: Optional[Callable[[dict], None]] = None
-                               ) -> SweepReport:
-    """Randomized hunt for an n-scrambling of n-choose-2 matchings of size
-    n in a bipartite graph with no rainbow matching of size n; hits are
-    re-verified by the exact solver before being reported."""
-    spec = SweepSpec("scrambled-sharpness", (("n", n), ("instances", instances)),
-                     seed=seed, instance_cap=cap)
-    return run_sweep(spec, on_record)
 
 
 def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,

@@ -382,7 +382,9 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
 
     Sizes must be at least n from the k-th matching on; earlier matchings
     may shrink along the staircase min(i, k-1), which is the proved regime
-    for k <= 2 and the theorem's regime when all sizes reach n.
+    for k <= 2 and the theorem's regime when all sizes reach n. The
+    theorem covers bipartite graphs: on any other graph the search is still
+    tried, and its failure raises HypothesisViolation.
     """
     sets = [frozenset(int(e) for e in m) for m in matchings]
     if k < 1 or k > n:
@@ -410,6 +412,11 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
     if result is None:
         result = _repeats_exact(g, sets, k, n)
     if result is None:
+        if find_bipartition(g) is None:
+            raise HypothesisViolation(
+                "graph is not bipartite, and no size-%d matching representing "
+                "%d of the matchings exists" % (n, k)
+            )
         raise TheoremViolation(
             "no size-%d matching representing %d of the matchings exists; "
             "this contradicts the repeats theorem" % (n, k)

@@ -302,63 +302,62 @@ def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> froz
 # covering numbers
 
 
-@dataclass(frozen=True)
-class SetComplex:
-    """A downward-closed set system given by its membership predicate."""
-
-    ground_size: int
-    predicate: Callable[[frozenset[int]], bool]
-
-    def is_independent(self, subset: Iterable[int]) -> bool:
-        return bool(self.predicate(frozenset(subset)))
-
-
-def intersection_complex(m1: IndependenceOracle, m2: IndependenceOracle) -> SetComplex:
-    if m1.ground_size != m2.ground_size:
-        raise InstanceError("intersection complex needs a shared ground set")
-    return SetComplex(
-        m1.ground_size,
-        lambda s: m1.is_independent(s) and m2.is_independent(s),
-    )
-
-
-def _maximal_member_masks(complex_like) -> list[int]:
-    m = complex_like.ground_size
-    members = bytearray(1 << m)
+def _member_masks(m: IndependenceOracle) -> bytes:
+    """One byte per subset of the ground, read as a bitmask: 1 iff the
+    subset is independent in m. A subset is tested only when dropping its
+    lowest element leaves a member; the ground is capped at
+    COVER_GROUND_CAP elements."""
+    g = m.ground_size
+    if g > COVER_GROUND_CAP:
+        raise ResourceCapError(
+            f"covering number capped at ground size {COVER_GROUND_CAP}, got {g}"
+        )
+    members = bytearray(1 << g)
     members[0] = 1
-    for mask in range(1, 1 << m):
+    for mask in range(1, 1 << g):
         low = mask & -mask
-        if members[mask ^ low] and complex_like.is_independent(
-            frozenset(i for i in range(m) if mask >> i & 1)
+        if members[mask ^ low] and m.is_independent(
+            frozenset(i for i in range(g) if mask >> i & 1)
         ):
             members[mask] = 1
-    member_set = {mask for mask in range(1 << m) if members[mask]}
-    maximal = []
-    full = (1 << m) - 1
-    for mask in member_set:
-        if all((mask | (1 << i)) not in member_set
-               for i in range(m) if not mask >> i & 1) or mask == full:
-            maximal.append(mask)
-    return sorted(maximal)
+    return bytes(members)
 
 
-def covering_number(complex_like) -> tuple[int, list[frozenset[int]]]:
-    """Minimum number of member sets covering the ground, with a witness.
+def _meet(a: bytes, b: bytes) -> bytes:
+    """The subsets that are members of both byte masks."""
+    both = int.from_bytes(a, "little") & int.from_bytes(b, "little")
+    return both.to_bytes(len(a), "little")
 
-    Exact branch-and-bound set cover over the maximal members; the ground
-    is capped at COVER_GROUND_CAP elements.
+
+def covering_number(matroid: IndependenceOracle, *more: IndependenceOracle
+                    ) -> tuple[int, list[frozenset[int]]]:
+    """Fewest sets independent in every given matroid that together cover
+    their shared ground, with such sets as a witness.
+
+    With one matroid this is its covering number rho(M); with more it is
+    the covering number of their meet. Exact branch-and-bound set cover
+    over the maximal members; the ground is capped at COVER_GROUND_CAP
+    elements.
     """
-    m = complex_like.ground_size
+    g = matroid.ground_size
+    if any(other.ground_size != g for other in more):
+        raise InstanceError("covering number of a meet needs a shared ground set")
+    members = _member_masks(matroid)
+    for other in more:
+        members = _meet(members, _member_masks(other))
+    return _cover(g, members)
+
+
+def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
+    """covering_number of the downward-closed family whose member subsets
+    of range(m) are marked in the byte mask."""
     if m == 0:
         return 0, []
-    if m > COVER_GROUND_CAP:
-        raise ResourceCapError(
-            f"covering number capped at ground size {COVER_GROUND_CAP}, got {m}"
-        )
     for x in range(m):
-        if not complex_like.is_independent({x}):
+        if not members[1 << x]:
             raise InstanceError(f"element {x} is a loop: no finite cover exists")
-    sets = _maximal_member_masks(complex_like)
+    sets = [s for s in range(1 << m) if members[s] and all(
+        not members[s | 1 << i] for i in range(m) if not s >> i & 1)]
     full = (1 << m) - 1
 
     # greedy start for the upper bound
@@ -421,9 +420,11 @@ def check_two_cover(m1: IndependenceOracle, m2: IndependenceOracle) -> TwoCoverR
     """Compute rho(M), rho(N), rho(M meet N) and check the 2-max inequality."""
     if m1.ground_size != m2.ground_size:
         raise InstanceError("check_two_cover needs a shared ground set")
-    rho_m, cov_m = covering_number(m1)
-    rho_n, cov_n = covering_number(m2)
-    rho_meet, cov_meet = covering_number(intersection_complex(m1, m2))
+    g = m1.ground_size
+    members_m, members_n = _member_masks(m1), _member_masks(m2)
+    rho_m, cov_m = _cover(g, members_m)
+    rho_n, cov_n = _cover(g, members_n)
+    rho_meet, cov_meet = _cover(g, _meet(members_m, members_n))
     return TwoCoverReport(
         rho_m, rho_n, rho_meet, tuple(cov_m), tuple(cov_n), tuple(cov_meet)
     )

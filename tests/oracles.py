@@ -214,6 +214,31 @@ def reference_ranks(descriptor: dict, ground: int) -> list[int]:
     return ranks
 
 
+def brute_covering_number(*descriptors: dict) -> int:
+    """Fewest sets, each independent in every serialized matroid, that
+    partition the shared ground; ground + 1 when some element is a loop.
+
+    A DP over subsets: the best partition of a subset puts its lowest
+    element in some allowed part and partitions the rest. A cover trims to
+    a partition because independence passes to subsets. Uses only
+    reference_independent."""
+    ground = reference_ground(descriptors[0])
+    allowed = [all(reference_independent(d, [i for i in range(ground) if mask >> i & 1])
+                   for d in descriptors)
+               for mask in range(1 << ground)]
+    best = [0] + [ground + 1] * ((1 << ground) - 1)
+    for mask in range(1, 1 << ground):
+        low = mask & -mask
+        rest = sub = mask ^ low
+        while True:
+            if allowed[sub | low]:
+                best[mask] = min(best[mask], best[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return best[-1]
+
+
 def brute_cooperative_violations(m, target, sets) -> list[frozenset[int]]:
     """Every color set J whose union has rank below |J| and does not span
     the target (some t raises the rank when added); uses only brute_rank."""

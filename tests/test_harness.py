@@ -1,17 +1,23 @@
-"""Pinned outcomes of every sweep tag at small parameters and seed 3.
+"""Pinned outcomes of every sweep tag at small parameters and seed 3, and
+rota_scrambled_search on seeded instances.
 
-Each case fixes the report (verdict, instance count, seed, counterexample
-and detail), the full stream of per-instance records, and the report when
-the instance cap stops the sweep after three instances.
+Each sweep case fixes the report (verdict, instance count, seed,
+counterexample and detail), the full stream of per-instance records, and
+the report when the instance cap stops the sweep after three instances.
 """
 
 import json
+import random
 
 import pytest
 
 from rainbowsets import cli, harness
-from rainbowsets.harness import run_sweep
+from rainbowsets.core import InstanceError
+from rainbowsets.harness import rota_scrambled_search, run_sweep
+from rainbowsets.matroids import binary_matroid, covering_number, free_matroid, uniform_matroid
 from rainbowsets.sweeps import SweepSpec
+
+from oracles import reference_independent
 
 SEED = 3
 
@@ -120,8 +126,9 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
 
 def test_rota_computes_each_covering_number_once(monkeypatch):
     """The rejection loop's covering number is the one the check relies on:
-    one covering_number call per drawn matroid, none again per instance."""
-    counts = {"drawn": 0, "covering": 0}
+    one single-matroid covering_number call per drawn matroid, none again
+    per instance; each instance then covers one meet."""
+    counts = {"drawn": 0, "covering": 0, "meet": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -129,9 +136,66 @@ def test_rota_computes_each_covering_number_once(monkeypatch):
             return fn(*args)
         return wrapper
 
+    covering = harness.covering_number
+
+    def covering_or_meet(*matroids):
+        counts["covering" if len(matroids) == 1 else "meet"] += 1
+        return covering(*matroids)
+
     monkeypatch.setattr(harness, "binary_matroid", counted("drawn", harness.binary_matroid))
-    monkeypatch.setattr(harness, "covering_number",
-                        counted("covering", harness.covering_number))
+    monkeypatch.setattr(harness, "covering_number", covering_or_meet)
     report, _ = sweep("rota", {"n": 3, "instances": 20})
     assert report.verdict == "verified-range"
-    assert counts == {"drawn": 25, "covering": 25}
+    assert counts == {"drawn": 25, "covering": 25, "meet": 20}
+
+
+def rota_instance(rng, n):
+    """A seeded binary matroid on n*n columns with covering number n, and a
+    random partition of its ground into n parts of size n."""
+    while True:
+        matroid = binary_matroid([rng.randint(1, (1 << n) - 1) for _ in range(n * n)])
+        if covering_number(matroid)[0] == n:
+            break
+    elements = list(range(n * n))
+    rng.shuffle(elements)
+    return matroid, [sorted(elements[i * n:(i + 1) * n]) for i in range(n)]
+
+
+class TestRotaScrambledSearch:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_seeded_partitions_are_rainbow_and_independent(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(12):
+            matroid, parts = rota_instance(rng, n)
+            result = rota_scrambled_search(matroid, parts)
+            assert result.succeeded and result.n == n
+            classes = result.classes
+            assert result.classes_used == len(classes) <= n + 1
+            assert sorted(x for c in classes for x in c) == list(range(n * n))
+            for c in classes:
+                assert reference_independent(matroid.descriptor, c)
+                assert all(len(c & set(p)) <= 1 for p in parts)
+            assert result.even_tight == (n % 2 == 0 and result.classes_used == n)
+
+    def test_overlapping_cover_is_made_disjoint_in_order(self, monkeypatch):
+        """Seeded instances cover with n disjoint classes; a cover by n+1
+        rainbow sets may overlap, and each class keeps only what the
+        earlier ones left."""
+        cover = [frozenset({0, 2}), frozenset({1, 2}), frozenset({1, 3})]
+        monkeypatch.setattr(harness, "covering_number", lambda *matroids: (3, cover))
+        parts = [frozenset({0, 1}), frozenset({2, 3})]
+        result = harness._rota_partition(uniform_matroid(4, 2), parts)
+        assert result.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
+        assert result.classes_used == 3 and not result.even_tight
+
+    def test_part_sizes(self):
+        with pytest.raises(InstanceError, match="n parts of size n"):
+            rota_scrambled_search(uniform_matroid(4, 2), [[0], [1, 2, 3]])
+
+    def test_parts_must_partition_the_ground(self):
+        with pytest.raises(InstanceError, match="partition the ground"):
+            rota_scrambled_search(uniform_matroid(4, 2), [[0, 1], [0, 1]])
+
+    def test_covering_number_must_be_n(self):
+        with pytest.raises(InstanceError, match="covering number is 1, expected n = 2"):
+            rota_scrambled_search(free_matroid(4), [[0, 1], [2, 3]])

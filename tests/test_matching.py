@@ -402,6 +402,49 @@ class TestRepeats:
                 assert e in fam.colors[c]
 
 
+    def test_non_bipartite_failure_is_a_hypothesis_violation(self):
+        """The theorem covers bipartite graphs; on this triangle-bearing
+        graph no size-2 matching represents two of the matchings."""
+        g = Graph(5, ((0, 1), (1, 2), (4, 0), (4, 1), (0, 2)))
+        with pytest.raises(HypothesisViolation, match="not bipartite"):
+            repeats_matching(g, [[0], [1, 2], [3, 4]], 2, 2)
+
+    def test_k2_on_general_graphs(self):
+        """Seeded k=2 instances on graphs that need not be bipartite: each
+        gives a valid witness or a HypothesisViolation, never a
+        TheoremViolation."""
+        rng = random.Random(5)
+        outcomes = set()
+        for _ in range(300):
+            v = rng.randint(4, 8)
+            n = rng.randint(2, v // 2)
+            edges: list[tuple[int, int]] = []
+            ms = []
+            for size in (1, n, n):
+                ends = rng.sample(range(v), 2 * size)
+                m = []
+                for pair in zip(ends[::2], ends[1::2]):
+                    if pair in edges and rng.random() < 0.5:
+                        m.append(edges.index(pair))
+                    else:
+                        edges.append(pair)
+                        m.append(len(edges) - 1)
+                ms.append(frozenset(m))
+            g = Graph(v, tuple(edges))
+            try:
+                matching, rep = repeats_matching(g, ms, 2, n)
+            except HypothesisViolation:
+                outcomes.add("not-bipartite")
+                continue
+            outcomes.add("witness")
+            assert len(matching) == n and matching_check(g, matching.edges)
+            values = [e for _, e in rep.assignments]
+            assert len(rep) >= 2 and len(set(values)) == len(values)
+            for c, e in rep.assignments:
+                assert e in ms[c] and e in matching.edges
+        assert outcomes == {"witness", "not-bipartite"}
+
+
 class TestCooperativeDrisko:
     def bipartite_graph(self, *pairs):
         return Graph(8, tuple(pairs),

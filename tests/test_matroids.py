@@ -7,7 +7,6 @@ from rainbowsets.core import Graph, InstanceError, ResourceCapError
 from rainbowsets.harness import random_matroid
 from rainbowsets.matroids import (
     IndependenceOracle,
-    SetComplex,
     binary_matroid,
     check_two_cover,
     covering_number,
@@ -15,7 +14,6 @@ from rainbowsets.matroids import (
     free_matroid,
     from_descriptor,
     graphic_matroid,
-    intersection_complex,
     matroid_intersection,
     partition_matroid,
     truncate,
@@ -23,6 +21,7 @@ from rainbowsets.matroids import (
 )
 
 from oracles import (
+    brute_covering_number,
     brute_intersection_minmax,
     brute_matroid_intersection_size,
     is_matroid,
@@ -296,6 +295,39 @@ class TestCovering:
                 assert m.is_independent(member)
             assert frozenset().union(*cover) == frozenset(range(m.ground_size))
 
+    # (matroids, covering number of their meet, its witness)
+    @pytest.mark.parametrize("matroids, number, cover", [
+        pytest.param([uniform_matroid(3, 2), partition_matroid(3, [[0, 1, 2]], [1])],
+                     3, [{0}, {1}, {2}], id="rank-two-meet-one-part"),
+        pytest.param([uniform_matroid(3, 1), free_matroid(3)],
+                     3, [{0}, {1}, {2}], id="singletons"),
+        pytest.param([partition_matroid(4, [[0, 1], [2, 3]]),
+                      partition_matroid(4, [[0, 2], [1, 3]])],
+                     2, [{1, 2}, {0, 3}], id="crossed-partitions"),
+    ])
+    def test_pinned_meets(self, matroids, number, cover):
+        assert covering_number(*matroids) == (number, [frozenset(c) for c in cover])
+        assert brute_covering_number(*(m.descriptor for m in matroids)) == number
+
+    def test_meet_ground_mismatch(self):
+        with pytest.raises(InstanceError, match="shared ground"):
+            covering_number(free_matroid(3), free_matroid(4))
+
+    def test_against_brute_force(self):
+        """One matroid and the meet of two, on seeded random pairs, against
+        the subset DP over reference independence."""
+        rng = random.Random(31)
+        for _ in range(60):
+            ground = rng.randint(1, 7)
+            pair = [random_matroid(rng, ground), random_matroid(rng, ground)]
+            for matroids in ([pair[0]], [pair[1]], pair):
+                descriptors = [m.descriptor for m in matroids]
+                number, cover = covering_number(*matroids)
+                assert number == len(cover) == brute_covering_number(*descriptors)
+                assert frozenset().union(*cover) == frozenset(range(ground))
+                for member in cover:
+                    assert all(reference_independent(d, member) for d in descriptors)
+
 
 class TestTwoCover:
     def test_free_pair(self):
@@ -326,13 +358,3 @@ class TestTwoCover:
                 random_matroid(rng, ground), random_matroid(rng, ground)
             )
             assert rep.holds
-
-    def test_intersection_complex(self):
-        meet = intersection_complex(uniform_matroid(3, 2),
-                                    partition_matroid(3, [[0, 1, 2]], [1]))
-        assert meet.is_independent({0})
-        assert not meet.is_independent({0, 1})
-
-    def test_set_complex(self):
-        c = SetComplex(3, lambda s: len(s) <= 1)
-        assert covering_number(c)[0] == 3
