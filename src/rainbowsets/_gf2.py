@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 
 def _reduce(v: int, basis: dict[int, int]) -> int:
     """Reduce v against a basis indexed by leading-bit position."""
@@ -33,6 +35,36 @@ def gf2_in_span(vectors: list[int], target: int) -> bool:
     return _reduce(target, basis) == 0
 
 
+def _reduce_comb(v: int, comb: int, basis: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """Reduce v against a basis of (vector, combination mask) pairs indexed
+    by leading-bit position; the masks of the basis vectors used are
+    XOR-ed into comb. Returns the remainder and the combination."""
+    while v:
+        b = basis.get(v.bit_length() - 1)
+        if b is None:
+            break
+        v ^= b[0]
+        comb ^= b[1]
+    return v, comb
+
+
+def _comb_basis(tagged: Iterable[tuple[int, int]]
+                ) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """Eliminate (vector, mask) pairs in order, each mask naming its vector
+    by one bit. Returns the echelon basis, whose masks say which inputs sum
+    to each basis vector, and the masks of the inputs that reduced to zero,
+    each naming a combination of inputs that sums to zero."""
+    basis: dict[int, tuple[int, int]] = {}
+    null_masks: list[int] = []
+    for v, comb in tagged:
+        v, comb = _reduce_comb(v, comb, basis)
+        if v:
+            basis[v.bit_length() - 1] = (v, comb)
+        else:
+            null_masks.append(comb)
+    return basis, null_masks
+
+
 def gf2_solve_subset(vectors: list[int], target: int) -> list[int] | None:
     """Indices of a subset of vectors summing to target, or None.
 
@@ -41,28 +73,10 @@ def gf2_solve_subset(vectors: list[int], target: int) -> list[int] | None:
     Enumeration is over the solution-space dimension, so callers should
     keep len(vectors) - rank small.
     """
-    basis: dict[int, tuple[int, int]] = {}  # leading bit -> (vector, comb mask)
-    null_masks: list[int] = []
-    for i, v in enumerate(vectors):
-        comb = 1 << i
-        while v:
-            lb = v.bit_length() - 1
-            if lb not in basis:
-                basis[lb] = (v, comb)
-                break
-            bv, bc = basis[lb]
-            v ^= bv
-            comb ^= bc
-        else:
-            null_masks.append(comb)
-    t, tcomb = target, 0
-    while t:
-        lb = t.bit_length() - 1
-        if lb not in basis:
-            return None
-        bv, bc = basis[lb]
-        t ^= bv
-        tcomb ^= bc
+    basis, null_masks = _comb_basis((v, 1 << i) for i, v in enumerate(vectors))
+    t, tcomb = _reduce_comb(target, 0, basis)
+    if t:
+        return None
     if len(null_masks) > 20:
         raise OverflowError("solution space too large to enumerate")
     best = tcomb

@@ -33,6 +33,7 @@ from .matching import (
     validate_scrambling,
 )
 from .matroids import (
+    COVER_GROUND_CAP,
     IndependenceOracle,
     binary_matroid,
     check_two_cover,
@@ -528,10 +529,12 @@ SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
                                            SweepParam("wmax", 10, minimum=0),
                                            SweepParam("instances", 1000))),
     "rho-two-cover": (_rho_two_cover,
-                      (SweepParam("ground", 8), SweepParam("instances", 500))),
+                      (SweepParam("ground", 8, maximum=COVER_GROUND_CAP),
+                       SweepParam("instances", 500))),
     "scrambled-sharpness": (_scrambled_sharpness, (SweepParam("n", minimum=4),
                                                    SweepParam("instances", 1000))),
-    "rota": (_rota, (SweepParam("n"), SweepParam("instances", 50))),
+    # n² ground elements, within COVER_GROUND_CAP
+    "rota": (_rota, (SweepParam("n", maximum=4), SweepParam("instances", 50))),
     "short-cycle": (_short_cycle, (SweepParam("n", minimum=2),
                                    SweepParam("r", minimum=2),
                                    SweepParam("instances", 200))),

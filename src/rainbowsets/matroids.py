@@ -6,10 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ._gf2 import gf2_rank
+from ._gf2 import _comb_basis, _reduce_comb, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
 
 COVER_GROUND_CAP = 16
+
+ExchangeTest = Callable[[Optional[int], int], bool]  # see IndependenceOracle.exchange
 
 
 class IndependenceOracle:
@@ -17,15 +19,18 @@ class IndependenceOracle:
 
     The descriptor records the construction (kind + parameters) so oracles
     can be serialized; ranks are memoized by subset, and a subset is
-    independent iff its rank equals its size.
+    independent iff its rank equals its size. A construction may also pass
+    exchange_fn, a native form of exchange() that must agree with rank.
     """
 
     def __init__(self, ground_size: int, rank_fn: Callable[[frozenset[int]], int],
-                 descriptor: dict):
+                 descriptor: dict,
+                 exchange_fn: Optional[Callable[[frozenset[int]], ExchangeTest]] = None):
         if ground_size < 0:
             raise InstanceError("ground size must be >= 0")
         self.ground_size = ground_size
         self._rank_fn = rank_fn
+        self._exchange_fn = exchange_fn
         self.descriptor = descriptor
         self._cache: dict[frozenset[int], int] = {}
 
@@ -62,6 +67,24 @@ class IndependenceOracle:
         s = frozenset(subset)
         grown = self.rank(s | {x})
         return x in s or grown == self.rank(s)
+
+    def exchange(self, independent: Iterable[int]) -> ExchangeTest:
+        """The exchange test of an independent set I: ok(x, y) is true iff
+        I - x + y is independent (I + y when x is None), for x in I and y
+        outside I.
+
+        By default each test is one memoized is_independent query; a
+        construction with a native exchange_fn answers all of them from
+        one pass over I, without checking that elements lie in the ground.
+        """
+        s = frozenset(independent)
+        if self._exchange_fn is not None:
+            return self._exchange_fn(s)
+
+        def ok(x: Optional[int], y: int) -> bool:
+            return self.is_independent((s if x is None else s - {x}) | {y})
+
+        return ok
 
     def __repr__(self) -> str:
         return f"IndependenceOracle({self.descriptor.get('kind', '?')}, m={self.ground_size})"
@@ -157,7 +180,25 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         "kind": "binary",
         "matrix": [[(c >> r) & 1 for c in cols] for r in range(max(nbits, 1))],
     }
-    return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in s]), desc)
+
+    def exchange(s: frozenset[int]) -> ExchangeTest:
+        """One elimination of I whose combination masks name elements by
+        bit: y's mask is its fundamental circuit in I + y, so I - x + y is
+        independent iff y reduces to nonzero or x is in that circuit."""
+        basis, _ = _comb_basis((cols[i], 1 << i) for i in s)
+        circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
+
+        def ok(x: Optional[int], y: int) -> bool:
+            c = circuits.get(y)
+            if c is None:
+                v, comb = _reduce_comb(cols[y], 0, basis)
+                c = circuits[y] = -1 if v else comb
+            return c == -1 or (x is not None and c >> x & 1 == 1)
+
+        return ok
+
+    return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in s]), desc,
+                              exchange)
 
 
 def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
@@ -244,7 +285,11 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     """Max common independent set plus the final source-reachable set.
 
     Shortest augmenting paths in the exchange graph; BFS explores elements
-    in ascending order, which fixes the outcome deterministically.
+    in ascending order, which fixes the outcome deterministically. Each
+    augmentation reads its arcs from one exchange test per matroid,
+    m.exchange(I): sources are the y with I + y independent in m1, sinks
+    those with I + y independent in m2, and the arcs are x -> y when
+    I - x + y is independent in m1 and y -> x when it is in m2.
     """
     if m1.ground_size != m2.ground_size:
         raise InstanceError("matroid intersection needs a shared ground set")
@@ -252,9 +297,10 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     current: set[int] = set()
     while True:
         in_i = current
+        ok1, ok2 = m1.exchange(in_i), m2.exchange(in_i)
         out_i = [y for y in range(m) if y not in in_i]
-        sources = [y for y in out_i if m1.is_independent(in_i | {y})]
-        sinks = {y for y in out_i if m2.is_independent(in_i | {y})}
+        sources = [y for y in out_i if ok1(None, y)]
+        sinks = {y for y in out_i if ok2(None, y)}
         parent: dict[int, int] = {y: -1 for y in sources}
         queue = list(sources)
         found = None
@@ -268,16 +314,10 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
             qi += 1
             if u in in_i:
                 # m1-exchange arcs u (in I) -> y (out of I)
-                nbrs = [
-                    y for y in out_i
-                    if y not in parent and m1.is_independent((in_i - {u}) | {y})
-                ]
+                nbrs = [y for y in out_i if y not in parent and ok1(u, y)]
             else:
                 # m2-exchange arcs u (out of I) -> x (in I)
-                nbrs = [
-                    x for x in sorted(in_i)
-                    if x not in parent and m2.is_independent((in_i - {x}) | {u})
-                ]
+                nbrs = [x for x in sorted(in_i) if x not in parent and ok2(x, u)]
             for v in sorted(nbrs):
                 parent[v] = u
                 if v in sinks:

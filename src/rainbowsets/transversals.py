@@ -4,11 +4,11 @@ a full choice function or an explicit violating color set."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .core import (ChoiceFunction, ColoredFamily, InstanceError, TheoremViolation,
                    _kuhn_max_matching, family_union)
-from .matroids import IndependenceOracle, _intersection_augment
+from .matroids import ExchangeTest, IndependenceOracle, _intersection_augment
 
 
 @dataclass(frozen=True)
@@ -74,16 +74,7 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
             f"of size {matroid.ground_size}"
         )
     k = fam.num_colors
-    incidences: list[tuple[int, int]] = []
-    for c in range(k):
-        for x in sorted(fam.sets[c]):
-            incidences.append((c, x))
-    m = len(incidences)
-
-    lift_colors = IndependenceOracle(
-        m, lambda s: len({incidences[i][0] for i in s}), {"kind": "internal-color-partition"})
-    lift_matroid = IndependenceOracle(
-        m, lambda s: matroid.rank({incidences[i][1] for i in s}), {"kind": "internal-induced"})
+    incidences, lift_colors, lift_matroid = _rado_lifts(fam, matroid)
     common, reachable = _intersection_augment(lift_colors, lift_matroid)
 
     if len(common) == k:
@@ -103,3 +94,45 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
     if matroid.rank(family_union(fam, deficient)) >= len(deficient):
         raise TheoremViolation(f"Rado violator {sorted(deficient)} is not rank-deficient")
     return violator
+
+
+def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
+                ) -> tuple[list[tuple[int, int]], IndependenceOracle, IndependenceOracle]:
+    """The (color, element) incidence pairs of the family, by color then
+    element, with the color partition matroid and the given matroid lifted
+    to them. A set of pairs is independent in the color lift iff its colors
+    differ, and in the matroid lift iff its elements differ and are
+    independent in the matroid. Both lifts answer exchange tests natively."""
+    incidences = [(c, x) for c in range(fam.num_colors) for x in sorted(fam.sets[c])]
+    color = [c for c, _ in incidences]
+    image = [x for _, x in incidences]
+
+    def color_exchange(s: frozenset[int]) -> ExchangeTest:
+        used = {color[i] for i in s}
+
+        def ok(x: Optional[int], y: int) -> bool:
+            # y's color is unused by I - x
+            return color[y] not in used or (x is not None and color[x] == color[y])
+
+        return ok
+
+    def matroid_exchange(s: frozenset[int]) -> ExchangeTest:
+        images = {image[i] for i in s}
+        inner = matroid.exchange(images)
+
+        def ok(x: Optional[int], y: int) -> bool:
+            if image[y] in images:
+                # I - x + y repeats an element unless x is the pair holding it
+                return x is not None and image[x] == image[y]
+            return inner(None if x is None else image[x], image[y])
+
+        return ok
+
+    m = len(incidences)
+    lift_colors = IndependenceOracle(
+        m, lambda s: len({color[i] for i in s}), {"kind": "internal-color-partition"},
+        color_exchange)
+    lift_matroid = IndependenceOracle(
+        m, lambda s: matroid.rank({image[i] for i in s}), {"kind": "internal-induced"},
+        matroid_exchange)
+    return incidences, lift_colors, lift_matroid

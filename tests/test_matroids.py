@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from rainbowsets.core import Graph, InstanceError, ResourceCapError
+from rainbowsets.core import ColoredFamily, Graph, GroundSet, InstanceError, ResourceCapError
 from rainbowsets.harness import random_matroid
 from rainbowsets.matroids import (
     IndependenceOracle,
+    _intersection_augment,
     binary_matroid,
     check_two_cover,
     covering_number,
@@ -19,6 +20,7 @@ from rainbowsets.matroids import (
     truncate,
     uniform_matroid,
 )
+from rainbowsets.transversals import _rado_lifts
 
 from oracles import (
     brute_covering_number,
@@ -259,6 +261,102 @@ class TestIntersection:
             assert m1.is_independent(got) and m2.is_independent(got)
             assert len(got) == brute_matroid_intersection_size(m1, m2)
             assert len(got) == brute_intersection_minmax(m1, m2)
+
+
+def random_binary_columns(rng: random.Random) -> list[int]:
+    """Seeded GF(2) columns with at least one zero column and one pair of
+    parallel columns, in random order."""
+    bits = rng.randint(1, 4)
+    cols = [rng.getrandbits(bits) for _ in range(rng.randint(1, 6))]
+    cols += [0, cols[0]]
+    rng.shuffle(cols)
+    return cols
+
+
+def random_independent(rng: random.Random, m: IndependenceOracle) -> frozenset[int]:
+    """An independent set of random size, grown greedily in random order."""
+    order = list(range(m.ground_size))
+    rng.shuffle(order)
+    size = rng.randint(0, m.rank())
+    chosen: set[int] = set()
+    for e in order:
+        if len(chosen) == size:
+            break
+        if m.is_independent(chosen | {e}):
+            chosen.add(e)
+    return frozenset(chosen)
+
+
+def random_family(rng: random.Random, ground: int) -> ColoredFamily:
+    colors = rng.randint(1, 4)
+    return ColoredFamily(GroundSet(ground), tuple(
+        frozenset(rng.sample(range(ground), rng.randint(0, min(3, ground))))
+        for _ in range(colors)))
+
+
+def without_exchange(m: IndependenceOracle) -> IndependenceOracle:
+    """The same rank function with the default, query-per-pair exchange test."""
+    return IndependenceOracle(m.ground_size, m._rank_fn, m.descriptor)
+
+
+def assert_exchange_matches(m: IndependenceOracle, independent: frozenset[int], label):
+    """exchange(I)(x, y) == is_independent(I - x + y) for every x in I or
+    None and every y outside I."""
+    ok = m.exchange(independent)
+    for y in range(m.ground_size):
+        if y in independent:
+            continue
+        for x in [None, *sorted(independent)]:
+            rest = independent if x is None else independent - {x}
+            assert ok(x, y) == m.is_independent(rest | {y}), (label, sorted(independent), x, y)
+
+
+def exchange_cases(seed: int) -> list[tuple[str, IndependenceOracle]]:
+    """A binary matroid with zero and parallel columns, and both Rado lifts
+    of a random family over a binary and over a random matroid."""
+    rng = random.Random(seed)
+    m = binary_matroid(random_binary_columns(rng))
+    _, colors_b, matroid_b = _rado_lifts(random_family(rng, m.ground_size), m)
+    inner = random_matroid(rng, rng.randint(1, 6))
+    _, colors_r, matroid_r = _rado_lifts(random_family(rng, inner.ground_size), inner)
+    return [("binary", m), ("color-lift", colors_b), ("binary-lift", matroid_b),
+            ("color-lift-random", colors_r), ("lift-" + inner.descriptor["kind"], matroid_r)]
+
+
+class TestExchange:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_native_exchange_matches_independence(self, seed):
+        rng = random.Random(1000 + seed)
+        for label, m in exchange_cases(seed):
+            for _ in range(4):
+                assert_exchange_matches(m, random_independent(rng, m), label)
+
+    def test_binary_zero_and_parallel_columns(self):
+        # 0 is a zero column, 1 and 3 are parallel, 2 is independent of both
+        m = binary_matroid([0, 0b01, 0b10, 0b01])
+        ok = m.exchange({1, 2})
+        assert not ok(None, 0) and not ok(1, 0) and not ok(2, 0)
+        assert not ok(None, 3) and ok(1, 3) and not ok(2, 3)
+        assert_exchange_matches(m, frozenset({1, 2}), "zero-parallel")
+
+    @pytest.mark.parametrize("name", sorted(RANK_CASES))
+    def test_exchange_matches_independence_on_rank_cases(self, name):
+        m = RANK_CASES[name]()
+        rng = random.Random(3)
+        for _ in range(4):
+            assert_exchange_matches(m, random_independent(rng, m), name)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_augment_same_with_and_without_native_exchange(self, seed):
+        rng = random.Random(2000 + seed)
+        m = binary_matroid(random_binary_columns(rng))
+        other = binary_matroid([rng.getrandbits(3) for _ in range(m.ground_size)])
+        _, colors, lifted = _rado_lifts(random_family(rng, m.ground_size), m)
+        pairs = [(m, other), (m, random_matroid(rng, m.ground_size)), (colors, lifted)]
+        for m1, m2 in pairs:
+            native = _intersection_augment(m1, m2)
+            assert native == _intersection_augment(without_exchange(m1), without_exchange(m2))
+            assert native == _intersection_augment(m1, without_exchange(m2))
 
 
 class TestCovering:

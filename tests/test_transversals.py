@@ -12,7 +12,9 @@ from rainbowsets.core import (
     is_rainbow,
     family_union,
 )
+from rainbowsets._gf2 import gf2_rank
 from rainbowsets.matroids import (
+    binary_matroid,
     free_matroid,
     graphic_matroid,
     partition_matroid,
@@ -32,6 +34,29 @@ def all_families(ground: int, colors: int):
                for c in itertools.combinations(range(ground), r)]
     for combo in itertools.combinations_with_replacement(subsets, colors):
         yield fam(ground, *combo)
+
+
+def deficient_binary_family(rng: random.Random, k: int) -> tuple[list[int], list[set[int]]]:
+    """k color classes over GF(2) columns with k+4 rows. Each class holds
+    one planted column (the planted ones are independent) and two random
+    ones, except five classes that draw three columns each from a subspace
+    of rank 4, so no full rainbow choice has an independent image."""
+    bits = k + 4
+    cols = [1 << i | rng.getrandbits(i) for i in range(k)]
+    cols += [rng.getrandbits(bits) | 1 for _ in range(k)]
+    sets = [{c, *rng.sample(range(k, 2 * k), 2)} for c in range(k)]
+    sub = [1 << i | rng.getrandbits(i) for i in range(4)]
+    for c in rng.sample(range(k), 5):
+        sets[c] = set()
+        for _ in range(3):
+            mask = rng.randint(1, (1 << len(sub)) - 1)
+            v = 0
+            for i, b in enumerate(sub):
+                if mask >> i & 1:
+                    v ^= b
+            sets[c].add(len(cols))
+            cols.append(v)
+    return cols, sets
 
 
 class TestHall:
@@ -127,6 +152,8 @@ class TestRado:
             uniform_matroid(4, 2),
             partition_matroid(4, [[0, 1], [2, 3]], [1, 1]),
             graphic_matroid(Graph(3, ((0, 1), (1, 2), (2, 0), (0, 1)))),
+            binary_matroid([0b01, 0, 0b10, 0b11]),  # a zero column
+            binary_matroid([0b011, 0b100, 0b011, 0b110]),  # two parallel columns
         ]
         for m in matroids:
             for f in all_families(m.ground_size, 3):
@@ -138,6 +165,18 @@ class TestRado:
                     assert m.is_independent(got.image)
                 else:
                     assert m.rank(family_union(f, got.colors)) < len(got.colors)
+
+    def test_binary_rado_makes_no_per_pair_rank_calls(self, monkeypatch):
+        # answering each exchange arc with its own rank query made 4,341
+        # gf2_rank calls on this family; one elimination per augmentation
+        # leaves only the final violator check
+        cols, sets = deficient_binary_family(random.Random(5), 40)
+        calls = []
+        monkeypatch.setattr("rainbowsets.matroids.gf2_rank",
+                            lambda vs: calls.append(1) or gf2_rank(vs))
+        fam = ColoredFamily(GroundSet(len(cols)), tuple(map(frozenset, sets)))
+        assert isinstance(rado_rainbow(fam, binary_matroid(cols)), Violator)
+        assert len(calls) < 4341 // 100, len(calls)
 
     def test_empty_color_class(self):
         out = rado_rainbow(fam(2, frozenset(), {0, 1}), free_matroid(2))
