@@ -73,6 +73,17 @@ def _as_network(obj) -> Network:
     )
 
 
+def _as_paths(instance: dict, net: Network) -> list[tuple[int, ...]]:
+    """instance.paths as edge-id tuples, each id an edge of the network."""
+    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
+    for i, path in enumerate(paths):
+        for e in path:
+            if not 0 <= e < net.num_edges:
+                raise InstanceError(f"instance.paths[{i}]: edge id {e} is not one "
+                                    f"of the {net.num_edges} network edges")
+    return paths
+
+
 def _as_family(instance: dict) -> ColoredFamily:
     ground = GroundSet(_int(_require(instance, "ground_size"), "instance.ground_size"))
     return ColoredFamily(ground, _sets(instance, "colors"))
@@ -137,10 +148,13 @@ def _run_arrow_check(instance: dict, args) -> tuple[dict, int]:
 
 def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
+    paths = _as_paths(instance, net)
     if args.weights:
         weights = WeightMap(tuple(_int(w, f"instance.weights[{i}]")
                                   for i, w in enumerate(_require(instance, "weights"))))
+        if len(weights.weights) != net.num_edges:
+            raise InstanceError(f"instance.weights: {len(weights.weights)} weights "
+                                f"for {net.num_edges} network edges")
     else:
         weights = WeightMap.zeros(net.num_edges)
     bound = args.bound
@@ -171,7 +185,7 @@ def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
 
 def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
     net = _as_network(_require(instance, "network"))
-    paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
+    paths = _as_paths(instance, net)
     scrambling = _int_arrays(_require(instance, "scrambling"), "instance.scrambling")
     result = scrambled_rainbow_path(net, paths, scrambling, args.n)
     return {

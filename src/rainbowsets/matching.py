@@ -246,30 +246,11 @@ def _representation_map(matchings: Sequence[frozenset[int]],
 def _repeats_exact(g: Graph, matchings: Sequence[frozenset[int]], k: int,
                    n: int) -> Optional[tuple[Matching, ChoiceFunction]]:
     """First size-n matching in the union representing >= k colors."""
-    union = sorted(set().union(*matchings))
-    masks = {e: g.edge_mask(e) for e in union}
-
-    def search(idx: int, used: int, chosen: list[int]
-               ) -> Optional[tuple[Matching, ChoiceFunction]]:
-        if len(chosen) == n:
-            rep = _representation_map(matchings, chosen)
-            if len(rep) >= k:
-                return Matching(frozenset(chosen)), rep
-            return None
-        free = [e for e in union[idx:] if not masks[e] & used]
-        if len(chosen) + len(free) < n:
-            return None
-        for j, e in enumerate(union[idx:], start=idx):
-            if masks[e] & used:
-                continue
-            chosen.append(e)
-            out = search(j + 1, used | masks[e], chosen)
-            if out is not None:
-                return out
-            chosen.pop()
-        return None
-
-    return search(0, 0, [])
+    for chosen in _matchings_of_size_in(g, sorted(set().union(*matchings)), n):
+        rep = _representation_map(matchings, chosen)
+        if len(rep) >= k:
+            return Matching(frozenset(chosen)), rep
+    return None
 
 
 def _cycle_components(g: Graph, edge_ids: frozenset[int]
@@ -569,24 +550,25 @@ def _claim_sizes(claim) -> tuple[tuple[int, ...], int]:
 
 
 def _matchings_of_size_in(g: Graph, pool: Sequence[int], size: int
-                          ) -> list[tuple[int, ...]]:
-    masks = [g.edge_mask(e) for e in range(g.num_edges)]
-    out: list[tuple[int, ...]] = []
+                          ) -> Iterator[tuple[int, ...]]:
+    """The size-`size` matchings among the pool edges, each in pool order,
+    lexicographically by pool position. A branch stops once too few edges
+    disjoint from its picks remain to complete it."""
+    masks = [g.edge_mask(e) for e in pool]
 
-    def rec(idx: int, used: int, acc: list[int]):
+    def rec(idx: int, used: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if len(acc) == size:
-            out.append(tuple(acc))
+            yield tuple(acc)
             return
-        for j in range(idx, len(pool)):
-            e = pool[j]
-            if masks[e] & used:
-                continue
-            acc.append(e)
-            rec(j + 1, used | masks[e], acc)
+        free = [j for j in range(idx, len(pool)) if not masks[j] & used]
+        if len(acc) + len(free) < size:
+            return
+        for j in free:
+            acc.append(pool[j])
+            yield from rec(j + 1, used | masks[j], acc)
             acc.pop()
 
-    rec(0, 0, [])
-    return out
+    yield from rec(0, 0, [])
 
 
 def _family_product(per_color: list[list[tuple[int, ...]]],
@@ -691,7 +673,7 @@ def _claim_candidates(sizes: tuple[int, ...], space: SearchSpace,
         for lengths in space.ambients:
             g = _cycle_graph(lengths)
             pool = list(range(g.num_edges))
-            per_color = [_matchings_of_size_in(g, pool, s) for s in sizes]
+            per_color = [list(_matchings_of_size_in(g, pool, s)) for s in sizes]
             if any(not options for options in per_color):
                 continue
             for fam_sets in _family_product(per_color, sizes):

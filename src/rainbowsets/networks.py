@@ -224,70 +224,39 @@ def check_counting_claim(net: Network, arb: LinearishArborescence) -> bool:
 def nu_p(net: Network, edge_ids: Iterable[int]
          ) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Maximum number of vertex-disjoint S-T paths using only the given
-    edges, with witness paths; unit-vertex-capacity max flow."""
+    edges, with witness paths.
+
+    nu^P(F) = nu(B_F) - |inner|, where B_F is B(N) restricted to the images
+    of F plus W. The matching is Kuhn's over the sending vertices in
+    ascending order, each trying its B-edges by ascending id (of parallel
+    B-edges only the lowest). A maximum matching's psi image has no free
+    paths, so by the counting identity its S-T paths are nu^P disjoint
+    paths; they are the witness, ordered by their source vertex.
+    """
+    return _path_packing(bipartify(net), edge_ids)
+
+
+def _path_packing(bn: BipartifiedNetwork, edge_ids: Iterable[int]
+                  ) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """nu_p over an already built bipartite double."""
+    net = bn.network
     ids = sorted(frozenset(int(e) for e in edge_ids))
     for e in ids:
         if not 0 <= e < net.num_edges:
             raise InstanceError(f"unknown edge id {e}")
-    n = net.n
-    source, sink = 2 * n, 2 * n + 1
-    graph: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
-
-    def add_arc(u: int, v: int) -> tuple[int, int]:
-        graph[u].append([v, 1, len(graph[v])])
-        graph[v].append([u, 0, len(graph[u]) - 1])
-        return u, len(graph[u]) - 1
-
-    for v in range(n):
-        add_arc(2 * v, 2 * v + 1)
-    source_arcs = {s: add_arc(source, 2 * s) for s in sorted(net.sources)}
-    for t in sorted(net.targets):
-        add_arc(2 * t + 1, sink)
-    edge_arcs = {}
-    for e in ids:
-        u, v = net.edges[e]
-        edge_arcs[e] = add_arc(2 * u + 1, 2 * v)
-
-    def bfs_augment() -> bool:
-        parent: dict[int, tuple[int, int]] = {source: (-1, -1)}
-        queue = [source]
-        qi = 0
-        while qi < len(queue) and sink not in parent:
-            u = queue[qi]
-            qi += 1
-            for j, (v, cap, _) in enumerate(graph[u]):
-                if cap > 0 and v not in parent:
-                    parent[v] = (u, j)
-                    if v == sink:
-                        break
-                    queue.append(v)
-        if sink not in parent:
-            return False
-        v = sink
-        while v != source:
-            u, j = parent[v]
-            graph[u][j][1] -= 1
-            graph[v][graph[u][j][2]][1] += 1
-            v = u
-        return True
-
-    value = 0
-    while bfs_augment():
-        value += 1
-
-    def saturated(arc: tuple[int, int]) -> bool:
-        u, j = arc
-        return graph[u][j][1] == 0
-
-    # vertex capacities make the saturated edge set a union of disjoint
-    # paths (plus flow cycles, which we simply never walk into)
-    next_from: dict[int, tuple[int, int]] = {}
-    for e in ids:
-        if saturated(edge_arcs[e]):
-            u, v = net.edges[e]
-            next_from[u] = (e, v)
-    return value, tuple(_follow(next_from, s) for s in sorted(net.sources)
-                        if saturated(source_arcs[s]))
+    lowest: dict[tuple[int, int], int] = {}  # B(N) vertex pair -> lowest B-edge
+    for b in [bn.edge_image[e] for e in ids] + [b for _, b in bn.w_edge_of]:
+        lowest.setdefault(bn.graph.edges[b], b)
+    adj: dict[int, list[int]] = {}
+    for u, v in lowest:
+        adj.setdefault(u, []).append(v)
+    match = _kuhn_max_matching(range(len(bn.send_index)), lambda u: adj.get(u, ()))
+    arb = LinearishArborescence(net, psi(bn, (lowest[u, v] for v, u in match.items())))
+    value, paths = len(match) - len(net.inner), classify(arb).st_paths
+    if len(paths) != value:
+        raise TheoremViolation(f"a maximum B(N) matching gives {len(paths)} S-T paths, "
+                               f"not nu^P = {value}")
+    return value, paths
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +296,7 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
     bn = bipartify(net)
     images: list[frozenset[int]] = []
     for i, f in enumerate(sets):
-        value, witness = nu_p(net, f)
+        value, witness = _path_packing(bn, f)
         if value < p:
             raise HypothesisViolation(
                 f"family {i} packs only {value} < {p} disjoint paths", witness=i
@@ -359,7 +328,7 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
         if e not in sets[fam_idx]:
             raise TheoremViolation(f"edge {e} is not in family {fam_idx}")
     edges = tuple(sorted(e for _, e in picked))
-    value, witness = nu_p(net, edges)
+    value, witness = _path_packing(bn, edges)
     if value < p:
         raise TheoremViolation(
             "rainbow set packs only %d < %d disjoint paths" % (value, p)

@@ -220,12 +220,7 @@ def rainbow_odd_cycle(g: Graph, families: Sequence[Iterable[int]]) -> OddCycleRe
     subset summing to the target, which has even degrees and an odd edge
     count, hence decomposes into cycles at least one of which is odd.
     """
-    a_sets = [frozenset(int(e) for e in f) for f in families]
-    if len(a_sets) != g.n:
-        raise HypothesisViolation(
-            f"expected {g.n} color classes (one per vertex), got {len(a_sets)}",
-            witness=len(a_sets),
-        )
+    a_sets = _edge_classes(g, families)
     target_vec = 1 << g.n
     for i, f in enumerate(a_sets):
         vecs = [augmented_vector(g, e).bits for e in sorted(f)]
@@ -235,6 +230,25 @@ def rainbow_odd_cycle(g: Graph, families: Sequence[Iterable[int]]) -> OddCycleRe
                 f"(its edge set contains no odd cycle)", witness=i,
             )
     return _odd_cycle_pipeline(g, a_sets)
+
+
+def _edge_classes(g: Graph, families: Sequence[Iterable[int]]
+                  ) -> list[frozenset[int]]:
+    """The families as edge-id sets, one per vertex of g, each id an edge
+    of g (so never the adjoined target element)."""
+    a_sets = [frozenset(int(e) for e in f) for f in families]
+    if len(a_sets) != g.n:
+        raise HypothesisViolation(
+            f"expected {g.n} color classes (one per vertex), got {len(a_sets)}",
+            witness=len(a_sets),
+        )
+    for i, f in enumerate(a_sets):
+        for e in sorted(f):
+            if not 0 <= e < g.num_edges:
+                raise InstanceError(
+                    f"families[{i}]: edge id {e} is not one of the "
+                    f"{g.num_edges} graph edges")
+    return a_sets
 
 
 def _odd_cycle_pipeline(g: Graph, a_sets: Sequence[frozenset[int]]) -> OddCycleResult:
@@ -272,10 +286,4 @@ def cooperative_odd_cycle_check(g: Graph, families: Sequence[Iterable[int]]
     On the augmented edge vectors that condition is the cooperative
     spanning hypothesis, so the pipeline checks it on the one color set
     its proof uses."""
-    a_sets = [frozenset(int(e) for e in f) for f in families]
-    if len(a_sets) != g.n:
-        raise HypothesisViolation(
-            f"expected {g.n} color classes (one per vertex), got {len(a_sets)}",
-            witness=len(a_sets),
-        )
-    return _odd_cycle_pipeline(g, a_sets)
+    return _odd_cycle_pipeline(g, _edge_classes(g, families))

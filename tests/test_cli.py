@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsets import cli, transversals
 from rainbowsets.harness import SWEEPS
@@ -19,6 +26,8 @@ def run_cli(tmp_path, capsys, argv, instance):
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 NET = {"n": 2, "edges": [[0, 1]], "sources": [0], "targets": [1]}
+TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+PATH_NET = {"n": 3, "edges": [[0, 1], [1, 2]], "sources": [0], "targets": [2]}
 
 # Colors [0], [0] and [1, c] for c = 2..16 on the unit columns e0..e16,
 # target e1: the pair {0, 1} is rank-deficient and misses the target.
@@ -75,6 +84,23 @@ class TestInputErrors:
                      {"ground_size": 2, "colors": [[0]], "target": [0],
                       "matroid": {"kind": "binary", "matrix": [["a", 1]]}},
                      "instance.matroid.matrix[0][0]", id="binary-matrix-entry-string"),
+        pytest.param(["odd-cycle"], {"graph": TRIANGLE, "families": [[5], [1], [2]]},
+                     "families[0]", id="odd-cycle-edge-id-past-edges"),
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[3], [3, 1], [2]]},
+                     "families[0]", id="cooperative-edge-id-equal-to-edge-count"),
+        # id 3 is the adjoined target element of the augmented matroid
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[3, 0], [3, 1], [3, 2]]},
+                     "families[0]", id="cooperative-edge-id-is-target-element"),
+        pytest.param(["rainbow-path", "--weights"],
+                     {"network": PATH_NET, "paths": [[0, 1], [0, 1]], "weights": [1]},
+                     "instance.weights", id="fewer-weights-than-edges"),
+        pytest.param(["rainbow-path"], {"network": PATH_NET, "paths": [[0, 5], [0, 1]]},
+                     "instance.paths[0]", id="path-edge-id-past-edges"),
+        pytest.param(["rainbow-path", "--weights"],
+                     {"network": PATH_NET, "paths": [[0, 5], [0, 1]], "weights": [1, 1]},
+                     "instance.paths[0]", id="weighted-path-edge-id-past-edges"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)
@@ -138,3 +164,58 @@ class TestGolden:
         code = cli.main(case["argv"] + ["--input", str(path)])
         assert capsys.readouterr().out == case["stdout"]
         assert code == case["exit"]
+
+
+ATOMS = (None, True, "a", 0, -1, 1.5, [], {}, [0])
+
+
+def _nodes(tree, path=()):
+    """(path, node) for every node of a JSON tree, the root first."""
+    yield path, tree
+    items = tree.items() if isinstance(tree, dict) else (
+        enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def mutated_instances(draw, cases):
+    """A golden instance after one to three edits: drop a key, swap an atom
+    in, shift an integer, pop or duplicate a list entry."""
+    case = draw(st.sampled_from(cases))
+    instance = copy.deepcopy(case["instance"])
+    for _ in range(draw(st.integers(1, 3))):
+        path, node = draw(st.sampled_from(list(_nodes(instance))))
+        kind = draw(st.sampled_from(["drop", "swap", "shift", "pop", "dup"]))
+        parent = instance
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop" and isinstance(node, dict) and node:
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif kind in ("pop", "dup") and isinstance(node, list) and node:
+            i = draw(st.integers(0, len(node) - 1))
+            if kind == "pop":
+                node.pop(i)
+            else:
+                node.insert(i, copy.deepcopy(node[i]))
+        elif kind == "shift" and type(node) is int and path:
+            parent[path[-1]] = node + draw(st.sampled_from([-3, -1, 1, 2, 10]))
+        elif path:
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(ATOMS)))
+    return case["argv"], instance
+
+
+class TestContractFuzz:
+    @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @given(data=st.data())
+    def test_mutated_golden_instances_keep_the_exit_contract(self, command, data):
+        argv, instance = data.draw(
+            mutated_instances([c for c in GOLDEN if c["argv"][0] == command]))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(instance).encode()))
+        out = io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+        assert code in (0, 1, 2, 3, 4)

@@ -224,6 +224,28 @@ class TestNuP:
             subset = list(range(net.num_edges))
             assert nu_p(net, subset)[0] == brute_nu_p(net, subset)
 
+    def test_matches_networkx_max_flow(self):
+        # past brute_nu_p's reach: up to 40 edges, each vertex split into
+        # an in-copy and an out-copy joined by a unit-capacity arc
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(14)
+        for _ in range(150):
+            net = random_network(rng, rng.randint(0, 8), rng.randint(1, 3),
+                                 rng.randint(1, 3), rng.randint(0, 40))
+            subset = [e for e in range(net.num_edges) if rng.random() < 0.8]
+            d = nx.DiGraph()
+            d.add_nodes_from(["S", "T"])
+            for v in range(net.n):
+                d.add_edge(("in", v), ("out", v), capacity=1)
+            for e in subset:
+                u, v = net.edges[e]
+                d.add_edge(("out", u), ("in", v), capacity=1)
+            for s in net.sources:
+                d.add_edge("S", ("in", s), capacity=1)
+            for t in net.targets:
+                d.add_edge(("out", t), "T", capacity=1)
+            assert nu_p(net, subset)[0] == nx.maximum_flow_value(d, "S", "T")
+
 
 def build_disjoint_path_instance(rng: random.Random, p: int, q: int):
     """A network plus 2p-1+q edge-set families, each packing p disjoint
