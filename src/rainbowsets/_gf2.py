@@ -48,43 +48,23 @@ def _reduce_comb(v: int, comb: int, basis: dict[int, tuple[int, int]]) -> tuple[
     return v, comb
 
 
-def _comb_basis(tagged: Iterable[tuple[int, int]]
-                ) -> tuple[dict[int, tuple[int, int]], list[int]]:
+def _comb_basis(tagged: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
     """Eliminate (vector, mask) pairs in order, each mask naming its vector
     by one bit. Returns the echelon basis, whose masks say which inputs sum
-    to each basis vector, and the masks of the inputs that reduced to zero,
-    each naming a combination of inputs that sums to zero."""
+    to each basis vector; inputs that reduce to zero are dropped."""
     basis: dict[int, tuple[int, int]] = {}
-    null_masks: list[int] = []
     for v, comb in tagged:
         v, comb = _reduce_comb(v, comb, basis)
         if v:
             basis[v.bit_length() - 1] = (v, comb)
-        else:
-            null_masks.append(comb)
-    return basis, null_masks
+    return basis
 
 
 def gf2_solve_subset(vectors: list[int], target: int) -> list[int] | None:
-    """Indices of a subset of vectors summing to target, or None.
-
-    Among all solutions (an affine space) returns one with the fewest
-    indices, ties broken by the lexicographically smallest index set.
-    Enumeration is over the solution-space dimension, so callers should
-    keep len(vectors) - rank small.
-    """
-    basis, null_masks = _comb_basis((v, 1 << i) for i, v in enumerate(vectors))
-    t, tcomb = _reduce_comb(target, 0, basis)
+    """Indices of a subset of vectors summing to target, or None when
+    target is outside their span. The subset is unique when the vectors
+    are linearly independent, as a rainbow image in a binary matroid is."""
+    t, tcomb = _reduce_comb(target, 0, _comb_basis((v, 1 << i) for i, v in enumerate(vectors)))
     if t:
         return None
-    if len(null_masks) > 20:
-        raise OverflowError("solution space too large to enumerate")
-    best = tcomb
-    for sub in range(1, 1 << len(null_masks)):
-        cand = tcomb
-        for j in range(len(null_masks)):
-            if sub >> j & 1:
-                cand ^= null_masks[j]
-        if (bin(cand).count("1"), cand) < (bin(best).count("1"), best):
-            best = cand
-    return [i for i in range(len(vectors)) if best >> i & 1]
+    return [i for i in range(len(vectors)) if tcomb >> i & 1]

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
 from .core import (
     ColoredFamily,
     GroundSet,
-    HypothesisViolation,
     InstanceError,
     LatinSquare,
     Network,
@@ -94,33 +93,33 @@ def _as_latin(rows: list) -> LatinSquare:
 
 
 def _as_edge_family(instance: dict) -> EdgeFamily:
-    g = _as_graph(_require(instance, "graph"), "instance.graph")
-    return EdgeFamily(g, _sets(instance, "colors"))
+    return EdgeFamily(_require(instance, "graph"), _sets(instance, "colors"))
 
 
 def _choice_payload(f) -> dict:
     return {"assignment": {str(c): x for c, x in f.assignments}}
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, exit_code)
-
-
-def _run_hall(instance: dict, args) -> tuple[dict, int]:
-    outcome = hall_rainbow(_as_family(instance))
+def _choice_or_violator(outcome) -> tuple[dict, int]:
     if isinstance(outcome, Violator):
         return {"status": "violator", "colors": sorted(outcome.colors)}, EXIT_NEGATIVE
     return {"status": "rainbow", **_choice_payload(outcome)}, EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# subcommand handlers: each takes the instance from parse_instance and the
+# parsed arguments, and returns (payload, exit_code)
+
+
+def _run_hall(instance: dict, args) -> tuple[dict, int]:
+    return _choice_or_violator(hall_rainbow(_as_family(instance)))
 
 
 def _run_rado(instance: dict, args) -> tuple[dict, int]:
     fam = _as_family(instance)
     matroid = _from_descriptor(_require(instance, "matroid"), fam.ground.size,
                                "instance.matroid")
-    outcome = rado_rainbow(fam, matroid)
-    if isinstance(outcome, Violator):
-        return {"status": "violator", "colors": sorted(outcome.colors)}, EXIT_NEGATIVE
-    return {"status": "rainbow", **_choice_payload(outcome)}, EXIT_OK
+    return _choice_or_violator(rado_rainbow(fam, matroid))
 
 
 def _run_rainbow_matching(instance: dict, args) -> tuple[dict, int]:
@@ -147,7 +146,7 @@ def _run_arrow_check(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
-    net = _as_network(_require(instance, "network"))
+    net = _require(instance, "network")
     paths = _as_paths(instance, net)
     if args.weights:
         weights = WeightMap(tuple(_int(w, f"instance.weights[{i}]")
@@ -171,7 +170,7 @@ def _run_rainbow_path(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
-    net = _as_network(_require(instance, "network"))
+    net = _require(instance, "network")
     families = _sets(instance, "colors")
     result = rainbow_disjoint_paths(net, families, args.p)
     return {
@@ -184,7 +183,7 @@ def _run_rainbow_paths_disjoint(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
-    net = _as_network(_require(instance, "network"))
+    net = _require(instance, "network")
     paths = _as_paths(instance, net)
     scrambling = _int_arrays(_require(instance, "scrambling"), "instance.scrambling")
     result = scrambled_rainbow_path(net, paths, scrambling, args.n)
@@ -198,7 +197,7 @@ def _run_scrambled_path(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_odd_cycle(instance: dict, args) -> tuple[dict, int]:
-    g = _as_graph(_require(instance, "graph"), "instance.graph")
+    g = _require(instance, "graph")
     families = _sets(instance, "families")
     fn = cooperative_odd_cycle_check if args.cooperative else rainbow_odd_cycle
     result = fn(g, families)
@@ -227,7 +226,7 @@ def _run_span_rainbow(instance: dict, args) -> tuple[dict, int]:
 
 
 def _run_latin(instance: dict, args) -> tuple[dict, int]:
-    square = _as_latin(_require(instance, "latin"))
+    square = _require(instance, "latin")
     t = latin_transversal(square)
     return {
         "status": "transversal",
@@ -237,17 +236,43 @@ def _run_latin(instance: dict, args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
+class Command(NamedTuple):
+    """An instance subcommand: its handler, and its own options as a map
+    from flag to add_argument's keyword arguments."""
+
+    run: Callable[[dict, argparse.Namespace], tuple[dict, int]]
+    options: dict
+
+
 HANDLERS = {
-    "hall": _run_hall,
-    "rado": _run_rado,
-    "rainbow-matching": _run_rainbow_matching,
-    "arrow-check": _run_arrow_check,
-    "rainbow-path": _run_rainbow_path,
-    "rainbow-paths-disjoint": _run_rainbow_paths_disjoint,
-    "scrambled-path": _run_scrambled_path,
-    "odd-cycle": _run_odd_cycle,
-    "span-rainbow": _run_span_rainbow,
-    "latin": _run_latin,
+    "hall": Command(_run_hall, {}),
+    "rado": Command(_run_rado, {}),
+    "rainbow-matching": Command(_run_rainbow_matching,
+                                {"--target": dict(type=int, default=None)}),
+    "arrow-check": Command(_run_arrow_check, {
+        "--a": dict(type=int, required=True),
+        "--b": dict(type=int, required=True),
+        "--c": dict(type=int, required=True),
+        "--graph-class": dict(choices=["bipartite", "general"], default="bipartite"),
+    }),
+    "rainbow-path": Command(_run_rainbow_path, {
+        "--weights": dict(action="store_true", help="use the instance's edge weights"),
+        "--bound": dict(type=int, default=None),
+    }),
+    "rainbow-paths-disjoint": Command(_run_rainbow_paths_disjoint,
+                                      {"--p": dict(type=int, required=True)}),
+    "scrambled-path": Command(_run_scrambled_path, {"--n": dict(type=int, required=True)}),
+    "odd-cycle": Command(_run_odd_cycle, {"--cooperative": dict(action="store_true")}),
+    "span-rainbow": Command(_run_span_rainbow, {}),
+    "latin": Command(_run_latin, {}),
+}
+
+_SWEEP_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="64-bit RNG seed"),
+    "--cap": dict(type=int, default=10**6, help="instance cap"),
+    "--conjecture": dict(required=True, choices=SWEEPS),
+    "--params": dict(nargs="*", default=[], metavar="KEY=VALUE",
+                     help="integer sweep parameters"),
 }
 
 
@@ -259,45 +284,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--input", default=None,
-                       help="instance JSON file (default: stdin)")
+    commands = [(name, c.options) for name, c in HANDLERS.items()]
+    for name, options in commands + [("sweep", _SWEEP_OPTIONS)]:
+        p = sub.add_parser(name)
+        if name != "sweep":
+            p.add_argument("--input", default=None,
+                           help="instance JSON file (default: stdin)")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="pretty", action="store_false",
                          default=False, help="compact machine output (default)")
         fmt.add_argument("--pretty", dest="pretty", action="store_true",
                          help="indented human output")
-
-    for name in HANDLERS:
-        p = sub.add_parser(name)
-        common(p)
-        if name == "rainbow-matching":
-            p.add_argument("--target", type=int, default=None)
-        if name == "arrow-check":
-            p.add_argument("--a", type=int, required=True)
-            p.add_argument("--b", type=int, required=True)
-            p.add_argument("--c", type=int, required=True)
-            p.add_argument("--graph-class", choices=["bipartite", "general"],
-                           default="bipartite")
-        if name == "rainbow-path":
-            p.add_argument("--weights", action="store_true",
-                           help="use the instance's edge weights")
-            p.add_argument("--bound", type=int, default=None)
-        if name == "rainbow-paths-disjoint":
-            p.add_argument("--p", type=int, required=True)
-        if name == "scrambled-path":
-            p.add_argument("--n", type=int, required=True)
-        if name == "odd-cycle":
-            p.add_argument("--cooperative", action="store_true")
-
-    p = sub.add_parser("sweep")
-    common(p)
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    p.add_argument("--cap", type=int, default=10**6, help="instance cap")
-    p.add_argument("--conjecture", required=True, choices=SWEEPS)
-    p.add_argument("--params", nargs="*", default=[],
-                   metavar="KEY=VALUE", help="integer sweep parameters")
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -307,26 +306,29 @@ def _header(args) -> dict:
             "seed": getattr(args, "seed", 0)}
 
 
-def _emit(payload: dict, pretty: bool, out=None):
-    out = out or sys.stdout
+def _emit(payload: dict, pretty: bool):
     if pretty:
-        out.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        out.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _read_instance(args) -> dict:
     if args.input is None:
-        raw = sys.stdin.buffer.read()
-    else:
+        return parse_instance(sys.stdin.buffer.read())
+    try:
         with open(args.input, "rb") as fh:
             raw = fh.read()
+    except OSError as exc:
+        raise InstanceError(f"--input {args.input}: cannot read "
+                            f"({exc.strerror or exc})") from exc
     return parse_instance(raw)
 
 
 def parse_instance(raw: bytes) -> dict:
-    """Decode and shape-check an instance; detailed invariant checks run
-    when the typed objects are built."""
+    """Decode and shape-check an instance. `graph`, `network` and `latin`
+    come back as the Graph, Network and LatinSquare they describe; the
+    other invariant checks run when the handlers build their objects."""
     try:
         data = json.loads(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -338,13 +340,12 @@ def parse_instance(raw: bytes) -> dict:
     for field in ("colors", "paths", "scrambling", "families", "weights", "latin"):
         if field in data and not isinstance(data[field], list):
             raise InstanceError(f"instance.{field}: expected an array")
-    # eager typed validation for the structured fields
     if "graph" in data:
-        _as_graph(data["graph"], "instance.graph")
+        data["graph"] = _as_graph(data["graph"], "instance.graph")
     if "network" in data:
-        _as_network(data["network"])
+        data["network"] = _as_network(data["network"])
     if "latin" in data:
-        _as_latin(data["latin"])
+        data["latin"] = _as_latin(data["latin"])
     return data
 
 
@@ -361,43 +362,37 @@ def _run_sweep_command(args) -> int:
     spec = SweepSpec(args.conjecture, tuple(params), seed=args.seed,
                      instance_cap=args.cap)
     _emit({"header": _header(args), "sweep": args.conjecture}, False)
+    report = run_sweep(spec, on_record=lambda rec: _emit(rec, False))
+    _emit({"header": _header(args), **report.as_dict()}, args.pretty)
+    return {COUNTEREXAMPLE: EXIT_COUNTEREXAMPLE, CAP_EXHAUSTED: EXIT_CAP}.get(
+        report.verdict, EXIT_OK)
 
-    def on_record(rec: dict):
-        _emit(rec, False)
 
-    report = run_sweep(spec, on_record=on_record)
-    payload = {"header": _header(args), **report.as_dict()}
-    _emit(payload, args.pretty)
-    if report.verdict == COUNTEREXAMPLE:
-        return EXIT_COUNTEREXAMPLE
-    if report.verdict == CAP_EXHAUSTED:
-        return EXIT_CAP
-    return EXIT_OK
+# The status and exit code of each error main reports; HypothesisViolation
+# is an InstanceError.
+_FAILURES = {
+    InstanceError: ("error", EXIT_INPUT),
+    ResourceCapError: ("cap-exhausted", EXIT_CAP),
+    TheoremViolation: ("theorem-violation", EXIT_THEOREM),
+}
+
+_parser: Optional[argparse.ArgumentParser] = None
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if args.command == "sweep":
             return _run_sweep_command(args)
-        payload, code = HANDLERS[args.command](_read_instance(args), args)
-        payload = {"header": _header(args), **payload}
-        _emit(payload, args.pretty)
-        return code
-    except (InstanceError, HypothesisViolation) as exc:
-        _emit({"header": _header(args),
-               "status": "error", "error": str(exc)}, getattr(args, "pretty", False))
-        return EXIT_INPUT
-    except ResourceCapError as exc:
-        _emit({"header": _header(args),
-               "status": "cap-exhausted", "error": str(exc)},
-              getattr(args, "pretty", False))
-        return EXIT_CAP
-    except TheoremViolation as exc:
-        _emit({"header": _header(args),
-               "status": "theorem-violation", "error": str(exc)},
-              getattr(args, "pretty", False))
-        return EXIT_THEOREM
+        payload, code = HANDLERS[args.command].run(_read_instance(args), args)
+    except tuple(_FAILURES) as exc:
+        status, code = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
+        payload = {"status": status, "error": str(exc)}
+    _emit({"header": _header(args), **payload}, args.pretty)
+    return code
 
 
 if __name__ == "__main__":

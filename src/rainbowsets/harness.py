@@ -255,15 +255,13 @@ class RainbowCycleHit:
         return len(self.edges)
 
 
-def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int,
-                        validate_hypothesis: bool = True
+def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
                         ) -> Optional[RainbowCycleHit]:
     """A rainbow cycle of length at most r using the disjoint color
     classes, or None.
 
-    In hypothesis-validating mode the classes must number n (the vertex
-    count) and each have size at least ceil(n/r); free mode skips that to
-    probe boundaries.
+    The classes must number n (the vertex count) and each have size at
+    least ceil(n/r).
     """
     sets = [frozenset(int(e) for e in s) for s in edge_sets]
     color_of: dict[int, int] = {}
@@ -278,18 +276,17 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int,
             color_of[e] = i
     if r < 2:
         raise InstanceError("cycle length bound must be at least 2")
-    if validate_hypothesis:
-        n = g.n
-        if len(sets) != n:
+    n = g.n
+    if len(sets) != n:
+        raise HypothesisViolation(
+            f"expected {n} classes, got {len(sets)}", witness=len(sets)
+        )
+    need = -(-n // r)
+    for i, s in enumerate(sets):
+        if len(s) < need:
             raise HypothesisViolation(
-                f"expected {n} classes, got {len(sets)}", witness=len(sets)
+                f"class {i} has size {len(s)} < ceil(n/r) = {need}", witness=i
             )
-        need = -(-n // r)
-        for i, s in enumerate(sets):
-            if len(s) < need:
-                raise HypothesisViolation(
-                    f"class {i} has size {len(s)} < ceil(n/r) = {need}", witness=i
-                )
 
     incident: dict[int, list[int]] = {}
     for e in sorted(color_of):

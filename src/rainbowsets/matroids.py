@@ -185,7 +185,7 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         """One elimination of I whose combination masks name elements by
         bit: y's mask is its fundamental circuit in I + y, so I - x + y is
         independent iff y reduces to nonzero or x is in that circuit."""
-        basis, _ = _comb_basis((cols[i], 1 << i) for i in s)
+        basis = _comb_basis((cols[i], 1 << i) for i in s)
         circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
 
         def ok(x: Optional[int], y: int) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowsets import cli, transversals
+from rainbowsets import cli, core, transversals
 from rainbowsets.harness import SWEEPS
 
 
@@ -108,6 +108,15 @@ class TestInputErrors:
         assert payload["status"] == "error"
         assert field in payload["error"]
 
+    @pytest.mark.parametrize("name", [None, "absent.json"], ids=["directory", "missing-file"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, name):
+        path = tmp_path / name if name else tmp_path
+        code = cli.main(["hall", "--input", str(path)])
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_INPUT == 2
+        assert payload["status"] == "error"
+        assert "--input" in payload["error"]
+
 
 class TestSelfChecks:
     def test_failed_witness_check_exits_5(self, tmp_path, capsys, monkeypatch):
@@ -148,12 +157,44 @@ class TestSweepParams:
             cli.main(["hall", "--seed", "1"])
         assert exc.value.code == 2
 
+    def test_input_is_an_instance_option_only(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--conjecture", "brs", "--params", "n=3",
+                      "--input", str(tmp_path / "absent.json")])
+        assert exc.value.code == 2
+
     def test_help_lists_every_tag(self, capsys):
         with pytest.raises(SystemExit):
             cli.main(["sweep", "--help"])
         out = capsys.readouterr().out
         for tag in SWEEPS:
             assert tag in out
+
+
+class TestOneParse:
+    """The parser is built once per process, and each structured instance
+    field is parsed into its object once per call."""
+
+    def test_parser_is_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        for _ in range(10):
+            code, _ = run_cli(tmp_path, capsys, ["hall"], {"ground_size": 2, "colors": [[0], [1]]})
+            assert code == 0
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("command, cls", [("rainbow-path", core.Network),
+                                              ("latin", core.LatinSquare)])
+    def test_one_object_per_call(self, tmp_path, capsys, monkeypatch, command, cls):
+        built = []
+        post_init = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(1) or post_init(self))
+        case = next(c for c in GOLDEN if c["argv"][0] == command)
+        code, _ = run_cli(tmp_path, capsys, case["argv"], case["instance"])
+        assert code == case["exit"]
+        assert len(built) == 1
 
 
 class TestGolden:
@@ -207,7 +248,7 @@ def mutated_instances(draw, cases):
 
 class TestContractFuzz:
     @pytest.mark.parametrize("command", sorted(cli.HANDLERS))
-    @settings(max_examples=20, derandomize=True, deadline=None, database=None)
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
     @given(data=st.data())
     def test_mutated_golden_instances_keep_the_exit_contract(self, command, data):
         argv, instance = data.draw(

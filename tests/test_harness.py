@@ -1,5 +1,6 @@
-"""Pinned outcomes of every sweep tag at small parameters and seed 3, and
-rota_scrambled_search on seeded instances.
+"""Pinned outcomes of every sweep tag at small parameters and seed 3;
+rota_scrambled_search, rainbow_short_cycle and latin_transversal on seeded
+instances.
 
 Each sweep case fixes the report (verdict, instance count, seed,
 counterexample and detail), the full stream of per-instance records, and
@@ -12,12 +13,24 @@ import random
 import pytest
 
 from rainbowsets import cli, harness
-from rainbowsets.core import InstanceError
-from rainbowsets.harness import rota_scrambled_search, run_sweep
+from rainbowsets.core import (
+    Graph,
+    HypothesisViolation,
+    InstanceError,
+    LatinSquare,
+    transversal_check,
+)
+from rainbowsets.harness import (
+    enumerate_latin_squares,
+    latin_transversal,
+    rainbow_short_cycle,
+    rota_scrambled_search,
+    run_sweep,
+)
 from rainbowsets.matroids import binary_matroid, covering_number, free_matroid, uniform_matroid
 from rainbowsets.sweeps import SweepSpec
 
-from oracles import reference_independent
+from oracles import all_cycles, brute_latin_transversal, reference_independent
 
 SEED = 3
 
@@ -199,3 +212,89 @@ class TestRotaScrambledSearch:
     def test_covering_number_must_be_n(self):
         with pytest.raises(InstanceError, match="covering number is 1, expected n = 2"):
             rota_scrambled_search(free_matroid(4), [[0, 1], [2, 3]])
+
+
+def short_cycle_instance(rng, n, r):
+    """n disjoint classes of ceil(n/r) random edges each on n vertices, and
+    up to two edges in no class."""
+    need = -(-n // r)
+    edges = []
+    for _ in range(n * need + rng.randint(0, 2)):
+        u, v = rng.sample(range(n), 2)
+        edges.append((u, v))
+    return Graph(n, tuple(edges)), [list(range(c * need, (c + 1) * need)) for c in range(n)]
+
+
+class TestRainbowShortCycle:
+    def test_class_count_must_be_n(self):
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(HypothesisViolation, match="expected 3 classes, got 2"):
+            rainbow_short_cycle(g, [[0], [1, 2]], 3)
+
+    def test_class_too_small(self):
+        g = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3), (0, 1)))
+        with pytest.raises(HypothesisViolation, match=r"class 3 has size 1 < ceil\(n/r\) = 2"):
+            rainbow_short_cycle(g, [[0, 1], [2, 3], [4, 5], [6]], 3)
+
+    def test_overlapping_classes(self):
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(InstanceError, match="edge 1 already in family 0"):
+            rainbow_short_cycle(g, [[0, 1], [1], [2]], 3)
+
+    def test_none_when_every_short_cycle_repeats_a_color(self):
+        # each class is a digon; the only rainbow cycle is the triangle
+        g = Graph(3, ((0, 1), (0, 1), (1, 2), (1, 2), (0, 2), (0, 2)))
+        classes = [[0, 1], [2, 3], [4, 5]]
+        assert rainbow_short_cycle(g, classes, 2) is None
+        assert len(rainbow_short_cycle(g, classes, 3)) == 3
+
+    @pytest.mark.parametrize("n, r", [(3, 2), (4, 3), (5, 3), (6, 4)])
+    def test_cycle_is_closed_rainbow_and_short(self, n, r):
+        rng = random.Random(100 * n + r)
+        found = 0
+        for _ in range(30):
+            g, classes = short_cycle_instance(rng, n, r)
+            color_of = {e: c for c, cls in enumerate(classes) for e in cls}
+            hit = rainbow_short_cycle(g, classes, r)
+            exists = any(len(cycle) <= r and all(e in color_of for e in cycle)
+                         and len({color_of[e] for e in cycle}) == len(cycle)
+                         for cycle in all_cycles(g))
+            assert (hit is not None) == exists
+            if hit is None:
+                continue
+            found += 1
+            k = len(hit.edges)
+            assert 2 <= k <= r and len(hit.vertices) == len(set(hit.vertices)) == k
+            for i, e in enumerate(hit.edges):
+                ends = {hit.vertices[i], hit.vertices[(i + 1) % k]}
+                assert set(g.edges[e]) == ends
+            assert hit.colors == tuple(color_of[e] for e in hit.edges)
+            assert len(set(hit.colors)) == k
+        assert found > 0
+
+
+def permuted_square(rng, square):
+    """The square with its rows, columns and symbols permuted at random."""
+    n = square.n
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    syms = [0] + rng.sample(range(1, n + 1), n)
+    return LatinSquare(n, tuple(tuple(syms[square.rows[rows[r]][cols[c]]] for c in range(n))
+                                for r in range(n)))
+
+
+class TestLatinTransversal:
+    def check(self, square):
+        t = latin_transversal(square)
+        assert transversal_check(square, t.cells)
+        assert len(t) == brute_latin_transversal(square)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_reduced_square_up_to_order_4(self, n):
+        for square in enumerate_latin_squares(n):
+            self.check(square)
+
+    def test_permuted_order_5_squares(self):
+        rng = random.Random(5)
+        squares = list(enumerate_latin_squares(5))
+        for square in rng.sample(squares, 25):
+            self.check(permuted_square(rng, square))

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from rainbowsets._gf2 import gf2_solve_subset
 from rainbowsets.core import Graph, HypothesisViolation, InstanceError
 from rainbowsets.matroids import binary_matroid, free_matroid, uniform_matroid
 from rainbowsets.spancycles import (
@@ -293,3 +294,48 @@ class TestCooperativeOddCycle:
         res = cooperative_odd_cycle_check(g, fams)
         check_result(g, fams, res)
         assert brute_rainbow_odd_cycle_exists(g, fams)
+
+
+def xor_of(vectors, indices) -> int:
+    total = 0
+    for i in indices:
+        total ^= vectors[i]
+    return total
+
+
+def brute_subsets_summing_to(vectors, target) -> list[list[int]]:
+    return [list(idx) for size in range(len(vectors) + 1)
+            for idx in itertools.combinations(range(len(vectors)), size)
+            if xor_of(vectors, idx) == target]
+
+
+def independent_vectors(rng: random.Random, k: int, bits: int) -> list[int]:
+    """k random vectors over `bits` coordinates, no nonempty subset of which
+    sums to zero (by brute force)."""
+    while True:
+        vectors = [rng.randrange(1, 1 << bits) for _ in range(k)]
+        if brute_subsets_summing_to(vectors, 0) == [[]]:
+            return vectors
+
+
+class TestGf2SolveSubset:
+    def test_matches_brute_subset_search(self):
+        rng = random.Random(2)
+        for _ in range(200):
+            bits = rng.randint(1, 7)
+            vectors = independent_vectors(rng, rng.randint(0, bits), bits)
+            target = xor_of(vectors, [i for i in range(len(vectors)) if rng.random() < 0.5])
+            assert [gf2_solve_subset(vectors, target)] == brute_subsets_summing_to(vectors, target)
+
+    def test_target_outside_the_span(self):
+        rng = random.Random(3)
+        checked = 0
+        for _ in range(200):
+            bits = rng.randint(1, 7)
+            vectors = independent_vectors(rng, rng.randint(0, bits - 1), bits)
+            target = rng.randrange(1 << bits)
+            if brute_subsets_summing_to(vectors, target):
+                continue
+            checked += 1
+            assert gf2_solve_subset(vectors, target) is None
+        assert checked > 50
