@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 
 class InstanceError(ValueError):
@@ -50,10 +50,6 @@ class GroundSet:
     def __post_init__(self):
         if self.size < 0:
             raise InstanceError(f"ground size must be >= 0, got {self.size}")
-
-    @property
-    def elements(self) -> range:
-        return range(self.size)
 
     def __contains__(self, x) -> bool:
         return isinstance(x, int) and 0 <= x < self.size
@@ -105,10 +101,6 @@ class ChoiceFunction:
         if len(set(colors)) != len(colors):
             raise InstanceError("choice function assigns a color twice")
         object.__setattr__(self, "assignments", pairs)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[int, int]) -> "ChoiceFunction":
-        return cls(tuple(mapping.items()))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.assignments)
@@ -191,9 +183,6 @@ class Graph:
     def edge_mask(self, e: int) -> int:
         u, v = self.edges[e]
         return (1 << u) | (1 << v)
-
-    def incident(self, v: int) -> list[int]:
-        return [e for e, (a, b) in enumerate(self.edges) if v in (a, b)]
 
 
 # Shape checks for JSON input; each error names the offending field by the
@@ -325,7 +314,8 @@ def _trail(g: Graph, remaining: set[int], start: int) -> tuple[list[int], list[i
 
 
 def _kuhn_max_matching(lefts: Iterable[int],
-                       neighbors: Callable[[int], Iterable[int]]) -> dict[int, int]:
+                       neighbors: Callable[[int], Iterable[int]],
+                       dead: Optional[set[int]] = None) -> dict[int, int]:
     """Maximum bipartite matching by augmenting paths; returns {right: left}.
 
     Each left vertex in turn roots one depth-first search; neighbors(u)
@@ -333,31 +323,43 @@ def _kuhn_max_matching(lefts: Iterable[int],
     an explicit stack, so path length is not bounded by the recursion limit.
     The visit order, and so the result and its insertion order, is that of
     the textbook recursive search.
+
+    A right vertex visited by a failed search is dead: no alternating path
+    from it reaches a free vertex, and none does after later augmentations,
+    which never pass through it. Later searches skip dead vertices, which
+    only saves exploring them again. If a set is passed as dead, the dead
+    vertices are added to it: the right vertices alternating paths from the
+    unmatched lefts reach.
     """
     match: dict[int, int] = {}
+    known_dead: set[int] = set()
     for root in lefts:
-        visited: set[int] = set()
+        visited = set(known_dead)
         stack = [iter(neighbors(root))]
         path: list[int] = []  # matched right vertices from the root down
         while stack:
             for v in stack[-1]:
-                if v in visited:
-                    continue
-                visited.add(v)
-                if v in match:
-                    path.append(v)
-                    stack.append(iter(neighbors(match[v])))
+                if v not in visited:
                     break
-                u = root
-                for w in path:
-                    match[w], u = u, match[w]
-                match[v] = u
-                stack.clear()
-                break
             else:
                 stack.pop()
                 if path:
                     path.pop()
+                continue
+            visited.add(v)
+            if v in match:
+                path.append(v)
+                stack.append(iter(neighbors(match[v])))
+                continue
+            u = root
+            for w in path:
+                match[w], u = u, match[w]
+            match[v] = u
+            break
+        else:
+            known_dead = visited
+    if dead is not None:
+        dead |= known_dead
     return match
 
 

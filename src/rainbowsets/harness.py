@@ -35,9 +35,11 @@ from .matching import (
 from .matroids import (
     COVER_GROUND_CAP,
     IndependenceOracle,
+    _cover,
+    _meet,
+    _member_masks,
     binary_matroid,
     check_two_cover,
-    covering_number,
     graphic_matroid,
     partition_matroid,
     truncate,
@@ -169,19 +171,21 @@ def rota_scrambled_search(matroid: IndependenceOracle,
         sum(len(p) for p in part_sets) != ground
     ):
         raise InstanceError("parts must partition the ground set")
-    rho, _ = covering_number(matroid)
+    members = _member_masks(matroid)
+    rho, _ = _cover(ground, members)
     if rho != n:
         raise InstanceError(f"covering number is {rho}, expected n = {n}")
-    return _rota_partition(matroid, part_sets)
+    return _rota_partition(members, part_sets)
 
 
-def _rota_partition(matroid: IndependenceOracle,
-                    part_sets: list[frozenset[int]]) -> RotaSearchResult:
+def _rota_partition(members: bytes, part_sets: list[frozenset[int]]) -> RotaSearchResult:
     """rota_scrambled_search on parts already known to partition the ground
-    of a matroid with covering number len(part_sets): a minimum cover by
-    rainbow independent sets, made disjoint in order."""
+    of a matroid with covering number len(part_sets), given the matroid's
+    member masks (_member_masks): a minimum cover by rainbow independent
+    sets, made disjoint in order."""
     n = len(part_sets)
-    rho, cover = covering_number(matroid, partition_matroid(n * n, part_sets))
+    parts = _member_masks(partition_matroid(n * n, part_sets))
+    rho, cover = _cover(n * n, _meet(members, parts))
     if rho > n + 1:
         return RotaSearchResult(n, None, None, False)
     classes, covered = [], frozenset()
@@ -459,16 +463,17 @@ def _rota(spec: SweepSpec, on_record, n: int, instances: int) -> SweepReport:
             while True:  # rejection sampling: need covering number exactly n
                 cols = [rng.randint(1, (1 << n) - 1) for _ in range(n * n)]
                 matroid = binary_matroid(cols)
-                if covering_number(matroid)[0] == n:
+                members = _member_masks(matroid)
+                if _cover(n * n, members)[0] == n:
                     break
             elements = list(range(n * n))
             rng.shuffle(elements)
-            yield matroid, [sorted(elements[i * n:(i + 1) * n]) for i in range(n)]
+            yield matroid, members, [sorted(elements[i * n:(i + 1) * n]) for i in range(n)]
 
     def check(candidate) -> Optional[tuple[dict, dict]]:
-        matroid, parts = candidate
+        matroid, members, parts = candidate
         # the rejection loop has fixed the covering number at n
-        if _rota_partition(matroid, [frozenset(p) for p in parts]).succeeded:
+        if _rota_partition(members, [frozenset(p) for p in parts]).succeeded:
             return None
         return ({"matroid": matroid.descriptor, "parts": [list(p) for p in parts]},
                 {"n": n})

@@ -5,6 +5,7 @@ and the towers/path-enforcer route to scrambled rainbow paths."""
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -21,8 +22,6 @@ from .core import (
     _kuhn_max_matching,
 )
 from .matching import EdgeFamily, max_rainbow_matching, validate_scrambling
-
-ENFORCER_SIZE_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +73,6 @@ class ComponentClassification:
     s_only_paths: tuple[tuple[int, ...], ...]
     t_only_paths: tuple[tuple[int, ...], ...]
     free_paths: tuple[tuple[int, ...], ...]
-
-    @property
-    def s_paths(self) -> tuple[tuple[int, ...], ...]:
-        return self.st_paths + self.s_only_paths
-
-    @property
-    def t_paths(self) -> tuple[tuple[int, ...], ...]:
-        return self.st_paths + self.t_only_paths
 
 
 def _follow(step: dict[int, tuple[int, int]], cur: int) -> tuple[int, ...]:
@@ -136,19 +127,12 @@ class BipartifiedNetwork:
     network: Network
     graph: Graph
     send_index: tuple[tuple[int, int], ...]     # (vertex, left index)
-    absorb_index: tuple[tuple[int, int], ...]   # (vertex, right index)
     edge_image: tuple[int, ...]                 # B-edge id per network edge
     w_edge_of: tuple[tuple[int, int], ...]      # (inner vertex, B-edge id)
 
     @property
     def w_edges(self) -> frozenset[int]:
         return frozenset(b for _, b in self.w_edge_of)
-
-    def network_edge_of(self, b_edge: int) -> Optional[int]:
-        """The network edge a non-W B-edge came from; None for W edges."""
-        if b_edge in self.w_edges:
-            return None
-        return self.edge_image.index(b_edge)
 
 
 def bipartify(net: Network) -> BipartifiedNetwork:
@@ -175,7 +159,6 @@ def bipartify(net: Network) -> BipartifiedNetwork:
     return BipartifiedNetwork(
         net, g,
         tuple((v, left[v]) for v in senders),
-        tuple((v, right[v]) for v in absorbers),
         tuple(edge_image),
         tuple(w_pairs),
     )
@@ -375,15 +358,16 @@ def validate_st_path(net: Network, path: Sequence[int], s: int, t: int):
 
 
 def rainbow_path_weighted(net: Network, weights: WeightMap,
-                          paths: Sequence[Sequence[int]], bound: int,
-                          check_invariants: bool = False) -> RainbowPath:
+                          paths: Sequence[Sequence[int]], bound: int) -> RainbowPath:
     """A rainbow s-t path of weight at most the bound, grown as a nested
     sequence of s-rooted trees.
 
     At each step the cheapest extension w(tree-path to v) + w(e) over
     edges e of still-unrepresented paths leaving the tree is added; ties
     go to the smallest vertex id, then the smallest edge id; the edge's
-    color is the smallest-index unrepresented path containing it.
+    color is the smallest-index unrepresented path containing it. After
+    each step the tree invariant is checked: no tree vertex on an
+    unrepresented path is farther from s in the tree than along that path.
     """
     s, t = net.single_terminals()
     n = net.n - 2
@@ -436,15 +420,14 @@ def rainbow_path_weighted(net: Network, weights: WeightMap,
         parent[v] = (e, u)
         color_of[e] = color
         represented.add(color)
-        if check_invariants:
-            for i in range(len(path_edges)):
-                if i in represented:
-                    continue
-                for x, via in prefix[i].items():
-                    if x in dist and dist[x] > via:
-                        raise TheoremViolation(
-                            "tree invariant w(T_i u) <= w(P u) failed"
-                        )
+        for i in range(len(path_edges)):
+            if i in represented:
+                continue
+            for x, via in prefix[i].items():
+                if x in dist and dist[x] > via:
+                    raise TheoremViolation(
+                        "tree invariant w(T_i u) <= w(P u) failed"
+                    )
 
     edges = _follow(parent, t)[::-1]
     result = RainbowPath(edges, tuple(color_of[e] for e in edges), dist[t])
@@ -543,32 +526,35 @@ class PathEnforcer:
 
 def enforcer_union_bounds(enforcer: PathEnforcer, n: int,
                           weight: Optional[Mapping[int, int]] = None) -> bool:
-    """Exact subset check of the union lower bounds, optionally weighted."""
-    sets = enforcer.sets
-    if len(sets) > ENFORCER_SIZE_CAP:
-        raise ResourceCapError(
-            f"enforcer subset check capped at {ENFORCER_SIZE_CAP} sets"
-        )
-    for mask in range(1, 1 << len(sets)):
-        union: set[int] = set()
-        count = 0
-        for i in range(len(sets)):
-            if mask >> i & 1:
-                union |= sets[i]
-                count += 1
-        total = (len(union) if weight is None
-                 else sum(int(weight.get(e, 0)) for e in union))
-        if total < n * (count - 1) + 1:
-            return False
-    return True
+    """Whether |union K'| >= n(|K'|-1)+1 for every nonempty subfamily K' of
+    the k sets, where |.| is the total weight when a weight map is given
+    (an edge it omits weighs 0).
+
+    By the deficiency form of Hall's theorem (Ore) this is one matching
+    size: n copies of each set against w(e) copies of each of its edges
+    have a matching of size n(k-1)+1 iff every bound holds. Copies past
+    n*k change no bound, so each edge gets at most that many.
+    """
+    if n < 1:
+        raise InstanceError(f"union bounds need n >= 1, got {n}")
+    k = len(enforcer.sets)
+    copies: dict[int, range] = {}
+    top = 0
+    for e in sorted(set().union(*enforcer.sets)):
+        w = 1 if weight is None else int(weight.get(e, 0))
+        if w < 0:
+            raise InstanceError(f"edge {e}: negative weight {w}")
+        copies[e] = range(top, top + min(w, n * k))
+        top = copies[e].stop
+    adj = [[r for e in sorted(s) for r in copies[e]] for s in enforcer.sets]
+    match = _kuhn_max_matching(range(n * k), lambda u: adj[u // n])
+    return len(match) >= n * (k - 1) + 1
 
 
 def enforcer_always_has_path(net: Network, enforcer: PathEnforcer,
                              cap: int = 10**5) -> bool:
     """Brute-force check that every full choice function contains an s-t
     path; feasible only while the product of the set sizes is small."""
-    import itertools as _it
-
     s, t = net.single_terminals()
     product = 1
     for k in enforcer.sets:
@@ -577,7 +563,7 @@ def enforcer_always_has_path(net: Network, enforcer: PathEnforcer,
         raise ResourceCapError(
             f"enforcer choice space of size {product} exceeds the cap {cap}"
         )
-    for combo in _it.product(*(sorted(k) for k in enforcer.sets)):
+    for combo in itertools.product(*(sorted(k) for k in enforcer.sets)):
         if t not in _reach(net, combo, s):
             return False
     return True

@@ -28,33 +28,19 @@ HallResult = Union[ChoiceFunction, Violator]
 def hall_rainbow(fam: ColoredFamily) -> HallResult:
     """A full injective choice function, or a deficiency witness.
 
-    Maximum bipartite matching by augmenting paths; when the matching
-    misses a color, the colors reachable by alternating paths from the
-    unmatched colors form a Hall violator.
+    Maximum bipartite matching by augmenting paths. When it misses a color,
+    the violator is the unmatched colors and the owners of the elements
+    their failed searches visited: the colors that some maximum matching
+    misses (Dulmage-Mendelsohn).
     """
     k = fam.num_colors
     adj = [sorted(s) for s in fam.sets]
-    match = _kuhn_max_matching(range(k), adj.__getitem__)  # element -> color
+    dead: set[int] = set()
+    match = _kuhn_max_matching(range(k), adj.__getitem__, dead)  # element -> color
     if len(match) == k:
         return ChoiceFunction(tuple((c, x) for x, c in match.items()))
-
-    # alternating reachability from the unmatched colors
-    reached_colors = set(range(k)) - set(match.values())
-    reached_elems: set[int] = set()
-    frontier = sorted(reached_colors)
-    while frontier:
-        nxt: list[int] = []
-        for c in frontier:
-            for x in adj[c]:
-                if x in reached_elems:
-                    continue
-                reached_elems.add(x)
-                owner = match.get(x)
-                if owner is not None and owner not in reached_colors:
-                    reached_colors.add(owner)
-                    nxt.append(owner)
-        frontier = sorted(nxt)
-    violator = Violator(frozenset(reached_colors))
+    violator = Violator(frozenset(range(k)).difference(match.values())
+                        | {match[x] for x in dead})
     if len(family_union(fam, violator.colors)) >= len(violator.colors):
         raise TheoremViolation(f"Hall violator {sorted(violator.colors)} is not deficient")
     return violator

@@ -6,6 +6,7 @@ the code paths it is used to check.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from rainbowsets.core import Graph, Network
@@ -81,6 +82,20 @@ def brute_full_injective_choice(sets: list[frozenset[int]]) -> bool:
         if i == len(sets):
             return True
         return any(rec(i + 1, used | {x}) for x in sorted(sets[i] - used))
+
+    return rec(0, frozenset())
+
+
+def brute_family_matching(sets: list[frozenset[int]]) -> int:
+    """Most colors an injective choice function can serve, by memoized
+    search over (color, used elements)."""
+
+    @functools.lru_cache(maxsize=None)
+    def rec(i: int, used: frozenset) -> int:
+        if i == len(sets):
+            return 0
+        return max([rec(i + 1, used)]
+                   + [1 + rec(i + 1, used | {x}) for x in sets[i] - used])
 
     return rec(0, frozenset())
 
@@ -341,6 +356,19 @@ def brute_nu_p(net: Network, edge_ids) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def brute_union_bounds(sets, n: int, weight=None) -> bool:
+    """|union K'| >= n(|K'|-1)+1 for every nonempty subfamily K' of the
+    sets, checked subset by subset; |.| is the total weight under a weight
+    map (an edge it omits weighs 0)."""
+    for mask in range(1, 1 << len(sets)):
+        chosen = [s for i, s in enumerate(sets) if mask >> i & 1]
+        union = set().union(*chosen)
+        total = len(union) if weight is None else sum(weight.get(e, 0) for e in union)
+        if total < n * (len(chosen) - 1) + 1:
+            return False
+    return True
 
 
 def brute_weighted_rainbow_path_feasible(net: Network, weights, paths,

@@ -197,6 +197,24 @@ class TestOneParse:
         assert len(built) == 1
 
 
+class TestScrambledPath:
+    def test_fourteen_inner_vertices_exit_0(self, capsys):
+        """The enforcer's 15 sets are checked by one matching, not capped."""
+        path = Path(__file__).parent / "data" / "scrambled_path_14.json"
+        inst = json.loads(path.read_text())
+        code = cli.main(["scrambled-path", "--n", "2", "--input", str(path)])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == cli.EXIT_OK == 0 and payload["status"] == "scrambled-path"
+        edges = inst["network"]["edges"]
+        walk = [edges[e] for e in payload["edges"]]
+        assert walk[0][0] == 0 and walk[-1][1] == 15
+        assert all(a[1] == b[0] for a, b in zip(walk, walk[1:]))
+        assert len({v for v, _ in walk}) == len(walk)
+        assert len(set(payload["colors"])) == len(payload["colors"])
+        for e, c in zip(payload["edges"], payload["colors"]):
+            assert e in inst["scrambling"][c]
+
+
 class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
     def test_stdout_is_byte_identical(self, tmp_path, capsys, case):

@@ -242,6 +242,42 @@ class TestKuhnKernel:
             g = Graph(nl + nr, tuple((u, v) for u in adj for v in adj[u]))
             assert len(got) == brute_max_matching(g)
 
+    def test_dead_is_the_alternating_reach_of_the_unmatched_lefts(self):
+        rng = random.Random(4)
+        for _ in range(400):
+            nl, nr = rng.randint(1, 9), rng.randint(1, 9)
+            p = rng.random()
+            adj = {u: [nl + v for v in range(nr) if rng.random() < p]
+                   for u in range(nl)}
+            for nbrs in adj.values():
+                rng.shuffle(nbrs)
+            lefts = rng.sample(range(nl), nl)
+            dead: set[int] = set()
+            got = _kuhn_max_matching(lefts, adj.__getitem__, dead)
+            match = kuhn_reference(lefts, adj.__getitem__)
+            assert list(got.items()) == list(match.items())
+            reach: set[int] = set()
+            frontier = [u for u in lefts if u not in match.values()]
+            while frontier:
+                for v in adj[frontier.pop()]:
+                    if v not in reach:
+                        reach.add(v)
+                        frontier.append(match[v])
+            assert dead == reach
+
+    def test_dead_vertices_are_not_searched_again(self):
+        """300 lefts on the same 30 rights: the searches that match walk
+        the matched rights once each, and every search after the first
+        failure stops at the dead rights."""
+        calls = []
+
+        def neighbors(u):
+            calls.append(u)
+            return range(300, 330)
+
+        assert len(_kuhn_max_matching(range(300), neighbors)) == 30
+        assert len(calls) <= 30 * 31 // 2 + 2 * 300
+
 
 class TestGraphValidation:
     def test_endpoint_out_of_range(self):

@@ -9,6 +9,7 @@ the report when the instance cap stops the sweep after three instances.
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -138,28 +139,27 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
 
 
 def test_rota_computes_each_covering_number_once(monkeypatch):
-    """The rejection loop's covering number is the one the check relies on:
-    one single-matroid covering_number call per drawn matroid, none again
-    per instance; each instance then covers one meet."""
-    counts = {"drawn": 0, "covering": 0, "meet": 0}
+    """The rejection loop's enumeration is the one the check relies on: each
+    drawn matroid's independent subsets are listed once, and each instance
+    lists only its partition matroid's for the meet."""
+    drawn, enumerated = [], []
+    binary, member_masks = harness.binary_matroid, harness._member_masks
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
+    def draw(cols):
+        drawn.append(binary(cols))
+        return drawn[-1]
 
-    covering = harness.covering_number
+    def counted(matroid):
+        enumerated.append(matroid)
+        return member_masks(matroid)
 
-    def covering_or_meet(*matroids):
-        counts["covering" if len(matroids) == 1 else "meet"] += 1
-        return covering(*matroids)
-
-    monkeypatch.setattr(harness, "binary_matroid", counted("drawn", harness.binary_matroid))
-    monkeypatch.setattr(harness, "covering_number", covering_or_meet)
+    monkeypatch.setattr(harness, "binary_matroid", draw)
+    monkeypatch.setattr(harness, "_member_masks", counted)
     report, _ = sweep("rota", {"n": 3, "instances": 20})
     assert report.verdict == "verified-range"
-    assert counts == {"drawn": 25, "covering": 25, "meet": 20}
+    assert Counter(m.descriptor["kind"] for m in enumerated) == {"binary": 25, "partition": 20}
+    assert len({id(m) for m in enumerated}) == len(enumerated)
+    assert {id(m) for m in drawn} == {id(m) for m in enumerated if m.descriptor["kind"] == "binary"}
 
 
 def rota_instance(rng, n):
@@ -195,9 +195,9 @@ class TestRotaScrambledSearch:
         rainbow sets may overlap, and each class keeps only what the
         earlier ones left."""
         cover = [frozenset({0, 2}), frozenset({1, 2}), frozenset({1, 3})]
-        monkeypatch.setattr(harness, "covering_number", lambda *matroids: (3, cover))
+        monkeypatch.setattr(harness, "_cover", lambda ground, members: (3, cover))
         parts = [frozenset({0, 1}), frozenset({2, 3})]
-        result = harness._rota_partition(uniform_matroid(4, 2), parts)
+        result = harness._rota_partition(harness._member_masks(uniform_matroid(4, 2)), parts)
         assert result.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
         assert result.classes_used == 3 and not result.even_tight
 

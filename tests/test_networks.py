@@ -1,5 +1,8 @@
 import itertools
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -30,7 +33,9 @@ from rainbowsets.networks import (
     validate_st_path,
 )
 
-from oracles import brute_nu_p, brute_weighted_rainbow_path_feasible
+from oracles import brute_nu_p, brute_union_bounds, brute_weighted_rainbow_path_feasible
+
+DATA = Path(__file__).parent / "data"
 
 
 def net_sxt() -> Network:
@@ -349,9 +354,7 @@ class TestWeightedRainbowPath:
 
     def test_two_path_example(self):
         net = Network(3, ((0, 1), (1, 2), (0, 2)), frozenset({0}), frozenset({2}))
-        res = rainbow_path_weighted(
-            net, WeightMap((1, 1, 3)), [(0, 1), (2,)], 3, check_invariants=True
-        )
+        res = rainbow_path_weighted(net, WeightMap((1, 1, 3)), [(0, 1), (2,)], 3)
         assert res.weight <= 3
         assert len(set(res.colors)) == len(res.colors)
         assert brute_weighted_rainbow_path_feasible(
@@ -373,8 +376,7 @@ class TestWeightedRainbowPath:
             net, weights, paths, bound = random_weighted_instance(
                 rng, rng.randint(0, 5)
             )
-            res = rainbow_path_weighted(net, weights, paths, bound,
-                                        check_invariants=True)
+            res = rainbow_path_weighted(net, weights, paths, bound)
             assert res.weight <= bound
             assert res.weight == weights.total(res.edges)
             validate_st_path(net, res.edges, *net.single_terminals())
@@ -512,6 +514,22 @@ class TestScrambledPath:
         with pytest.raises(HypothesisViolation):
             scrambled_rainbow_path(net, [(0, 1)], [[0], [1]], 2)
 
+    def test_fourteen_inner_vertices(self):
+        """A seeded instance whose enforcer has 15 sets."""
+        inst = json.loads((DATA / "scrambled_path_14.json").read_text())
+        spec = inst["network"]
+        net = Network(spec["n"], tuple(map(tuple, spec["edges"])),
+                      frozenset(spec["sources"]), frozenset(spec["targets"]))
+        classes = inst["scrambling"]
+        res = scrambled_rainbow_path(net, inst["paths"], classes, 2)
+        validate_st_path(net, res.path.edges, 0, 15)
+        assert len(set(res.path.colors)) == len(res.path.edges)
+        for e, c in zip(res.path.edges, res.path.colors):
+            assert e in classes[c]
+        assert len(res.enforcer.sets) == 15
+        mult = Counter(e for p in inst["paths"] for e in p)
+        assert enforcer_union_bounds(res.enforcer, 2, weight=mult)
+
     def test_scrambling_validated(self):
         net = Network(3, ((0, 1), (1, 2), (0, 2)), frozenset({0}), frozenset({2}))
         with pytest.raises(InstanceError):
@@ -524,6 +542,38 @@ class TestEnforcerChecks:
         assert enforcer_union_bounds(enforcer, 2)
         bad = PathEnforcer((frozenset({0}), frozenset({1})))
         assert not enforcer_union_bounds(bad, 2)
+
+    def test_union_bounds_match_the_subset_check(self):
+        rng = random.Random(19)
+        held = 0
+        for i in range(1500):
+            k, n = rng.randint(0, 9), rng.randint(1, 4)
+            edges = rng.randint(1, 3 * k + 2)
+            sets = [frozenset(rng.sample(range(edges), rng.randint(0, min(edges, 2 * n + 1))))
+                    for _ in range(k)]
+            weight = None if i % 2 else {
+                e: rng.choice((0, 1, 2, 3, 50)) for e in range(edges) if rng.random() < 0.9}
+            got = enforcer_union_bounds(PathEnforcer(tuple(sets)), n, weight)
+            assert got == brute_union_bounds(sets, n, weight)
+            held += got
+        assert 200 < held < 1300
+
+    def test_more_sets_than_a_subset_loop_reaches(self):
+        # 16 disjoint pairs: any j of them cover 2j >= 2(j-1)+1 edges
+        pairs = tuple(frozenset({2 * i, 2 * i + 1}) for i in range(16))
+        assert enforcer_union_bounds(PathEnforcer(pairs), 2)
+        assert not enforcer_union_bounds(PathEnforcer(pairs + (frozenset({0}),)), 2)
+
+    def test_no_sets_hold_every_bound(self):
+        assert enforcer_union_bounds(PathEnforcer(()), 1)
+        assert enforcer_union_bounds(PathEnforcer(()), 3, weight={})
+
+    def test_union_bounds_reject_bad_input(self):
+        enforcer = PathEnforcer((frozenset({0, 1}),))
+        with pytest.raises(InstanceError, match="n >= 1, got 0"):
+            enforcer_union_bounds(enforcer, 0)
+        with pytest.raises(InstanceError, match="edge 1: negative weight -1"):
+            enforcer_union_bounds(enforcer, 1, weight={0: 2, 1: -1})
 
     def test_always_has_path(self):
         net = Network(3, ((0, 1), (1, 2), (0, 1)), frozenset({0}), frozenset({2}))

@@ -22,7 +22,11 @@ from rainbowsets.matroids import (
 )
 from rainbowsets.transversals import Violator, hall_rainbow, rado_rainbow
 
-from oracles import brute_full_independent_choice, brute_full_injective_choice
+from oracles import (
+    brute_family_matching,
+    brute_full_independent_choice,
+    brute_full_injective_choice,
+)
 
 
 def fam(ground: int, *sets) -> ColoredFamily:
@@ -98,6 +102,25 @@ class TestHall:
                 got = hall_rainbow(f)
                 expect = brute_full_injective_choice(list(f.sets))
                 assert isinstance(got, ChoiceFunction) == expect
+
+    def test_violator_is_the_colors_some_maximum_matching_misses(self):
+        """Dulmage-Mendelsohn: color c is in the violator iff dropping it
+        keeps the matching number."""
+        rng = random.Random(13)
+        violators = 0
+        for _ in range(400):
+            ground, k = rng.randint(1, 6), rng.randint(2, 7)
+            sets = [frozenset(x for x in range(ground) if rng.random() < 0.4)
+                    for _ in range(k)]
+            out = hall_rainbow(fam(ground, *sets))
+            if isinstance(out, ChoiceFunction):
+                continue
+            violators += 1
+            nu = brute_family_matching(sets)
+            assert out.colors == {
+                c for c in range(k) if brute_family_matching(sets[:c] + sets[c + 1:]) == nu
+            }
+        assert violators > 200
 
     def test_chain_longer_than_recursion_limit(self):
         # color i tries i-1 first, so its search walks down to color 0
