@@ -27,12 +27,10 @@ from .core import (
 from .matching import (
     ArrowStatement,
     EdgeFamily,
-    SearchSpace,
     SizeSequence,
     check_arrow_instance,
     check_sequence_instance,
     cooperative_drisko_check,
-    counterexample_search,
     drisko_statement,
     max_rainbow_matching,
     random_matching_family,
@@ -85,7 +83,6 @@ from .spancycles import (
 from .sweeps import SweepReport, SweepSpec
 from .transversals import Violator, hall_rainbow, rado_rainbow
 from .harness import (
-    cyclic_square,
     enumerate_latin_squares,
     latin_transversal,
     rainbow_short_cycle,

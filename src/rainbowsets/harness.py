@@ -5,7 +5,6 @@ matching sharpness."""
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import partial
@@ -20,13 +19,11 @@ from .core import (
     Transversal,
 )
 from .matching import (
-    ArrowStatement,
     EdgeFamily,
-    SearchSpace,
-    SizeSequence,
-    _claim_sweep,
+    _bipartite_families,
+    _cycle_families,
+    _no_rainbow_matching,
     _serialize_family_instance,
-    drisko_statement,
     max_rainbow_matching,
     random_matching_family,
     stairs_sequence,
@@ -50,13 +47,6 @@ from .sweeps import SweepReport, SweepSpec, sweep
 
 # ---------------------------------------------------------------------------
 # Latin squares
-
-
-def cyclic_square(n: int) -> LatinSquare:
-    """The addition table of the cyclic group of order n."""
-    return LatinSquare(
-        n, tuple(tuple((i + j) % n + 1 for j in range(n)) for i in range(n))
-    )
 
 
 def latin_transversal(square: LatinSquare) -> Transversal:
@@ -86,42 +76,37 @@ def latin_transversal(square: LatinSquare) -> Transversal:
     return Transversal(frozenset(best[0]))
 
 
-def enumerate_latin_squares(n: int, reduced: bool = True) -> Iterator[LatinSquare]:
-    """All Latin squares of order n, filling the cells row by row and each
-    cell with the free symbols in increasing order.
+def enumerate_latin_squares(n: int) -> Iterator[LatinSquare]:
+    """The Latin squares of order n whose first row is 1..n, filling the
+    other cells row by row and each cell with the free symbols in
+    increasing order.
 
-    With reduced=True only squares whose first row is 1..n are produced;
-    every square is a column permutation of exactly one of these, and
+    Every square is a column permutation of exactly one of these, and
     transversal sizes are invariant under column permutations.
     """
     if n == 0:
         return
-    first_rows = (
-        [tuple(range(1, n + 1))] if reduced
-        else [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    )
-    for first in first_rows:
-        rows = [list(first)] + [[0] * n for _ in range(n - 1)]
-        row_used = [0] * n
-        col_used = [1 << s for s in first]
+    rows = [list(range(1, n + 1))] + [[0] * n for _ in range(n - 1)]
+    row_used = [0] * n
+    col_used = [1 << s for s in rows[0]]
 
-        def fill(k: int) -> Iterator[LatinSquare]:
-            if k == n * n:
-                yield LatinSquare(n, tuple(map(tuple, rows)))
-                return
-            r, c = divmod(k, n)
-            for s in range(1, n + 1):
-                bit = 1 << s
-                if (row_used[r] | col_used[c]) & bit:
-                    continue
-                rows[r][c] = s
-                row_used[r] |= bit
-                col_used[c] |= bit
-                yield from fill(k + 1)
-                row_used[r] &= ~bit
-                col_used[c] &= ~bit
+    def fill(k: int) -> Iterator[LatinSquare]:
+        if k == n * n:
+            yield LatinSquare(n, tuple(map(tuple, rows)))
+            return
+        r, c = divmod(k, n)
+        for s in range(1, n + 1):
+            bit = 1 << s
+            if (row_used[r] | col_used[c]) & bit:
+                continue
+            rows[r][c] = s
+            row_used[r] |= bit
+            col_used[c] |= bit
+            yield from fill(k + 1)
+            row_used[r] &= ~bit
+            col_used[c] &= ~bit
 
-        yield from fill(n)
+    yield from fill(n)
 
 
 def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
@@ -132,7 +117,7 @@ def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
         return ({"latin": [list(r) for r in square.rows]},
                 {"transversal": len(t), "n": n})
 
-    return sweep(spec, enumerate_latin_squares(n, reduced=True), check,
+    return sweep(spec, enumerate_latin_squares(n), check,
                  {"n": n, "reduction": "first-row-normalized"}, on_record,
                  record_witness=True)
 
@@ -415,23 +400,27 @@ def random_matroid(rng: random.Random, ground: int) -> IndependenceOracle:
 # sweep dispatch
 
 
-def _random_claim(claim_of: Callable[[int], object], spec: SweepSpec, on_record,
-                  n: int, instances: int) -> SweepReport:
-    """A sweep of seeded random instances of the claim claim_of(n)."""
-    space = SearchSpace("random", instances=instances)
-    return _claim_sweep(spec, claim_of(n), space, on_record)
+def _random_claim(sizes_of: Callable[[int], tuple[int, ...]], spec: SweepSpec,
+                  on_record, n: int, instances: int) -> SweepReport:
+    """A sweep of seeded random families of matchings of sizes sizes_of(n),
+    each checked for a rainbow matching of size n."""
+    rng, sizes = random.Random(spec.seed), sizes_of(n)
+    families = (random_matching_family(rng, sizes) for _ in range(instances))
+    return sweep(spec, families, _no_rainbow_matching(n), {"instances": instances},
+                 on_record)
 
 
 def _ab(spec: SweepSpec, on_record, n: int, max_vertices: int) -> SweepReport:
-    space = SearchSpace("bipartite-exhaustive", max_vertices=max_vertices)
-    return _claim_sweep(spec, ArrowStatement(n, n, n - 1, "bipartite"), space, on_record)
+    return sweep(spec, _bipartite_families((n,) * n, max_vertices),
+                 _no_rainbow_matching(n - 1), {"max_vertices": max_vertices}, on_record)
 
 
 def _coercive_244(spec: SweepSpec, on_record) -> SweepReport:
-    sigma = SizeSequence((2, 4, 4), 3)
-    single = _claim_sweep(spec, sigma, SearchSpace("cycles", ambients=((8,), (10,))))
-    double = _claim_sweep(spec, sigma, SearchSpace("cycles", ambients=((4, 4),)),
-                          on_record)
+    sizes, check = (2, 4, 4), _no_rainbow_matching(3)
+    single = sweep(spec, _cycle_families(sizes, ((8,), (10,))), check,
+                   {"ambients": [[8], [10]]})
+    double = sweep(spec, _cycle_families(sizes, ((4, 4),)), check,
+                   {"ambients": [[4, 4]]}, on_record)
     double.detail["single_cycle_verdict"] = single.verdict
     double.detail["single_cycle_instances"] = single.instances_tested
     return double
@@ -521,9 +510,9 @@ class SweepParam(NamedTuple):
 # callback and each declared parameter by name.
 SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
     "brs": (_brs, (SweepParam("n", maximum=5),)),
-    "drisko": (partial(_random_claim, drisko_statement),
+    "drisko": (partial(_random_claim, lambda n: (n,) * (2 * n - 1)),
                (SweepParam("n"), SweepParam("instances", 1000))),
-    "stairs": (partial(_random_claim, stairs_sequence),
+    "stairs": (partial(_random_claim, lambda n: stairs_sequence(n).sizes),
                (SweepParam("n"), SweepParam("instances", 1000))),
     "ab": (_ab, (SweepParam("n"), SweepParam("max_vertices", 6, minimum=2))),
     "coercive-244": (_coercive_244, ()),

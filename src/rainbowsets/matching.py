@@ -1,14 +1,14 @@
 """Exact rainbow-matching search and the verifiers built on it: arrow
 relations, coercive size sequences, the repeats theorem, pairwise-cooperative
-rainbow matchings, scrambled matchings, and counterexample sweeps."""
+rainbow matchings, scrambled matchings, and the families and check that
+the counterexample sweeps run."""
 
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ChoiceFunction,
@@ -23,7 +23,6 @@ from .core import (
     _max_matching_general,
     _trail,
 )
-from .sweeps import SweepReport, SweepSpec, sweep
 
 
 @dataclass(frozen=True)
@@ -185,8 +184,10 @@ def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
     """A maximum-size rainbow matching with its color provenance.
 
     If target is given the search stops as soon as a rainbow matching of
-    that size is found.
+    that size is found; a negative target raises InstanceError.
     """
+    if target is not None and target < 0:
+        raise InstanceError(f"target must be nonnegative, got {target}")
     chosen = _RainbowSearch(fam, target).run()
     matching = Matching(frozenset(e for _, e in chosen))
     function = ChoiceFunction(tuple(chosen))
@@ -518,37 +519,6 @@ def scrambled_matching_check(g: Graph, original: Sequence[Iterable[int]],
 # counterexample sweeps
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Instance space for a counterexample sweep.
-
-    mode 'bipartite-exhaustive' enumerates families of matchings over all
-    bipartitions with at most max_vertices vertices; mode 'cycles' sweeps
-    families inside fixed disjoint unions of cycles; mode 'random' samples
-    seeded random bipartite instances.
-    """
-
-    mode: str
-    max_vertices: int = 0
-    ambients: tuple[tuple[int, ...], ...] = ()
-    instances: int = 0
-
-    def __post_init__(self):
-        if self.mode not in ("bipartite-exhaustive", "cycles", "random"):
-            raise InstanceError(f"unknown search mode {self.mode!r}")
-        object.__setattr__(
-            self, "ambients", tuple(tuple(int(x) for x in a) for a in self.ambients)
-        )
-
-
-def _claim_sizes(claim) -> tuple[tuple[int, ...], int]:
-    if isinstance(claim, ArrowStatement):
-        return (claim.b,) * claim.a, claim.c
-    if isinstance(claim, SizeSequence):
-        return claim.sizes, claim.target
-    raise InstanceError("claim must be an ArrowStatement or a SizeSequence")
-
-
 def _matchings_of_size_in(g: Graph, pool: Sequence[int], size: int
                           ) -> Iterator[tuple[int, ...]]:
     """The size-`size` matchings among the pool edges, each in pool order,
@@ -631,25 +601,9 @@ def _bipartite_canonical(nl: int, nr: int,
     return best
 
 
-def counterexample_search(claim, space: SearchSpace, seed: int = 0,
-                          cap: int = 10**6,
-                          on_record=None) -> SweepReport:
-    """Sweep the given space for an instance violating the claim.
-
-    Returns the first counterexample (serialized for replay) or a
-    certificate of the swept range; resource caps end the sweep with a
-    cap-exhausted report.
-    """
-    sizes, need = _claim_sizes(claim)
-    tag = f"claim-{'-'.join(map(str, sizes))}-to-{need}"
-    return _claim_sweep(SweepSpec(tag, seed=seed, instance_cap=cap), claim, space,
-                        on_record)
-
-
-def _claim_sweep(spec: SweepSpec, claim, space: SearchSpace,
-                 on_record=None) -> SweepReport:
-    """counterexample_search reporting under the given spec."""
-    sizes, need = _claim_sizes(claim)
+def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dict, dict]]]:
+    """A sweep check for families with no rainbow matching of size need;
+    a hit is the serialized family."""
 
     def check(fam: EdgeFamily) -> Optional[tuple[dict, dict]]:
         matching, _ = max_rainbow_matching(fam, target=need)
@@ -657,56 +611,50 @@ def _claim_sweep(spec: SweepSpec, claim, space: SearchSpace,
             return None
         return _serialize_family_instance(fam.graph, fam.colors), {}
 
-    detail = {
-        "cycles": {"ambients": list(map(list, space.ambients))},
-        "bipartite-exhaustive": {"max_vertices": space.max_vertices},
-        "random": {"instances": space.instances},
-    }[space.mode]
-    return sweep(spec, _claim_candidates(sizes, space, spec.seed), check, detail,
-                 on_record)
+    return check
 
 
-def _claim_candidates(sizes: tuple[int, ...], space: SearchSpace,
-                      seed: int) -> Iterator[EdgeFamily]:
-    """The families of the given color sizes that the space holds."""
-    if space.mode == "cycles":
-        for lengths in space.ambients:
-            g = _cycle_graph(lengths)
-            pool = list(range(g.num_edges))
-            per_color = [list(_matchings_of_size_in(g, pool, s)) for s in sizes]
-            if any(not options for options in per_color):
+def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
+                    ) -> Iterator[EdgeFamily]:
+    """Every family of matchings of the given sizes inside each disjoint
+    union of cycles with the given lengths."""
+    for lengths in ambients:
+        g = _cycle_graph(lengths)
+        pool = list(range(g.num_edges))
+        per_color = [list(_matchings_of_size_in(g, pool, s)) for s in sizes]
+        for fam_sets in _family_product(per_color, sizes):
+            yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
+
+
+def _bipartite_families(sizes: tuple[int, ...], max_vertices: int
+                        ) -> Iterator[EdgeFamily]:
+    """Every family of matchings of the given sizes over each bipartition
+    with at most max_vertices vertices, covering both sides; up to
+    relabeling when the sizes are at most 3 and max_vertices at most 8."""
+    smax = max(sizes) if sizes else 0
+    canonical_on = smax <= 3 and max_vertices <= 8
+    seen: set = set()
+    for nl in range(max(1, smax), max_vertices + 1):
+        for nr in range(nl, max_vertices - nl + 1):
+            if nr < smax:
                 continue
-            for fam_sets in _family_product(per_color, sizes):
-                yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
-    elif space.mode == "bipartite-exhaustive":
-        smax = max(sizes) if sizes else 0
-        canonical_on = smax <= 3 and space.max_vertices <= 8
-        seen: set = set()
-        for nl in range(max(1, smax), space.max_vertices + 1):
-            for nr in range(nl, space.max_vertices - nl + 1):
-                if nr < smax:
-                    continue
-                per_color = [
-                    sorted(tuple(zip(lefts, rights))
-                           for lefts in itertools.combinations(range(nl), s)
-                           for rights in itertools.permutations(range(nr), s))
-                    for s in sizes
-                ]
-                for fam_pairs in _family_product(per_color, sizes):
-                    covered_l = {l for m in fam_pairs for l, _ in m}
-                    covered_r = {r for m in fam_pairs for _, r in m}
-                    if len(covered_l) != nl or len(covered_r) != nr:
-                        continue  # counted already at a smaller bipartition
-                    if canonical_on:
-                        key = _bipartite_canonical(nl, nr, fam_pairs)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    yield _bipartite_family(nl, nr, fam_pairs)
-    else:  # seeded bipartite instances from permutation matchings
-        rng = random.Random(seed)
-        for _ in range(space.instances):
-            yield random_matching_family(rng, sizes)
+            per_color = [
+                sorted(tuple(zip(lefts, rights))
+                       for lefts in itertools.combinations(range(nl), s)
+                       for rights in itertools.permutations(range(nr), s))
+                for s in sizes
+            ]
+            for fam_pairs in _family_product(per_color, sizes):
+                covered_l = {l for m in fam_pairs for l, _ in m}
+                covered_r = {r for m in fam_pairs for _, r in m}
+                if len(covered_l) != nl or len(covered_r) != nr:
+                    continue  # counted already at a smaller bipartition
+                if canonical_on:
+                    key = _bipartite_canonical(nl, nr, fam_pairs)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                yield _bipartite_family(nl, nr, fam_pairs)
 
 
 def _bipartite_family(nl: int, nr: int,

@@ -101,6 +101,9 @@ class TestInputErrors:
         pytest.param(["rainbow-path", "--weights"],
                      {"network": PATH_NET, "paths": [[0, 5], [0, 1]], "weights": [1, 1]},
                      "instance.paths[0]", id="weighted-path-edge-id-past-edges"),
+        pytest.param(["rainbow-matching", "--target", "-1"],
+                     {"graph": {"n": 2, "edges": [[0, 1]]}, "colors": [[0]]},
+                     "target must be nonnegative, got -1", id="target-negative"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)

@@ -28,10 +28,11 @@ from rainbowsets.harness import (
     rota_scrambled_search,
     run_sweep,
 )
+from rainbowsets.matching import EdgeFamily
 from rainbowsets.matroids import binary_matroid, covering_number, free_matroid, uniform_matroid
 from rainbowsets.sweeps import SweepSpec
 
-from oracles import all_cycles, brute_latin_transversal, reference_independent
+from oracles import all_cycles, brute_latin_transversal, brute_max_rainbow, reference_independent
 
 SEED = 3
 
@@ -57,6 +58,10 @@ CASES = [
      {"verdict": "verified-range", "instances_tested": 50, "detail": {"instances": 50}},
      ["ok"] * 50,
      {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"instances": 50}}),
+    ("ab", {"n": 2, "max_vertices": 6},
+     {"verdict": "verified-range", "instances_tested": 8, "detail": {"max_vertices": 6}},
+     ["ok"] * 8,
+     {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"max_vertices": 6}}),
     ("ab", {"n": 3, "max_vertices": 6},
      {"verdict": "verified-range", "instances_tested": 5, "detail": {"max_vertices": 6}},
      ["ok"] * 5,
@@ -108,7 +113,8 @@ def expected_records(verdicts):
 
 
 @pytest.mark.parametrize("tag, params, full, verdicts, capped", CASES,
-                         ids=[case[0] for case in CASES])
+                         ids=[tag + ("-n2" if tag == "ab" and params["n"] == 2 else "")
+                              for tag, params, *_ in CASES])
 def test_sweep_pinned(tag, params, full, verdicts, capped):
     report, records = sweep(tag, params)
     assert report.as_dict() == {"conjecture": tag, "seed": SEED, **full}
@@ -117,6 +123,13 @@ def test_sweep_pinned(tag, params, full, verdicts, capped):
     report, records = sweep(tag, params, cap=3)
     assert report.as_dict() == {"conjecture": tag, "seed": SEED, **capped}
     assert records == expected_records(verdicts[:3])
+
+
+@pytest.mark.parametrize("tag", ["drisko", "stairs"])
+def test_random_claim_sweep_reproducible(tag):
+    """One seed gives the same report and record stream."""
+    params = {"n": 3, "instances": 50}
+    assert sweep(tag, params) == sweep(tag, params)
 
 
 def test_ab_cap_at_full_count():
@@ -129,13 +142,16 @@ def test_ab_cap_at_full_count():
 
 
 def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
-    """The (2, 4, 4) -> 3 counterexample has no rainbow matching of size 3."""
+    """The (2, 4, 4) -> 3 counterexample has no rainbow matching of size 3,
+    by the CLI and by brute force."""
     path = tmp_path / "counterexample.json"
     path.write_text(json.dumps(COERCIVE_HIT))
     code = cli.main(["rainbow-matching", "--target", "3", "--input", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == cli.EXIT_NEGATIVE == 1
     assert payload["size"] < 3
+    g = Graph(COERCIVE_HIT["graph"]["n"], tuple(map(tuple, COERCIVE_HIT["graph"]["edges"])))
+    assert brute_max_rainbow(EdgeFamily(g, tuple(map(frozenset, COERCIVE_HIT["colors"])))) < 3
 
 
 def test_rota_computes_each_covering_number_once(monkeypatch):

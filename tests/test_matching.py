@@ -15,12 +15,10 @@ from rainbowsets import matching
 from rainbowsets.matching import (
     ArrowStatement,
     EdgeFamily,
-    SearchSpace,
     SizeSequence,
     check_arrow_instance,
     check_sequence_instance,
     cooperative_drisko_check,
-    counterexample_search,
     drisko_statement,
     max_rainbow_matching,
     random_matching_family,
@@ -29,7 +27,6 @@ from rainbowsets.matching import (
     stairs_sequence,
     validate_scrambling,
 )
-from rainbowsets.sweeps import COUNTEREXAMPLE, VERIFIED_RANGE
 
 from oracles import brute_max_rainbow
 
@@ -282,49 +279,6 @@ class TestArrowAndSequences:
     def test_sequence_must_be_nondecreasing(self):
         with pytest.raises(InstanceError):
             SizeSequence((2, 1), 1)
-
-
-class TestCounterexampleSearch:
-    def test_ab_n2_exhaustive_verified(self):
-        report = counterexample_search(
-            ArrowStatement(2, 2, 1, "bipartite"),
-            SearchSpace("bipartite-exhaustive", max_vertices=6),
-        )
-        assert report.verdict == VERIFIED_RANGE
-        assert report.instances_tested > 0
-
-    def test_244_two_c4s_counterexample(self):
-        report = counterexample_search(
-            SizeSequence((2, 4, 4), 3), SearchSpace("cycles", ambients=((4, 4),))
-        )
-        assert report.verdict == COUNTEREXAMPLE
-        inst = report.counterexample
-        g = Graph(inst["graph"]["n"], tuple(tuple(e) for e in inst["graph"]["edges"]))
-        fam = EdgeFamily(g, tuple(frozenset(c) for c in inst["colors"]))
-        assert brute_max_rainbow(fam) < 3  # replay re-verifies
-
-    def test_244_single_cycle_clean(self):
-        report = counterexample_search(
-            SizeSequence((2, 4, 4), 3), SearchSpace("cycles", ambients=((8,),))
-        )
-        assert report.verdict == VERIFIED_RANGE
-
-    def test_random_sweep_reproducible(self):
-        sigma = SizeSequence((1, 3, 5), 3)
-        space = SearchSpace("random", instances=50)
-        a = counterexample_search(sigma, space, seed=1)
-        b = counterexample_search(sigma, space, seed=1)
-        assert a.verdict == b.verdict == VERIFIED_RANGE
-        assert a.instances_tested == b.instances_tested
-
-    def test_cap_reported(self):
-        report = counterexample_search(
-            ArrowStatement(2, 2, 1, "bipartite"),
-            SearchSpace("bipartite-exhaustive", max_vertices=6),
-            cap=3,
-        )
-        assert report.verdict == "cap-exhausted"
-        assert report.instances_tested == 3
 
 
 class TestRepeats:
