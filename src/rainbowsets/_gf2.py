@@ -1,4 +1,11 @@
-"""GF(2) linear algebra on int bitsets (bit j of a vector = coordinate j)."""
+"""GF(2) linear algebra on int bitsets (bit j of a vector = coordinate j).
+
+There is one elimination, _basis. To learn which inputs sum to a vector,
+tag input i as (v << k) | 1 << i, with k at least the number of inputs:
+the low k bits then carry the combination through every XOR. Tags go in
+the low bits so that each leading bit comes from the vector alone, and
+an input is kept only when its vector part (v >> k) is still nonzero.
+"""
 
 from __future__ import annotations
 
@@ -15,56 +22,34 @@ def _reduce(v: int, basis: dict[int, int]) -> int:
     return 0
 
 
-def gf2_rank(vectors: list[int]) -> int:
-    """Rank of the given vectors over GF(2)."""
+def _basis(vectors: Iterable[int], k: int = 0) -> dict[int, int]:
+    """Eliminate the vectors in order into a basis indexed by leading-bit
+    position; a vector is inserted only when its bits from k up are
+    nonzero after reduction, so dependent (tagged) inputs are dropped."""
     basis: dict[int, int] = {}
     for v in vectors:
         v = _reduce(v, basis)
-        if v:
+        if v >> k:
             basis[v.bit_length() - 1] = v
-    return len(basis)
+    return basis
+
+
+def gf2_rank(vectors: list[int]) -> int:
+    """Rank of the given vectors over GF(2)."""
+    return len(_basis(vectors))
 
 
 def gf2_in_span(vectors: list[int], target: int) -> bool:
     """True iff target lies in the span of the vectors."""
-    basis: dict[int, int] = {}
-    for v in vectors:
-        v = _reduce(v, basis)
-        if v:
-            basis[v.bit_length() - 1] = v
-    return _reduce(target, basis) == 0
-
-
-def _reduce_comb(v: int, comb: int, basis: dict[int, tuple[int, int]]) -> tuple[int, int]:
-    """Reduce v against a basis of (vector, combination mask) pairs indexed
-    by leading-bit position; the masks of the basis vectors used are
-    XOR-ed into comb. Returns the remainder and the combination."""
-    while v:
-        b = basis.get(v.bit_length() - 1)
-        if b is None:
-            break
-        v ^= b[0]
-        comb ^= b[1]
-    return v, comb
-
-
-def _comb_basis(tagged: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
-    """Eliminate (vector, mask) pairs in order, each mask naming its vector
-    by one bit. Returns the echelon basis, whose masks say which inputs sum
-    to each basis vector; inputs that reduce to zero are dropped."""
-    basis: dict[int, tuple[int, int]] = {}
-    for v, comb in tagged:
-        v, comb = _reduce_comb(v, comb, basis)
-        if v:
-            basis[v.bit_length() - 1] = (v, comb)
-    return basis
+    return _reduce(target, _basis(vectors)) == 0
 
 
 def gf2_solve_subset(vectors: list[int], target: int) -> list[int] | None:
     """Indices of a subset of vectors summing to target, or None when
     target is outside their span. The subset is unique when the vectors
     are linearly independent, as a rainbow image in a binary matroid is."""
-    t, tcomb = _reduce_comb(target, 0, _comb_basis((v, 1 << i) for i, v in enumerate(vectors)))
-    if t:
+    k = len(vectors)
+    t = _reduce(target << k, _basis(((v << k) | 1 << i for i, v in enumerate(vectors)), k))
+    if t >> k:
         return None
-    return [i for i in range(len(vectors)) if tcomb >> i & 1]
+    return [i for i in range(k) if t >> i & 1]

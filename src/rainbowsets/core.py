@@ -75,9 +75,6 @@ class ColoredFamily:
     def num_colors(self) -> int:
         return len(self.sets)
 
-    def union(self, colors: Iterable[int]) -> frozenset[int]:
-        return family_union(self, colors)
-
 
 def family_union(fam: ColoredFamily, colors: Iterable[int]) -> frozenset[int]:
     """Union of the indexed color classes."""
@@ -115,12 +112,6 @@ class ChoiceFunction:
 
     def __len__(self) -> int:
         return len(self.assignments)
-
-    def __getitem__(self, color: int) -> int:
-        for c, x in self.assignments:
-            if c == color:
-                return x
-        raise KeyError(color)
 
     def is_full_for(self, fam: ColoredFamily) -> bool:
         return self.domain == frozenset(range(fam.num_colors))

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ._gf2 import _comb_basis, _reduce_comb, gf2_rank
+from ._gf2 import _basis, _reduce, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
 
 COVER_GROUND_CAP = 16
@@ -182,17 +182,19 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
     }
 
     def exchange(s: frozenset[int]) -> ExchangeTest:
-        """One elimination of I whose combination masks name elements by
-        bit: y's mask is its fundamental circuit in I + y, so I - x + y is
-        independent iff y reduces to nonzero or x is in that circuit."""
-        basis = _comb_basis((cols[i], 1 << i) for i in s)
+        """One elimination of I, column i tagged by bit i below the column
+        bits: y reduces to its fundamental circuit in I + y when its column
+        part vanishes, so I - x + y is independent iff y's column part does
+        not vanish or x is in that circuit."""
+        k = len(cols)
+        basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
         circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
 
         def ok(x: Optional[int], y: int) -> bool:
             c = circuits.get(y)
             if c is None:
-                v, comb = _reduce_comb(cols[y], 0, basis)
-                c = circuits[y] = -1 if v else comb
+                r = _reduce(cols[y] << k, basis)
+                c = circuits[y] = -1 if r >> k else r
             return c == -1 or (x is not None and c >> x & 1 == 1)
 
         return ok
@@ -296,40 +298,35 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     m = m1.ground_size
     current: set[int] = set()
     while True:
-        in_i = current
-        ok1, ok2 = m1.exchange(in_i), m2.exchange(in_i)
-        out_i = [y for y in range(m) if y not in in_i]
-        sources = [y for y in out_i if ok1(None, y)]
-        sinks = {y for y in out_i if ok2(None, y)}
-        parent: dict[int, int] = {y: -1 for y in sources}
-        queue = list(sources)
+        ok1, ok2 = m1.exchange(current), m2.exchange(current)
+        inside = sorted(current)
+        outside = [y for y in range(m) if y not in current]
+        sinks = {y for y in outside if ok2(None, y)}
+        parent: dict[int, Optional[int]] = {}
+        queue: list[Optional[int]] = [None]  # None: a root with an arc to each source
         found = None
-        for y in queue:
-            if y in sinks:
-                found = y
-                break
-        qi = 0
-        while found is None and qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            if u in in_i:
+        for u in queue:
+            if u is None:
+                nbrs = [y for y in outside if ok1(None, y)]
+            elif u in current:
                 # m1-exchange arcs u (in I) -> y (out of I)
-                nbrs = [y for y in out_i if y not in parent and ok1(u, y)]
+                nbrs = [y for y in outside if y not in parent and ok1(u, y)]
             else:
                 # m2-exchange arcs u (out of I) -> x (in I)
-                nbrs = [x for x in sorted(in_i) if x not in parent and ok2(x, u)]
-            for v in sorted(nbrs):
+                nbrs = [x for x in inside if x not in parent and ok2(x, u)]
+            for v in nbrs:
                 parent[v] = u
                 if v in sinks:
                     found = v
                     break
                 queue.append(v)
+            if found is not None:
+                break
         if found is None:
             return frozenset(current), frozenset(parent)
-        path = [found]
-        while parent[path[-1]] != -1:
-            path.append(parent[path[-1]])
-        current ^= set(path)
+        while found is not None:
+            current ^= {found}
+            found = parent[found]
 
 
 def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> frozenset[int]:

@@ -122,12 +122,12 @@ def classify(arb: LinearishArborescence) -> ComponentClassification:
 class BipartifiedNetwork:
     """The bipartite double of a network: a sending copy v' for each
     v in S + inner, an absorbing copy v'' for each v in T + inner, the
-    images of the network edges, and the loop edges W = {x'x''}."""
+    images of the network edges, and the loop edges W = {x'x''}. B-edge e
+    is the image of network edge e; the W edge of the i-th inner vertex in
+    ascending order is B-edge m + i, for m network edges."""
 
     network: Network
     graph: Graph
-    send_index: tuple[tuple[int, int], ...]     # (vertex, left index)
-    edge_image: tuple[int, ...]                 # B-edge id per network edge
     w_edge_of: tuple[tuple[int, int], ...]      # (inner vertex, B-edge id)
 
     @property
@@ -141,11 +141,7 @@ def bipartify(net: Network) -> BipartifiedNetwork:
     absorbers = sorted(net.targets | net.inner)
     left = {v: i for i, v in enumerate(senders)}
     right = {v: len(senders) + i for i, v in enumerate(absorbers)}
-    edges: list[tuple[int, int]] = []
-    edge_image: list[int] = []
-    for u, v in net.edges:
-        edge_image.append(len(edges))
-        edges.append((left[u], right[v]))
+    edges = [(left[u], right[v]) for u, v in net.edges]
     w_pairs: list[tuple[int, int]] = []
     for x in sorted(net.inner):
         w_pairs.append((x, len(edges)))
@@ -156,12 +152,7 @@ def bipartify(net: Network) -> BipartifiedNetwork:
         (frozenset(range(len(senders))),
          frozenset(range(len(senders), len(senders) + len(absorbers)))),
     )
-    return BipartifiedNetwork(
-        net, g,
-        tuple((v, left[v]) for v in senders),
-        tuple(edge_image),
-        tuple(w_pairs),
-    )
+    return BipartifiedNetwork(net, g, tuple(w_pairs))
 
 
 def phi(bn: BipartifiedNetwork, arb: LinearishArborescence) -> frozenset[int]:
@@ -169,7 +160,7 @@ def phi(bn: BipartifiedNetwork, arb: LinearishArborescence) -> frozenset[int]:
     if arb.network is not bn.network and arb.network != bn.network:
         raise InstanceError("arborescence belongs to a different network")
     covered = arb.vertices
-    out = {bn.edge_image[e] for e in arb.edges}
+    out = set(arb.edges)
     for x, b in bn.w_edge_of:
         if x not in covered:
             out.add(b)
@@ -182,9 +173,7 @@ def psi(bn: BipartifiedNetwork, b_matching: Iterable[int]) -> frozenset[int]:
     for b in ids:
         if not 0 <= b < bn.graph.num_edges:
             raise InstanceError(f"unknown B-edge id {b}")
-    w = bn.w_edges
-    back = {b: e for e, b in enumerate(bn.edge_image)}
-    return frozenset(back[b] for b in ids if b not in w)
+    return ids - bn.w_edges
 
 
 def check_counting_claim(net: Network, arb: LinearishArborescence) -> bool:
@@ -228,12 +217,12 @@ def _path_packing(bn: BipartifiedNetwork, edge_ids: Iterable[int]
         if not 0 <= e < net.num_edges:
             raise InstanceError(f"unknown edge id {e}")
     lowest: dict[tuple[int, int], int] = {}  # B(N) vertex pair -> lowest B-edge
-    for b in [bn.edge_image[e] for e in ids] + [b for _, b in bn.w_edge_of]:
+    for b in ids + [b for _, b in bn.w_edge_of]:
         lowest.setdefault(bn.graph.edges[b], b)
     adj: dict[int, list[int]] = {}
     for u, v in lowest:
         adj.setdefault(u, []).append(v)
-    match = _kuhn_max_matching(range(len(bn.send_index)), lambda u: adj.get(u, ()))
+    match = _kuhn_max_matching(range(len(bn.graph.bipartition[0])), lambda u: adj.get(u, ()))
     arb = LinearishArborescence(net, psi(bn, (lowest[u, v] for v, u in match.items())))
     value, paths = len(match) - len(net.inner), classify(arb).st_paths
     if len(paths) != value:
@@ -302,11 +291,10 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
         )
     picked: list[tuple[int, int]] = []
     w = bn.w_edges
-    back = {b: e for e, b in enumerate(bn.edge_image)}
     for color, b_edge in function.assignments:
         if color < q or b_edge in w:
             continue  # wildcard color, or a family color spent on a W edge
-        picked.append((color - q, back[b_edge]))
+        picked.append((color - q, b_edge))
     for fam_idx, e in picked:
         if e not in sets[fam_idx]:
             raise TheoremViolation(f"edge {e} is not in family {fam_idx}")

@@ -22,32 +22,24 @@ from .matroids import IndependenceOracle, binary_matroid
 from .transversals import rado_rainbow
 
 
-@dataclass(frozen=True)
-class AugmentedEdgeVector:
+def augmented_vector(g: Graph, e: int) -> int:
     """For an edge on n vertices: the incidence vector with an appended
     parity coordinate, (chi_e, 1), as bits over GF(2)."""
-
-    edge: int
-    bits: int
-
-
-def augmented_vector(g: Graph, e: int) -> AugmentedEdgeVector:
     u, v = g.edges[e]
-    return AugmentedEdgeVector(e, (1 << u) | (1 << v) | (1 << g.n))
+    return (1 << u) | (1 << v) | (1 << g.n)
 
 
-def edge_vectors(g: Graph) -> tuple[list[AugmentedEdgeVector], IndependenceOracle]:
+def edge_vectors(g: Graph) -> tuple[list[int], IndependenceOracle]:
     """All augmented edge vectors plus the binary matroid over them with
     the target vector (0,...,0,1) adjoined as the last ground element."""
     vectors = [augmented_vector(g, e) for e in range(g.num_edges)]
-    columns = [v.bits for v in vectors] + [1 << g.n]
-    return vectors, binary_matroid(columns)
+    return vectors, binary_matroid(vectors + [1 << g.n])
 
 
 def is_bipartite_via_span(g: Graph) -> bool:
     """Bipartite iff (0,...,0,1) is outside the span of the edge vectors."""
     target = 1 << g.n
-    return not gf2_in_span([augmented_vector(g, e).bits for e in range(g.num_edges)], target)
+    return not gf2_in_span([augmented_vector(g, e) for e in range(g.num_edges)], target)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,7 @@ def rainbow_odd_cycle(g: Graph, families: Sequence[Iterable[int]]) -> OddCycleRe
     a_sets = _edge_classes(g, families)
     target_vec = 1 << g.n
     for i, f in enumerate(a_sets):
-        vecs = [augmented_vector(g, e).bits for e in sorted(f)]
+        vecs = [augmented_vector(g, e) for e in sorted(f)]
         if not gf2_in_span(vecs, target_vec):
             raise HypothesisViolation(
                 f"color {i} does not span the target vector "
@@ -259,7 +251,7 @@ def _odd_cycle_pipeline(g: Graph, a_sets: Sequence[frozenset[int]]) -> OddCycleR
     pairs = spanning.function.assignments
     edge_of = [e for _, e in pairs]
     color_of = {e: c for c, e in pairs}
-    vecs = [augmented_vector(g, e).bits for e in edge_of]
+    vecs = [augmented_vector(g, e) for e in edge_of]
     subset = gf2_solve_subset(vecs, 1 << g.n)
     if subset is None:
         raise TheoremViolation("rainbow spanning set cannot express the target")

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -261,6 +262,55 @@ class TestIntersection:
             assert m1.is_independent(got) and m2.is_independent(got)
             assert len(got) == brute_matroid_intersection_size(m1, m2)
             assert len(got) == brute_intersection_minmax(m1, m2)
+
+    def test_reachable_set_certifies_the_maximum(self):
+        # no sink is reachable from the sources: each element of S - R is
+        # spanned by I - R in m1, each of R by I & R in m2, so
+        # |I| = r1(S - R) + r2(R), with ranks read from the descriptors
+        rng = random.Random(23)
+        for _ in range(150):
+            ground = rng.randint(1, 7)
+            m1, m2 = random_matroid(rng, ground), random_matroid(rng, ground)
+            common, reach = _intersection_augment(m1, m2)
+            inside = sum(1 << x for x in reach)
+            r1 = reference_ranks(m1.descriptor, ground)[((1 << ground) - 1) ^ inside]
+            r2 = reference_ranks(m2.descriptor, ground)[inside]
+            assert len(common) == r1 + r2, (m1.descriptor, m2.descriptor, sorted(reach))
+
+    def test_exchange_tests_and_augmentations_pinned(self):
+        # one search per augmentation plus the last, failed one; each search
+        # asks every element outside I once per matroid whether I + y is
+        # independent, and each candidate arc once
+        searches, tests, augmentations = [0], [0], 0
+
+        def counted(m: IndependenceOracle) -> IndependenceOracle:
+            """A copy of m whose exchange tests are counted; m itself, which
+            a lift may call, stays uncounted."""
+            exchange = m.exchange
+
+            def exchange_counted(independent):
+                ok = exchange(independent)
+                searches[0] += 1
+
+                def ok_counted(x, y):
+                    tests[0] += 1
+                    return ok(x, y)
+
+                return ok_counted
+
+            copied = copy.copy(m)
+            copied.exchange = exchange_counted
+            return copied
+
+        rng = random.Random(31)
+        for _ in range(40):
+            ground = rng.randint(1, 8)
+            m = random_matroid(rng, ground)
+            _, colors, lifted = _rado_lifts(random_family(rng, ground), m)
+            for m1, m2 in [(m, random_matroid(rng, ground)), (colors, lifted)]:
+                common, _ = _intersection_augment(counted(m1), counted(m2))
+                augmentations += len(common)
+        assert (searches[0] // 2, augmentations, tests[0]) == (240, 160, 2082)
 
 
 def random_binary_columns(rng: random.Random) -> list[int]:

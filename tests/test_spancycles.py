@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rainbowsets._gf2 import gf2_solve_subset
+from rainbowsets._gf2 import gf2_in_span, gf2_rank, gf2_solve_subset
 from rainbowsets.core import Graph, HypothesisViolation, InstanceError
 from rainbowsets.matroids import binary_matroid, free_matroid, uniform_matroid
 from rainbowsets.spancycles import (
@@ -60,20 +60,20 @@ class TestEdgeVectors:
     def test_single_edge_bits(self):
         g = Graph(2, ((0, 1),))
         v = augmented_vector(g, 0)
-        assert v.bits == 0b111  # endpoint bits 0,1 plus the parity bit
+        assert v == 0b111  # endpoint bits 0,1 plus the parity bit
 
     def test_triangle_sums_to_target(self):
         g = cycle_graph(3)
         total = 0
         for e in range(3):
-            total ^= augmented_vector(g, e).bits
+            total ^= augmented_vector(g, e)
         assert total == 1 << 3
 
     def test_c4_sums_to_zero(self):
         g = cycle_graph(4)
         total = 0
         for e in range(4):
-            total ^= augmented_vector(g, e).bits
+            total ^= augmented_vector(g, e)
         assert total == 0
 
     def test_random_odd_cycles_sum_to_target(self):
@@ -84,7 +84,7 @@ class TestEdgeVectors:
             g = Graph(max(3, n), tuple(edges))
             total = 0
             for e in range(g.num_edges):
-                total ^= augmented_vector(g, e).bits
+                total ^= augmented_vector(g, e)
             assert total == 1 << g.n
 
     def test_matroid_has_adjoined_target(self):
@@ -309,6 +309,12 @@ def brute_subsets_summing_to(vectors, target) -> list[list[int]]:
             if xor_of(vectors, idx) == target]
 
 
+def brute_subsets_summing_to_among(vectors, indices, target) -> list[list[int]]:
+    return [list(idx) for size in range(len(indices) + 1)
+            for idx in itertools.combinations(indices, size)
+            if xor_of(vectors, idx) == target]
+
+
 def independent_vectors(rng: random.Random, k: int, bits: int) -> list[int]:
     """k random vectors over `bits` coordinates, no nonempty subset of which
     sums to zero (by brute force)."""
@@ -339,3 +345,37 @@ class TestGf2SolveSubset:
             checked += 1
             assert gf2_solve_subset(vectors, target) is None
         assert checked > 50
+
+
+class TestGf2Kernels:
+    def test_rank_span_and_solve_match_subset_xors(self):
+        # vector sets drawn from a small pool plus zero, so most hold a
+        # repeated, zero or otherwise dependent vector
+        rng = random.Random(8)
+        kinds = {"zero": 0, "repeat": 0, "dependent": 0}
+        for _ in range(300):
+            bits = rng.randint(1, 5)
+            pool = [0] + [rng.randrange(1 << bits) for _ in range(3)]
+            vectors = [rng.choice(pool) if rng.random() < 0.5 else rng.randrange(1 << bits)
+                       for _ in range(rng.randint(0, 7))]
+            span = {xor_of(vectors, idx) for size in range(len(vectors) + 1)
+                    for idx in itertools.combinations(range(len(vectors)), size)}
+            # the inputs outside the span of those before them; a solution
+            # uses only these, so it is their unique subset on the target
+            kept = [i for i in range(len(vectors))
+                    if vectors[i] not in {xor_of(vectors, idx) for size in range(i + 1)
+                                          for idx in itertools.combinations(range(i), size)}]
+            kinds["zero"] += 0 in vectors
+            kinds["repeat"] += len(set(vectors)) < len(vectors)
+            kinds["dependent"] += len(span) < 1 << len(vectors)
+            assert 1 << gf2_rank(vectors) == len(span), vectors
+            for target in range(1 << bits):
+                assert gf2_in_span(vectors, target) == (target in span), (vectors, target)
+                got = gf2_solve_subset(vectors, target)
+                if target in span:
+                    assert xor_of(vectors, got) == target
+                    assert [got] == brute_subsets_summing_to_among(vectors, kept, target)
+                else:
+                    assert got is None, (vectors, target)
+        assert min(kinds.values()) > 50, kinds
+
