@@ -369,10 +369,13 @@ def _run_sweep_command(args) -> int:
 
 
 # The status and exit code of each error main reports; HypothesisViolation
-# is an InstanceError.
+# is an InstanceError. A search deeper than the recursion limit is a cap
+# that fired: a stop-gap until the branch and bound and latin_transversal
+# keep explicit stacks.
 _FAILURES = {
     InstanceError: ("error", EXIT_INPUT),
     ResourceCapError: ("cap-exhausted", EXIT_CAP),
+    RecursionError: ("cap-exhausted", EXIT_CAP),
     TheoremViolation: ("theorem-violation", EXIT_THEOREM),
 }
 
@@ -390,7 +393,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         payload, code = HANDLERS[args.command].run(_read_instance(args), args)
     except tuple(_FAILURES) as exc:
         status, code = next(v for cls, v in _FAILURES.items() if isinstance(exc, cls))
-        payload = {"status": status, "error": str(exc)}
+        error = str(exc)
+        if isinstance(exc, RecursionError):
+            error = f"search deeper than the recursion limit {sys.getrecursionlimit()}: {error}"
+        payload = {"status": status, "error": error}
     _emit({"header": _header(args), **payload}, args.pretty)
     return code
 

@@ -9,6 +9,7 @@ kernels work on bitmasks.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -304,6 +305,9 @@ def _trail(g: Graph, remaining: set[int], start: int) -> tuple[list[int], list[i
         verts.append(b if a == verts[-1] else a)
 
 
+_CLOSED = sys.maxsize  # the lowlink of a right vertex in a closed component
+
+
 def _kuhn_max_matching(lefts: Iterable[int],
                        neighbors: Callable[[int], Iterable[int]],
                        dead: Optional[set[int]] = None) -> dict[int, int]:
@@ -315,30 +319,50 @@ def _kuhn_max_matching(lefts: Iterable[int],
     The visit order, and so the result and its insertion order, is that of
     the textbook recursive search.
 
-    A right vertex visited by a failed search is dead: no alternating path
-    from it reaches a free vertex, and none does after later augmentations,
-    which never pass through it. Later searches skip dead vertices, which
-    only saves exploring them again. If a set is passed as dead, the dead
-    vertices are added to it: the right vertices alternating paths from the
-    unmatched lefts reach.
+    A search keeps Tarjan lowlinks (Tarjan 1972) over the matched right
+    vertices it visits. When a failed subtree closes a strongly connected
+    component, no alternating path from the component reaches a free
+    vertex, and none does after later augmentations, which never pass
+    through it. The component is closed for the rest of the call, and later
+    searches skip it, which only saves exploring it again. A failed search
+    closes everything it visited, and on a chain of classes {0}, {0, 1},
+    {1, 2}, ... every search closes the vertex before it, so the chain costs
+    linear time. If a set is passed as dead, the right vertices that
+    alternating paths from the unmatched lefts reach are added to it.
     """
     match: dict[int, int] = {}
-    known_dead: set[int] = set()
+    # low[v] is v's lowlink, a position on tarjan; v heads a component
+    # when tarjan[low[v]] == v. Closed vertices keep low _CLOSED; the
+    # others this search visited are on tarjan, and no vertex outside a
+    # search is in low.
+    low: dict[int, int] = {}
+    tarjan: list[int] = []
+    unmatched: list[int] = []
     for root in lefts:
-        visited = set(known_dead)
         stack = [iter(neighbors(root))]
         path: list[int] = []  # matched right vertices from the root down
         while stack:
             for v in stack[-1]:
-                if v not in visited:
+                if v not in low:
                     break
+                if path:
+                    top = path[-1]
+                    if low[v] < low[top]:
+                        low[top] = low[v]
             else:
                 stack.pop()
                 if path:
-                    path.pop()
+                    v = path.pop()
+                    i = low[v]
+                    if tarjan[i] == v:
+                        while len(tarjan) > i:
+                            low[tarjan.pop()] = _CLOSED
+                    elif i < low[path[-1]]:  # the root's children always close
+                        low[path[-1]] = i
                 continue
-            visited.add(v)
             if v in match:
+                low[v] = len(tarjan)
+                tarjan.append(v)
                 path.append(v)
                 stack.append(iter(neighbors(match[v])))
                 continue
@@ -346,11 +370,21 @@ def _kuhn_max_matching(lefts: Iterable[int],
             for w in path:
                 match[w], u = u, match[w]
             match[v] = u
+            if tarjan:
+                for w in tarjan:
+                    del low[w]
+                tarjan.clear()
             break
         else:
-            known_dead = visited
+            unmatched.append(root)
     if dead is not None:
-        dead |= known_dead
+        reach: set[int] = set()
+        while unmatched:
+            for v in neighbors(unmatched.pop()):
+                if v not in reach:
+                    reach.add(v)
+                    unmatched.append(match[v])
+        dead |= reach
     return match
 
 

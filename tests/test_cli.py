@@ -218,6 +218,38 @@ class TestScrambledPath:
             assert e in inst["scrambling"][c]
 
 
+@pytest.fixture
+def recursion_limit():
+    """A recursion limit low enough that instances just past it stay small."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(400)
+    yield sys.getrecursionlimit()
+    sys.setrecursionlimit(old)
+
+
+class TestDeepInstances:
+    """Valid instances whose recursive searches go deeper than the
+    recursion limit end cap-exhausted (exit 4) naming the limit, not with a
+    traceback and exit 1."""
+
+    def test_disjoint_edges_one_per_color(self, tmp_path, capsys, recursion_limit):
+        n = recursion_limit + 1
+        code, payload = run_cli(tmp_path, capsys, ["rainbow-matching"], {
+            "graph": {"n": 2 * n, "edges": [[2 * i, 2 * i + 1] for i in range(n)]},
+            "colors": [[i] for i in range(n)]})
+        assert code == cli.EXIT_CAP == 4
+        assert payload["status"] == "cap-exhausted"
+        assert f"recursion limit {recursion_limit}" in payload["error"]
+
+    def test_cyclic_latin_square(self, tmp_path, capsys, recursion_limit):
+        n = recursion_limit + 1
+        code, payload = run_cli(tmp_path, capsys, ["latin"], {
+            "latin": [[(r + c) % n + 1 for c in range(n)] for r in range(n)]})
+        assert code == cli.EXIT_CAP == 4
+        assert payload["status"] == "cap-exhausted"
+        assert f"recursion limit {recursion_limit}" in payload["error"]
+
+
 class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN, ids=[c["id"] for c in GOLDEN])
     def test_stdout_is_byte_identical(self, tmp_path, capsys, case):

@@ -10,10 +10,11 @@ the report when the instance cap stops the sweep after three instances.
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from rainbowsets import cli, harness
+from rainbowsets import cli, harness, sweeps
 from rainbowsets.core import (
     Graph,
     HypothesisViolation,
@@ -123,6 +124,22 @@ def test_sweep_pinned(tag, params, full, verdicts, capped):
     report, records = sweep(tag, params, cap=3)
     assert report.as_dict() == {"conjecture": tag, "seed": SEED, **capped}
     assert records == expected_records(verdicts[:3])
+
+
+def test_time_cap_stops_the_sweep(monkeypatch):
+    """A clock that advances one second per reading: started at 0, the
+    checks before instances 0, 1 and 2 read 1, 2 and 3 s, and the third is
+    past the 2.5 s cap."""
+    ticks = iter(range(100))
+    monkeypatch.setattr(sweeps, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    records = []
+    spec = SweepSpec("short-cycle", (("n", 6), ("r", 3), ("instances", 30)), seed=SEED,
+                     time_cap=2.5)
+    report = run_sweep(spec, on_record=records.append)
+    assert report.as_dict() == {"conjecture": "short-cycle", "seed": SEED,
+                                "verdict": "cap-exhausted", "instances_tested": 2,
+                                "detail": {"n": 6, "r": 3}}
+    assert records == expected_records(["ok"] * 2)
 
 
 @pytest.mark.parametrize("tag", ["drisko", "stairs"])

@@ -11,6 +11,7 @@ from rainbowsets.core import (
     InstanceError,
     is_rainbow,
     family_union,
+    _kuhn_max_matching,
 )
 from rainbowsets._gf2 import gf2_rank
 from rainbowsets.matroids import (
@@ -20,6 +21,7 @@ from rainbowsets.matroids import (
     partition_matroid,
     uniform_matroid,
 )
+from rainbowsets import transversals
 from rainbowsets.transversals import Violator, hall_rainbow, rado_rainbow
 
 from oracles import (
@@ -123,12 +125,32 @@ class TestHall:
         assert violators > 200
 
     def test_chain_longer_than_recursion_limit(self):
-        # color i tries i-1 first, so its search walks down to color 0
+        # color i tries i-1 first, then its own element i
         n = 1500
         f = fam(n, {0}, *[{i - 1, i} for i in range(1, n)])
         out = hall_rainbow(f)
         assert isinstance(out, ChoiceFunction)
         assert out.as_dict() == {i: i for i in range(n)}
+
+    def test_chain_costs_linear_neighbor_calls(self, monkeypatch):
+        """Each color's search closes the element before it, so later
+        searches stop there instead of walking down to color 0: at most
+        three neighbor calls per color, not about n^2 / 2 in all."""
+        n = 5000
+        calls = 0
+
+        def counting(lefts, neighbors, dead=None):
+            def counted(u):
+                nonlocal calls
+                calls += 1
+                return neighbors(u)
+            return _kuhn_max_matching(lefts, counted, dead)
+
+        monkeypatch.setattr(transversals, "_kuhn_max_matching", counting)
+        out = hall_rainbow(fam(n, {0}, *[{i - 1, i} for i in range(1, n)]))
+        assert isinstance(out, ChoiceFunction)
+        assert out.as_dict() == {i: i for i in range(n)}
+        assert calls <= 3 * n
 
 
 class TestRado:
