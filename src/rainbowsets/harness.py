@@ -411,7 +411,10 @@ def _random_claim(sizes_of: Callable[[int], tuple[int, ...]], spec: SweepSpec,
 
 
 def _ab(spec: SweepSpec, on_record, n: int, max_vertices: int) -> SweepReport:
-    return sweep(spec, _bipartite_families((n,) * n, max_vertices),
+    if max_vertices < 2 * n:  # no matching of size n fits: nothing to test
+        raise InstanceError(f"sweep ab: parameter 'max_vertices' must be >= 2n = "
+                            f"{2 * n}, got {max_vertices}")
+    return sweep(spec, _bipartite_families(n, max_vertices),
                  _no_rainbow_matching(n - 1), {"max_vertices": max_vertices}, on_record)
 
 

@@ -576,29 +576,28 @@ def _serialize_family_instance(g: Graph, colors: Sequence[Iterable[int]]) -> dic
     }
 
 
-def _bipartite_canonical(nl: int, nr: int,
-                         family: tuple[tuple[tuple[int, int], ...], ...]) -> tuple:
-    """Smallest relabeling of a family of (left, right) pair matchings
-    under side permutations (naive canonical form for small instances)."""
-    best = None
-    swaps = ((False,), (False, True))[nl == nr]
-    for swap in swaps:
-        for lp in itertools.permutations(range(nl)):
-            for rp in itertools.permutations(range(nr)):
-                enc = tuple(
-                    sorted(
-                        tuple(
-                            sorted(
-                                (rp[r], lp[l]) if swap else (lp[l], rp[r])
-                                for l, r in m
-                            )
-                        )
-                        for m in family
-                    )
-                )
-                if best is None or enc < best:
-                    best = enc
-    return best
+def _side_relabelings(nl: int, nr: int, matchings: list[tuple[tuple[int, int], ...]]
+                      ) -> list[list[int]]:
+    """One table per relabeling of a bipartition's sides (each permutation
+    of either side, and the side swap when nl == nr): entry i is the index
+    in `matchings` (sorted, each a sorted tuple of (left, right) pairs) of
+    the image of matchings[i]."""
+    index = {m: i for i, m in enumerate(matchings)}
+    return [
+        [index[tuple(sorted((rp[r], lp[l]) if swap else (lp[l], rp[r]) for l, r in m))]
+         for m in matchings]
+        for swap in ((False,), (False, True))[nl == nr]
+        for lp in itertools.permutations(range(nl))
+        for rp in itertools.permutations(range(nr))
+    ]
+
+
+def _bipartite_canonical(family: Sequence[int], relabelings: Sequence[Sequence[int]]
+                         ) -> bool:
+    """Whether a nondecreasing list of matching indices is the least of its
+    images under the relabeling tables; stops at the first smaller image."""
+    least = list(family)
+    return all(sorted([table[i] for i in family]) >= least for table in relabelings)
 
 
 def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dict, dict]]]:
@@ -626,35 +625,31 @@ def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
             yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
 
 
-def _bipartite_families(sizes: tuple[int, ...], max_vertices: int
-                        ) -> Iterator[EdgeFamily]:
-    """Every family of matchings of the given sizes over each bipartition
-    with at most max_vertices vertices, covering both sides; up to
-    relabeling when the sizes are at most 3 and max_vertices at most 8."""
-    smax = max(sizes) if sizes else 0
-    canonical_on = smax <= 3 and max_vertices <= 8
-    seen: set = set()
-    for nl in range(max(1, smax), max_vertices + 1):
+def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
+    """Every family of n matchings of size n over each bipartition with at
+    most max_vertices vertices, covering both sides; up to relabeling when
+    n is at most 3 and max_vertices at most 8, keeping the first family of
+    each isomorphism class in enumeration order.
+
+    That first family is found by orderly generation (Read 1978): per
+    bipartition the families come out as nondecreasing index lists into the
+    sorted matchings, in lexicographic order, which is the order of the
+    families themselves; a relabeling keeps a family covering and on its
+    bipartition, so the first family of a class is its least member."""
+    for nl in range(n, max_vertices + 1):
         for nr in range(nl, max_vertices - nl + 1):
-            if nr < smax:
-                continue
-            per_color = [
-                sorted(tuple(zip(lefts, rights))
-                       for lefts in itertools.combinations(range(nl), s)
-                       for rights in itertools.permutations(range(nr), s))
-                for s in sizes
-            ]
-            for fam_pairs in _family_product(per_color, sizes):
-                covered_l = {l for m in fam_pairs for l, _ in m}
-                covered_r = {r for m in fam_pairs for _, r in m}
+            matchings = sorted(tuple(zip(lefts, rights))
+                               for lefts in itertools.combinations(range(nl), n)
+                               for rights in itertools.permutations(range(nr), n))
+            relabelings = (_side_relabelings(nl, nr, matchings)
+                           if n <= 3 and max_vertices <= 8 else ())
+            for family in itertools.combinations_with_replacement(range(len(matchings)), n):
+                covered_l = {l for i in family for l, _ in matchings[i]}
+                covered_r = {r for i in family for _, r in matchings[i]}
                 if len(covered_l) != nl or len(covered_r) != nr:
                     continue  # counted already at a smaller bipartition
-                if canonical_on:
-                    key = _bipartite_canonical(nl, nr, fam_pairs)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                yield _bipartite_family(nl, nr, fam_pairs)
+                if _bipartite_canonical(family, relabelings):
+                    yield _bipartite_family(nl, nr, (matchings[i] for i in family))
 
 
 def _bipartite_family(nl: int, nr: int,

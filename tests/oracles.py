@@ -474,3 +474,51 @@ def brute_is_bipartite(g: Graph) -> bool:
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def naive_bipartite_canonical(nl: int, nr: int,
+                              family: tuple[tuple[tuple[int, int], ...], ...]) -> tuple:
+    """Smallest relabeling of a family of (left, right) pair matchings
+    under side permutations (naive canonical form for small instances)."""
+    best = None
+    swaps = ((False,), (False, True))[nl == nr]
+    for swap in swaps:
+        for lp in itertools.permutations(range(nl)):
+            for rp in itertools.permutations(range(nr)):
+                enc = tuple(
+                    sorted(
+                        tuple(
+                            sorted(
+                                (rp[r], lp[l]) if swap else (lp[l], rp[r])
+                                for l, r in m
+                            )
+                        )
+                        for m in family
+                    )
+                )
+                if best is None or enc < best:
+                    best = enc
+    return best
+
+
+def first_seen_bipartite_families(n: int, max_vertices: int) -> list:
+    """(nl, nr, family) for every family of n matchings of size n covering
+    both sides of a bipartition with at most max_vertices vertices, keeping
+    the first of each class under the naive canonical form; the families
+    of a bipartition are multisets of its sorted matchings, in lexicographic
+    order."""
+    out, seen = [], set()
+    for nl in range(n, max_vertices + 1):
+        for nr in range(nl, max_vertices - nl + 1):
+            matchings = sorted(tuple(zip(lefts, rights))
+                               for lefts in itertools.combinations(range(nl), n)
+                               for rights in itertools.permutations(range(nr), n))
+            for family in itertools.combinations_with_replacement(matchings, n):
+                if ({l for m in family for l, _ in m} != set(range(nl))
+                        or {r for m in family for _, r in m} != set(range(nr))):
+                    continue
+                key = naive_bipartite_canonical(nl, nr, family)
+                if key not in seen:
+                    seen.add(key)
+                    out.append((nl, nr, family))
+    return out

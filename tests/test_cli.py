@@ -147,6 +147,10 @@ class TestSweepParams:
         pytest.param("rota", ["n=5"], "'n'", id="rota-n-above-cover-cap"),
         pytest.param("rho-two-cover", ["ground=17"], "'ground'",
                      id="rho-two-cover-ground-above-cover-cap"),
+        pytest.param("ab", ["n=3", "max_vertices=5"], "'max_vertices' must be >= 2n = 6",
+                     id="ab-max-vertices-below-2n"),
+        pytest.param("ab", ["n=4", "max_vertices=7"], "'max_vertices' must be >= 2n = 8",
+                     id="ab-n4-max-vertices-below-2n"),
     ])
     def test_bad_parameter_exits_2(self, capsys, tag, params, name):
         code = cli.main(["sweep", "--conjecture", tag, "--params", *params])

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from rainbowsets.matching import (
     validate_scrambling,
 )
 
-from oracles import brute_max_rainbow
+from oracles import brute_max_rainbow, first_seen_bipartite_families, naive_bipartite_canonical
 
 
 def family_from_pairs(n, *color_pairs) -> EdgeFamily:
@@ -221,6 +222,46 @@ class TestOrbitPruning:
         """The bound on k disjoint K5s is a general matching."""
         got, _ = max_rainbow_matching(k5_family(6), target=13)
         assert len(got) == 12
+
+
+def bipartite_pairs(fam: EdgeFamily) -> tuple:
+    """(nl, nr, family) of a bipartite family: each color as its sorted
+    (left, right) pairs, right vertices counted from 0."""
+    nl, nr = (len(side) for side in fam.graph.bipartition)
+    return nl, nr, tuple(tuple(sorted((u, v - nl) for u, v in map(fam.graph.edges.__getitem__, c)))
+                         for c in fam.colors)
+
+
+class TestBipartiteFamilies:
+    """Orderly generation keeps exactly the first family of each
+    isomorphism class that a naive canonical form finds."""
+
+    CASES = [(1, 4, 1), (2, 6, 8), (2, 8, 10), (3, 6, 5), (3, 7, 28)]
+
+    @pytest.mark.parametrize("n, max_vertices, count", CASES)
+    def test_first_seen_families_in_order(self, n, max_vertices, count):
+        yielded = [bipartite_pairs(f) for f in matching._bipartite_families(n, max_vertices)]
+        assert yielded == first_seen_bipartite_families(n, max_vertices)
+        assert len(yielded) == count
+
+    @pytest.mark.parametrize("n, max_vertices, count", CASES)
+    def test_no_two_families_isomorphic(self, n, max_vertices, count):
+        keys = [naive_bipartite_canonical(*bipartite_pairs(f))
+                for f in matching._bipartite_families(n, max_vertices)]
+        assert len(set(keys)) == len(keys) == count
+
+    def test_side_swap_is_a_relabeling(self):
+        """On K_{4,4} the family {a, a, b} is least under the permutations
+        of each side alone (the first half of the tables) but not once the
+        sides may be swapped."""
+        a, b = ((0, 0), (1, 1), (2, 2)), ((0, 1), (2, 3), (3, 0))
+        matchings = sorted(tuple(zip(lefts, rights))
+                           for lefts in itertools.combinations(range(4), 3)
+                           for rights in itertools.permutations(range(4), 3))
+        tables = matching._side_relabelings(4, 4, matchings)
+        family = [matchings.index(m) for m in (a, a, b)]
+        assert matching._bipartite_canonical(family, tables[:len(tables) // 2])
+        assert not matching._bipartite_canonical(family, tables)
 
 
 class TestArrowAndSequences:
