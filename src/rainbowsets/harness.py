@@ -77,24 +77,27 @@ def latin_transversal(square: LatinSquare) -> Transversal:
 
 
 def enumerate_latin_squares(n: int) -> Iterator[LatinSquare]:
-    """The Latin squares of order n whose first row is 1..n, filling the
-    other cells row by row and each cell with the free symbols in
-    increasing order.
+    """The reduced Latin squares of order n (first row and first column
+    1..n), filling the other cells row by row and each cell with the free
+    symbols in increasing order.
 
-    Every square is a column permutation of exactly one of these, and
-    transversal sizes are invariant under column permutations.
+    Every square is a row and column permutation of exactly one of these
+    (permute the columns to put the first row in order, then the rows below
+    it to put the first column in order), and transversal sizes are
+    invariant under row and column permutations.
     """
     if n == 0:
         return
-    rows = [list(range(1, n + 1))] + [[0] * n for _ in range(n - 1)]
-    row_used = [0] * n
-    col_used = [1 << s for s in rows[0]]
+    rows = [[r + c + 1 if r * c == 0 else 0 for c in range(n)] for r in range(n)]
+    row_used = [1 << (r + 1) for r in range(n)]
+    col_used = [1 << (c + 1) for c in range(n)]
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
 
     def fill(k: int) -> Iterator[LatinSquare]:
-        if k == n * n:
+        if k == len(cells):
             yield LatinSquare(n, tuple(map(tuple, rows)))
             return
-        r, c = divmod(k, n)
+        r, c = cells[k]
         for s in range(1, n + 1):
             bit = 1 << s
             if (row_used[r] | col_used[c]) & bit:
@@ -106,7 +109,7 @@ def enumerate_latin_squares(n: int) -> Iterator[LatinSquare]:
             row_used[r] &= ~bit
             col_used[c] &= ~bit
 
-    yield from fill(n)
+    yield from fill(0)
 
 
 def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
@@ -118,7 +121,7 @@ def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
                 {"transversal": len(t), "n": n})
 
     return sweep(spec, enumerate_latin_squares(n), check,
-                 {"n": n, "reduction": "first-row-normalized"}, on_record,
+                 {"n": n, "reduction": "reduced"}, on_record,
                  record_witness=True)
 
 
@@ -512,7 +515,7 @@ class SweepParam(NamedTuple):
 # tag -> (sweep, declared parameters); the sweep takes the spec, the record
 # callback and each declared parameter by name.
 SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
-    "brs": (_brs, (SweepParam("n", maximum=5),)),
+    "brs": (_brs, (SweepParam("n", maximum=6),)),
     "drisko": (partial(_random_claim, lambda n: (n,) * (2 * n - 1)),
                (SweepParam("n"), SweepParam("instances", 1000))),
     "stairs": (partial(_random_claim, lambda n: stairs_sequence(n).sizes),

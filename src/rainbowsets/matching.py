@@ -541,24 +541,6 @@ def _matchings_of_size_in(g: Graph, pool: Sequence[int], size: int
     yield from rec(0, 0, [])
 
 
-def _family_product(per_color: list[list[tuple[int, ...]]],
-                    sizes: tuple[int, ...]):
-    """All families, forcing nondecreasing picks among equal-size colors."""
-
-    def rec(i: int, acc: list[tuple[int, ...]]):
-        if i == len(per_color):
-            yield tuple(acc)
-            return
-        for m in per_color[i]:
-            if i > 0 and sizes[i] == sizes[i - 1] and m < acc[-1]:
-                continue
-            acc.append(m)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
-
-
 def _cycle_graph(lengths: tuple[int, ...]) -> Graph:
     edges: list[tuple[int, int]] = []
     base = 0
@@ -576,28 +558,48 @@ def _serialize_family_instance(g: Graph, colors: Sequence[Iterable[int]]) -> dic
     }
 
 
+def _index_tables(matchings: list[tuple], maps: Iterable) -> list[list[int]]:
+    """One table per map of matching elements (anything indexable by an
+    element): entry i is the index in `matchings` (sorted, each a sorted
+    tuple) of the image of matchings[i]."""
+    index = {m: i for i, m in enumerate(matchings)}
+    return [[index[tuple(sorted(f[x] for x in m))] for m in matchings] for f in maps]
+
+
 def _side_relabelings(nl: int, nr: int, matchings: list[tuple[tuple[int, int], ...]]
                       ) -> list[list[int]]:
-    """One table per relabeling of a bipartition's sides (each permutation
-    of either side, and the side swap when nl == nr): entry i is the index
-    in `matchings` (sorted, each a sorted tuple of (left, right) pairs) of
-    the image of matchings[i]."""
-    index = {m: i for i, m in enumerate(matchings)}
-    return [
-        [index[tuple(sorted((rp[r], lp[l]) if swap else (lp[l], rp[r]) for l, r in m))]
-         for m in matchings]
+    """The index tables (_index_tables) of the relabelings of a
+    bipartition's sides: each permutation of either side, and the side swap
+    when nl == nr, acting on matchings of (left, right) pairs."""
+    pairs = list(itertools.product(range(nl), range(nr)))
+    return _index_tables(matchings, (
+        {(l, r): (rp[r], lp[l]) if swap else (lp[l], rp[r]) for l, r in pairs}
         for swap in ((False,), (False, True))[nl == nr]
         for lp in itertools.permutations(range(nl))
-        for rp in itertools.permutations(range(nr))
-    ]
+        for rp in itertools.permutations(range(nr))))
 
 
-def _bipartite_canonical(family: Sequence[int], relabelings: Sequence[Sequence[int]]
+def _cycle_automorphisms(lengths: tuple[int, ...]) -> Iterator[list[int]]:
+    """Every automorphism of _cycle_graph(lengths) as a permutation of its
+    edge ids: a rotation or reflection of each cycle (edge i of a cycle
+    joins its vertices i and i+1) and any exchange of equal-length cycles."""
+    bases = list(itertools.accumulate(lengths, initial=0))
+    dihedral = [[[(r + s * e) % length for e in range(length)]
+                 for r in range(length) for s in (1, -1)] for length in lengths]
+    cycles = range(len(lengths))
+    for order in itertools.permutations(cycles):
+        if any(lengths[c] != lengths[t] for c, t in zip(cycles, order)):
+            continue
+        for moves in itertools.product(*dihedral):
+            yield [bases[t] + m for t, move in zip(order, moves) for m in move]
+
+
+def _bipartite_canonical(family: Sequence[int], tables: Sequence[Sequence[int]]
                          ) -> bool:
     """Whether a nondecreasing list of matching indices is the least of its
-    images under the relabeling tables; stops at the first smaller image."""
+    images under the index tables; stops at the first smaller image."""
     least = list(family)
-    return all(sorted([table[i] for i in family]) >= least for table in relabelings)
+    return all(sorted([table[i] for i in family]) >= least for table in tables)
 
 
 def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dict, dict]]]:
@@ -615,21 +617,43 @@ def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dic
 
 def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
                     ) -> Iterator[EdgeFamily]:
-    """Every family of matchings of the given sizes inside each disjoint
-    union of cycles with the given lengths."""
+    """Every family of matchings of the given nondecreasing sizes inside
+    each disjoint union of cycles with the given lengths, up to
+    automorphism: the first family of each class in enumeration order.
+
+    The matchings of each size are listed once, sorted, the sizes in
+    increasing order, so a family is a nondecreasing index list and the
+    families come out in lexicographic order; an automorphism keeps each
+    matching's size, so the first family of a class is its least member
+    (Read 1978, as in _bipartite_families). Its part of the smallest size
+    is then the least under every automorphism, and the rest is the least
+    under the automorphisms that fix that part."""
+    counts = Counter(sizes)
     for lengths in ambients:
         g = _cycle_graph(lengths)
-        pool = list(range(g.num_edges))
-        per_color = [list(_matchings_of_size_in(g, pool, s)) for s in sizes]
-        for fam_sets in _family_product(per_color, sizes):
-            yield EdgeFamily(g, tuple(frozenset(m) for m in fam_sets))
+        matchings: list[tuple[int, ...]] = []
+        parts = []
+        for size in sorted(counts):
+            start = len(matchings)
+            matchings += _matchings_of_size_in(g, range(g.num_edges), size)
+            parts.append(list(itertools.combinations_with_replacement(
+                range(start, len(matchings)), counts[size])))
+        tables = _index_tables(matchings, _cycle_automorphisms(lengths))
+        heads, *tails = parts
+        for head in heads:
+            if not _bipartite_canonical(head, tables):
+                continue
+            stabilizer = [t for t in tables if sorted(t[i] for i in head) == list(head)]
+            for tail in itertools.product(*tails):
+                family = head + tuple(itertools.chain(*tail))
+                if _bipartite_canonical(family, stabilizer):
+                    yield EdgeFamily(g, tuple(frozenset(matchings[i]) for i in family))
 
 
 def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
     """Every family of n matchings of size n over each bipartition with at
-    most max_vertices vertices, covering both sides; up to relabeling when
-    n is at most 3 and max_vertices at most 8, keeping the first family of
-    each isomorphism class in enumeration order.
+    most max_vertices vertices, covering both sides, up to relabeling: the
+    first family of each isomorphism class in enumeration order.
 
     That first family is found by orderly generation (Read 1978): per
     bipartition the families come out as nondecreasing index lists into the
@@ -637,12 +661,12 @@ def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
     families themselves; a relabeling keeps a family covering and on its
     bipartition, so the first family of a class is its least member."""
     for nl in range(n, max_vertices + 1):
-        for nr in range(nl, max_vertices - nl + 1):
+        # no family covers more than n * n vertices of a side: build no tables there
+        for nr in range(nl, min(max_vertices - nl, n * n) + 1):
             matchings = sorted(tuple(zip(lefts, rights))
                                for lefts in itertools.combinations(range(nl), n)
                                for rights in itertools.permutations(range(nr), n))
-            relabelings = (_side_relabelings(nl, nr, matchings)
-                           if n <= 3 and max_vertices <= 8 else ())
+            relabelings = _side_relabelings(nl, nr, matchings)
             for family in itertools.combinations_with_replacement(range(len(matchings)), n):
                 covered_l = {l for i in family for l, _ in matchings[i]}
                 covered_r = {r for i in family for _, r in matchings[i]}

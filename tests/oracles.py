@@ -522,3 +522,40 @@ def first_seen_bipartite_families(n: int, max_vertices: int) -> list:
                     seen.add(key)
                     out.append((nl, nr, family))
     return out
+
+
+def first_seen_cycle_families(sizes: tuple[int, ...], lengths: tuple[int, ...]) -> list:
+    """The colors (each a sorted tuple of edge ids) of every family of
+    matchings of the given nondecreasing sizes in the disjoint union of
+    cycles with the given lengths (edge i of a cycle joins its vertices i
+    and i+1, cycles numbered in turn), keeping the first of each class
+    under the graph's automorphisms, which networkx's GraphMatcher lists.
+    Colors of equal size are nondecreasing and the families come in
+    lexicographic order."""
+    import networkx as nx
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    edges, base = [], 0
+    for length in lengths:
+        edges += [(base + i, base + (i + 1) % length) for i in range(length)]
+        base += length
+    g = nx.Graph(edges)
+    edge_id = {frozenset(e): i for i, e in enumerate(edges)}
+    autos = [[edge_id[frozenset((a[u], a[v]))] for u, v in edges]
+             for a in GraphMatcher(g, g).isomorphisms_iter()]
+
+    def matchings(size):
+        return [c for c in itertools.combinations(range(len(edges)), size)
+                if len({v for e in c for v in edges[e]}) == 2 * size]
+
+    out, seen = [], set()
+    for family in itertools.product(*map(matchings, sizes)):
+        if any(sizes[i] == sizes[i - 1] and family[i] < family[i - 1]
+               for i in range(1, len(sizes))):
+            continue
+        key = min(tuple(sorted((len(m), tuple(sorted(a[e] for e in m))) for m in family))
+                  for a in autos)
+        if key not in seen:
+            seen.add(key)
+            out.append(family)
+    return out

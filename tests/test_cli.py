@@ -143,7 +143,7 @@ class TestSweepParams:
         pytest.param("drisko", ["n=3", "bogus=1"], "'bogus'", id="unknown-parameter"),
         pytest.param("drisko", [], "'n'", id="missing-parameter"),
         pytest.param("drisko", ["n=2", "n=3"], "'n'", id="repeated-parameter"),
-        pytest.param("brs", ["n=6"], "'n'", id="brs-n-above-maximum"),
+        pytest.param("brs", ["n=7"], "'n'", id="brs-n-above-maximum"),
         pytest.param("rota", ["n=5"], "'n'", id="rota-n-above-cover-cap"),
         pytest.param("rho-two-cover", ["ground=17"], "'ground'",
                      id="rho-two-cover-ground-above-cover-cap"),

@@ -7,6 +7,7 @@ counterexample and detail), the full stream of per-instance records, and
 the report when the instance cap stops the sweep after three instances.
 """
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -46,11 +47,11 @@ COERCIVE_HIT = {
 # (tag, params, full report, record verdicts, report at instance_cap=3)
 CASES = [
     ("brs", {"n": 4},
-     {"verdict": "verified-range", "instances_tested": 24,
-      "detail": {"n": 4, "reduction": "first-row-normalized"}},
-     ["ok"] * 24,
+     {"verdict": "verified-range", "instances_tested": 4,
+      "detail": {"n": 4, "reduction": "reduced"}},
+     ["ok"] * 4,
      {"verdict": "cap-exhausted", "instances_tested": 3,
-      "detail": {"n": 4, "reduction": "first-row-normalized"}}),
+      "detail": {"n": 4, "reduction": "reduced"}}),
     ("drisko", {"n": 3, "instances": 50},
      {"verdict": "verified-range", "instances_tested": 50, "detail": {"instances": 50}},
      ["ok"] * 50,
@@ -68,10 +69,10 @@ CASES = [
      ["ok"] * 5,
      {"verdict": "cap-exhausted", "instances_tested": 3, "detail": {"max_vertices": 6}}),
     ("coercive-244", {},
-     {"verdict": "counterexample", "instances_tested": 9, "counterexample": COERCIVE_HIT,
+     {"verdict": "counterexample", "instances_tested": 6, "counterexample": COERCIVE_HIT,
       "detail": {"single_cycle_verdict": "verified-range",
-                 "single_cycle_instances": 11435}},
-     ["ok"] * 8 + ["counterexample"],
+                 "single_cycle_instances": 624}},
+     ["ok"] * 5 + ["counterexample"],
      {"verdict": "cap-exhausted", "instances_tested": 3,
       "detail": {"ambients": [[4, 4]], "single_cycle_verdict": "cap-exhausted",
                  "single_cycle_instances": 3}}),
@@ -325,6 +326,24 @@ class TestLatinTransversal:
     def test_every_reduced_square_up_to_order_4(self, n):
         for square in enumerate_latin_squares(n):
             self.check(square)
+
+    def test_reduced_square_counts(self):
+        assert [sum(1 for _ in enumerate_latin_squares(n)) for n in range(1, 7)] == [
+            1, 1, 1, 4, 56, 9408]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_row_and_column_permutations_keep_the_maximum(self, n):
+        """Every square is a row and column permutation of a reduced one
+        with the same maximum partial transversal, so brs tests only those:
+        each row permutation, paired with a random column permutation."""
+        rng = random.Random(n)
+        for square in enumerate_latin_squares(n):
+            size = len(latin_transversal(square))
+            for rows in itertools.permutations(range(n)):
+                cols = rng.sample(range(n), n)
+                permuted = LatinSquare(n, tuple(tuple(square.rows[r][c] for c in cols)
+                                                for r in rows))
+                assert len(latin_transversal(permuted)) == size
 
     def test_permuted_order_5_squares(self):
         rng = random.Random(5)

@@ -29,7 +29,12 @@ from rainbowsets.matching import (
     validate_scrambling,
 )
 
-from oracles import brute_max_rainbow, first_seen_bipartite_families, naive_bipartite_canonical
+from oracles import (
+    brute_max_rainbow,
+    first_seen_bipartite_families,
+    first_seen_cycle_families,
+    naive_bipartite_canonical,
+)
 
 
 def family_from_pairs(n, *color_pairs) -> EdgeFamily:
@@ -244,7 +249,9 @@ class TestBipartiteFamilies:
         assert yielded == first_seen_bipartite_families(n, max_vertices)
         assert len(yielded) == count
 
-    @pytest.mark.parametrize("n, max_vertices, count", CASES)
+    # n=4 on at most 8 vertices has 17,550 labelled families, too many for
+    # the naive first-seen filter, so only this test covers it
+    @pytest.mark.parametrize("n, max_vertices, count", CASES + [(4, 8, 62)])
     def test_no_two_families_isomorphic(self, n, max_vertices, count):
         keys = [naive_bipartite_canonical(*bipartite_pairs(f))
                 for f in matching._bipartite_families(n, max_vertices)]
@@ -262,6 +269,22 @@ class TestBipartiteFamilies:
         family = [matchings.index(m) for m in (a, a, b)]
         assert matching._bipartite_canonical(family, tables[:len(tables) // 2])
         assert not matching._bipartite_canonical(family, tables)
+
+
+class TestCycleFamilies:
+    """Orderly generation keeps exactly the first family of each class
+    under the automorphisms of the union of cycles."""
+
+    @pytest.mark.parametrize("sizes, lengths, count", [
+        ((2, 4, 4), (8,), 8), ((2, 4, 4), (10,), 616), ((2, 4, 4), (4, 4), 13),
+        ((1, 2, 2), (6,), 27), ((1, 2, 2), (3, 3), 8),
+    ], ids=["244-C8", "244-C10", "244-C4+C4", "122-C6", "122-C3+C3"])
+    def test_first_seen_families_in_order(self, sizes, lengths, count):
+        pytest.importorskip("networkx")
+        yielded = [tuple(tuple(sorted(c)) for c in f.colors)
+                   for f in matching._cycle_families(sizes, (lengths,))]
+        assert yielded == first_seen_cycle_families(sizes, lengths)
+        assert len(yielded) == count
 
 
 class TestArrowAndSequences:
