@@ -49,14 +49,17 @@ from .sweeps import SweepReport, SweepSpec, sweep
 # Latin squares
 
 
-def latin_transversal(square: LatinSquare) -> Transversal:
+def latin_transversal(square: LatinSquare, target: Optional[int] = None) -> Transversal:
     """A maximum partial transversal, by branch and bound over rows with
-    column/symbol bitmasks (rows may be skipped)."""
+    column/symbol bitmasks (rows may be skipped). With a target, the search
+    stops at the first one of at least that size; when none is that large,
+    it runs to the end and the result is still a maximum."""
     n = square.n
+    stop = n if target is None else target
     best: list[list[tuple[int, int]]] = [[]]
 
     def rec(row: int, cols: int, syms: int, acc: list[tuple[int, int]]):
-        if len(acc) + (n - row) <= len(best[0]):
+        if len(acc) + (n - row) <= len(best[0]) or len(best[0]) >= stop:
             return
         if row == n:
             best[0] = list(acc)
@@ -113,9 +116,11 @@ def enumerate_latin_squares(n: int) -> Iterator[LatinSquare]:
 
 
 def _brs(spec: SweepSpec, on_record, n: int) -> SweepReport:
+    target = n - 1 if n % 2 == 0 else n
+
     def check(square: LatinSquare) -> Optional[tuple[dict, dict]]:
-        t = latin_transversal(square)
-        if len(t) >= n - 1 and (n % 2 == 0 or len(t) == n):
+        t = latin_transversal(square, target)
+        if len(t) >= target:
             return None
         return ({"latin": [list(r) for r in square.rows]},
                 {"transversal": len(t), "n": n})

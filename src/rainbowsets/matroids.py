@@ -4,7 +4,8 @@ matroid intersection by augmenting paths, and exact covering numbers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, Optional
 
 from ._gf2 import _basis, _reduce, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
@@ -14,16 +15,27 @@ COVER_GROUND_CAP = 16
 ExchangeTest = Callable[[Optional[int], int], bool]  # see IndependenceOracle.exchange
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class IndependenceOracle:
     """A matroid presented by its rank function.
 
-    The descriptor records the construction (kind + parameters) so oracles
-    can be serialized; ranks are memoized by subset, and a subset is
-    independent iff its rank equals its size. A construction may also pass
+    rank_fn takes a subset of the ground as an int bitmask (bit i for
+    element i). The set API in front of it (rank, is_independent, in_span,
+    exchange) takes element sets, checks that they lie in the ground and
+    memoizes ranks by frozenset; a subset is independent iff its rank
+    equals its size. The descriptor records the construction (kind +
+    parameters) so oracles can be serialized. A construction may also pass
     exchange_fn, a native form of exchange() that must agree with rank.
     """
 
-    def __init__(self, ground_size: int, rank_fn: Callable[[frozenset[int]], int],
+    def __init__(self, ground_size: int, rank_fn: Callable[[int], int],
                  descriptor: dict,
                  exchange_fn: Optional[Callable[[frozenset[int]], ExchangeTest]] = None):
         if ground_size < 0:
@@ -56,7 +68,7 @@ class IndependenceOracle:
             raise InstanceError(
                 f"element {min(outside)} outside ground of size {self.ground_size}"
             )
-        r = self._cache[s] = self._rank_fn(s)
+        r = self._cache[s] = self._rank_fn(sum(1 << x for x in s))
         return r
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
@@ -117,8 +129,15 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
         if c < 0:
             raise InstanceError(f"caps[{i}]: negative capacity")
 
-    def rank(s: frozenset[int]) -> int:
-        return len(s - seen) + sum(min(len(s & p), c) for p, c in zip(part_sets, caps))
+    part_masks = [(sum(1 << x for x in p), c) for p, c in zip(part_sets, caps)]
+    free = ((1 << ground_size) - 1) & ~sum(p for p, _ in part_masks)
+
+    def rank(s: int) -> int:
+        r = (s & free).bit_count()
+        for p, c in part_masks:
+            k = (s & p).bit_count()
+            r += k if k < c else c
+        return r
 
     desc = {
         "kind": "partition",
@@ -134,33 +153,31 @@ def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("uniform matroid needs k >= 0")
     desc = {"kind": "uniform", "ground_size": ground_size, "k": k}
-    return IndependenceOracle(ground_size, lambda s: min(len(s), k), desc)
+    return IndependenceOracle(ground_size, lambda s: min(s.bit_count(), k), desc)
 
 
 def free_matroid(ground_size: int) -> IndependenceOracle:
     desc = {"kind": "free", "ground_size": ground_size}
-    return IndependenceOracle(ground_size, len, desc)
+    return IndependenceOracle(ground_size, int.bit_count, desc)
 
 
 def graphic_matroid(g: Graph) -> IndependenceOracle:
     """Ground = edge ids of g; independent iff the edge set is acyclic."""
 
-    def rank(s: frozenset[int]) -> int:
+    edges = g.edges
+
+    def rank(s: int) -> int:
         """Number of union-find merges made by the edges of s."""
         parent = list(range(g.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         merges = 0
-        for e in s:
-            u, v = g.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
+        for e in _bits(s):
+            u, v = edges[e]
+            while parent[u] != u:  # path halving
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
                 merges += 1
         return merges
 
@@ -199,8 +216,8 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
 
         return ok
 
-    return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in s]), desc,
-                              exchange)
+    return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in _bits(s)]),
+                              desc, exchange)
 
 
 def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
@@ -208,20 +225,16 @@ def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("truncation needs k >= 0")
     desc = {"kind": "truncation", "k": k, "inner": m.descriptor}
-    return IndependenceOracle(m.ground_size, lambda s: min(k, m.rank(s)), desc)
+    return IndependenceOracle(m.ground_size, lambda s: min(k, m._rank_fn(s)), desc)
 
 
 def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOracle:
     """Disjoint union; n's elements are shifted up by m's ground size."""
     off = m.ground_size
+    low = (1 << off) - 1
 
-    def split(s: frozenset[int]) -> tuple[frozenset[int], frozenset[int]]:
-        return (frozenset(x for x in s if x < off),
-                frozenset(x - off for x in s if x >= off))
-
-    def rank(s: frozenset[int]) -> int:
-        left, right = split(s)
-        return m.rank(left) + n.rank(right)
+    def rank(s: int) -> int:
+        return m._rank_fn(s & low) + n._rank_fn(s >> off)
 
     desc = {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor}
     return IndependenceOracle(off + n.ground_size, rank, desc)
@@ -341,22 +354,28 @@ def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> froz
 
 def _member_masks(m: IndependenceOracle) -> bytes:
     """One byte per subset of the ground, read as a bitmask: 1 iff the
-    subset is independent in m. A subset is tested only when dropping its
-    lowest element leaves a member; the ground is capped at
-    COVER_GROUND_CAP elements."""
+    subset is independent in m. The rank function is asked directly, past
+    the oracle's memo, and only about the subsets whose every one-smaller
+    subset is a member: the nonempty independent sets and the circuits.
+    The ground is capped at COVER_GROUND_CAP elements."""
     g = m.ground_size
     if g > COVER_GROUND_CAP:
         raise ResourceCapError(
             f"covering number capped at ground size {COVER_GROUND_CAP}, got {g}"
         )
+    rank_fn = m._rank_fn
     members = bytearray(1 << g)
     members[0] = 1
     for mask in range(1, 1 << g):
-        low = mask & -mask
-        if members[mask ^ low] and m.is_independent(
-            frozenset(i for i in range(g) if mask >> i & 1)
-        ):
-            members[mask] = 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if not members[mask ^ low]:
+                break
+            rest ^= low
+        else:
+            if rank_fn(mask) == mask.bit_count():
+                members[mask] = 1
     return bytes(members)
 
 
@@ -385,6 +404,28 @@ def covering_number(matroid: IndependenceOracle, *more: IndependenceOracle
     return _cover(g, members)
 
 
+@lru_cache(maxsize=None)
+def _clear_masks(m: int) -> tuple[int, ...]:
+    """For each i < m, the byte mask over the subsets of range(m) with a 1
+    at each subset that lacks i."""
+    return tuple(int.from_bytes((b"\1" * (1 << i) + bytes(1 << i)) * (1 << (m - 1 - i)),
+                                "little")
+                 for i in range(m))
+
+
+def _maximal_members(m: int, members: bytes) -> list[int]:
+    """The members of the byte mask over the subsets of range(m) that no
+    other member contains, ascending: one shift-and-AND pass per element
+    over the mask read as one int."""
+    big = int.from_bytes(members, "little")
+    grows = 0  # 1 at each subset s with a member s | 1 << i above it
+    for i, clear in enumerate(_clear_masks(m)):
+        # when s lacks i, byte s of big >> 8 * 2**i is the byte of s | 1 << i
+        grows |= big >> (8 << i) & clear
+    maximal = (big & ~grows).to_bytes(len(members), "little")
+    return [s for s, bit in enumerate(maximal) if bit]
+
+
 def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
     """covering_number of the downward-closed family whose member subsets
     of range(m) are marked in the byte mask."""
@@ -393,19 +434,18 @@ def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
     for x in range(m):
         if not members[1 << x]:
             raise InstanceError(f"element {x} is a loop: no finite cover exists")
-    sets = [s for s in range(1 << m) if members[s] and all(
-        not members[s | 1 << i] for i in range(m) if not s >> i & 1)]
+    sets = _maximal_members(m, members)
     full = (1 << m) - 1
 
     # greedy start for the upper bound
     greedy: list[int] = []
     uncovered = full
     while uncovered:
-        pick = max(sets, key=lambda s: (bin(s & uncovered).count("1"), -s))
+        pick = max(sets, key=lambda s: ((s & uncovered).bit_count(), -s))
         greedy.append(pick)
         uncovered &= ~pick
     best: list[list[int]] = [greedy]
-    max_size = max(bin(s).count("1") for s in sets)
+    max_size = max(s.bit_count() for s in sets)
 
     cover_sets_of: dict[int, list[int]] = {
         x: [s for s in sets if s >> x & 1] for x in range(m)
@@ -416,7 +456,7 @@ def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
             if len(chosen) < len(best[0]):
                 best[0] = list(chosen)
             return
-        need = bin(uncovered).count("1")
+        need = uncovered.bit_count()
         if len(chosen) + (need + max_size - 1) // max_size >= len(best[0]):
             return
         # branch on the uncovered element with the fewest covering sets

@@ -8,7 +8,7 @@ from typing import Optional, Union
 
 from .core import (ChoiceFunction, ColoredFamily, InstanceError, TheoremViolation,
                    _kuhn_max_matching, family_union)
-from .matroids import ExchangeTest, IndependenceOracle, _intersection_augment
+from .matroids import ExchangeTest, IndependenceOracle, _bits, _intersection_augment
 
 
 @dataclass(frozen=True)
@@ -116,9 +116,9 @@ def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
 
     m = len(incidences)
     lift_colors = IndependenceOracle(
-        m, lambda s: len({color[i] for i in s}), {"kind": "internal-color-partition"},
+        m, lambda s: len({color[i] for i in _bits(s)}), {"kind": "internal-color-partition"},
         color_exchange)
     lift_matroid = IndependenceOracle(
-        m, lambda s: matroid.rank({image[i] for i in s}), {"kind": "internal-induced"},
+        m, lambda s: matroid.rank({image[i] for i in _bits(s)}), {"kind": "internal-induced"},
         matroid_exchange)
     return incidences, lift_colors, lift_matroid

@@ -229,6 +229,31 @@ def reference_ranks(descriptor: dict, ground: int) -> list[int]:
     return ranks
 
 
+def reference_member_table(descriptor: dict, ground: int) -> bytes:
+    """One byte per subset of range(ground), indexed by bitmask: 1 iff the
+    subset is independent by reference_independent."""
+    return bytes(reference_independent(descriptor, [i for i in range(ground) if mask >> i & 1])
+                 for mask in range(1 << ground))
+
+
+def reference_member_queries(table: bytes) -> tuple[list[int], list[int]]:
+    """The nonempty independent sets and the circuits of a member table, as
+    ascending bitmasks: the circuits are the non-members whose every
+    one-smaller subset is a member."""
+    independent = [mask for mask, bit in enumerate(table) if bit and mask]
+    circuits = [mask for mask, bit in enumerate(table)
+                if not bit and all(table[mask ^ (1 << i)] for i in range(mask.bit_length())
+                                   if mask >> i & 1)]
+    return independent, circuits
+
+
+def reference_maximal_members(m: int, members: bytes) -> list[int]:
+    """The members of a byte mask over the subsets of range(m) that no
+    one-larger subset extends, ascending, by a per-subset search."""
+    return [s for s in range(1 << m) if members[s] and all(
+        not members[s | 1 << i] for i in range(m) if not s >> i & 1)]
+
+
 def brute_covering_number(*descriptors: dict) -> int:
     """Fewest sets, each independent in every serialized matroid, that
     partition the shared ground; ground + 1 when some element is a loop.

@@ -12,6 +12,7 @@ import json
 import random
 from collections import Counter
 from types import SimpleNamespace
+from types import SimpleNamespace
 
 import pytest
 
@@ -350,3 +351,40 @@ class TestLatinTransversal:
         squares = list(enumerate_latin_squares(5))
         for square in rng.sample(squares, 25):
             self.check(permuted_square(rng, square))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_target_stops_early_or_finds_the_maximum(self, n):
+        """With a target the result is a partial transversal of at least
+        that size when one exists, and otherwise a maximum one."""
+        rng = random.Random(50 + n)
+        squares = [permuted_square(rng, s) for s in enumerate_latin_squares(n)]
+        for square, target in itertools.product(squares[:12], range(n + 2)):
+            t = latin_transversal(square, target)
+            assert transversal_check(square, t.cells)
+            best = brute_latin_transversal(square)
+            assert len(t) >= target if best >= target else len(t) == best
+
+    def test_target_ends_the_search(self):
+        """The cyclic square of order 4 has no full transversal, so the
+        maximum search must rule one out; brs's target n - 1 = 3 ends the
+        search at the first size-3 transversal, after fewer cell reads."""
+        reads = Counter()
+
+        class CountedRow(tuple):
+            def __getitem__(self, col):
+                reads[self.target] += 1
+                return tuple.__getitem__(self, col)
+
+        def cyclic(target):
+            # latin_transversal reads only n and rows, and LatinSquare would
+            # copy the rows into plain tuples
+            rows = []
+            for r in range(4):
+                row = CountedRow((r + c) % 4 + 1 for c in range(4))
+                row.target = target
+                rows.append(row)
+            return SimpleNamespace(n=4, rows=tuple(rows))
+
+        assert len(latin_transversal(cyclic(None))) == 3
+        assert len(latin_transversal(cyclic(3), 3)) == 3
+        assert reads[3] < reads[None]

@@ -4,11 +4,16 @@ import random
 
 import pytest
 
+from rainbowsets import matroids
 from rainbowsets.core import ColoredFamily, Graph, GroundSet, InstanceError, ResourceCapError
 from rainbowsets.harness import random_matroid
 from rainbowsets.matroids import (
     IndependenceOracle,
+    _cover,
     _intersection_augment,
+    _maximal_members,
+    _meet,
+    _member_masks,
     binary_matroid,
     check_two_cover,
     covering_number,
@@ -29,6 +34,9 @@ from oracles import (
     brute_matroid_intersection_size,
     is_matroid,
     reference_independent,
+    reference_maximal_members,
+    reference_member_queries,
+    reference_member_table,
     reference_ranks,
 )
 
@@ -61,10 +69,10 @@ RANK_CASES = {
     "truncated-binary": lambda: truncate(binary_matroid([0b01, 0b10, 0b11, 0b01, 0]), 1),
     "direct-sum-graphic-binary": lambda: direct_sum(
         graphic_matroid(c3()), binary_matroid([0b01, 0b01, 0, 0b10])),
-    # an oracle built directly from a rank function: at most one of {0, 1},
-    # at most three overall
+    # an oracle built directly from a rank function on subset bitmasks: at
+    # most one of {0, 1}, at most three overall
     "bare-rank-fn": lambda: IndependenceOracle(
-        5, lambda s: min(3, len(s - {0, 1}) + min(1, len(s & {0, 1}))),
+        5, lambda s: min(3, (s & ~0b11).bit_count() + min(1, (s & 0b11).bit_count())),
         {"kind": "truncation", "k": 3,
          "inner": {"kind": "partition", "ground_size": 5, "parts": [[0, 1]], "caps": [1]}}),
 }
@@ -506,3 +514,82 @@ class TestTwoCover:
                 random_matroid(rng, ground), random_matroid(rng, ground)
             )
             assert rep.holds
+
+
+# Member tables beyond RANK_CASES: direct sums (one nested), a truncation of
+# a truncation, and seeded random matroids at grounds 0-10.
+MEMBER_CASES = {
+    "direct-sum-partition-uniform": lambda: direct_sum(
+        partition_matroid(4, [[0, 1], [2]], [1, 1]), uniform_matroid(3, 2)),
+    "direct-sum-nested": lambda: direct_sum(
+        direct_sum(free_matroid(2), graphic_matroid(c3())), truncate(graphic_matroid(k4()), 2)),
+    "direct-sum-empty-left": lambda: direct_sum(free_matroid(0), binary_matroid([1, 2, 3])),
+    "truncated-truncation": lambda: truncate(truncate(graphic_matroid(k4()), 3), 2),
+}
+
+
+def member_oracles() -> list[tuple[str, IndependenceOracle]]:
+    rng = random.Random(19)
+    return ([(name, make()) for name, make in sorted({**RANK_CASES, **MEMBER_CASES}.items())]
+            + [(f"random-{i}", random_matroid(rng, i % 11)) for i in range(200)])
+
+
+class TestMemberTable:
+    def test_tables_match_reference_independence(self):
+        for label, m in member_oracles():
+            assert _member_masks(m) == reference_member_table(m.descriptor, m.ground_size), label
+
+    def test_rank_fn_asked_once_per_independent_set_and_circuit(self):
+        """The deterministic query count: every nonempty independent set and
+        every circuit, counted from the reference table, and nothing else."""
+        for label, m in member_oracles():
+            asked = []
+
+            def counted(s, rank_fn=m._rank_fn):
+                asked.append(s)
+                return rank_fn(s)
+
+            _member_masks(IndependenceOracle(m.ground_size, counted, m.descriptor))
+            independent, circuits = reference_member_queries(
+                reference_member_table(m.descriptor, m.ground_size))
+            assert sorted(asked) == sorted(independent + circuits), label
+
+
+def member_tables(seed: int, count: int):
+    """(ground, byte mask) for seeded random matroids and for meets of
+    seeded random pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        ground = rng.randint(1, 9)
+        m1, m2 = random_matroid(rng, ground), random_matroid(rng, ground)
+        first = _member_masks(m1)
+        yield ground, first
+        yield ground, _meet(first, _member_masks(m2))
+
+
+class TestMaximalMembers:
+    def test_match_per_subset_search(self):
+        for ground, members in member_tables(5, 60):
+            assert _maximal_members(ground, members) == reference_maximal_members(ground, members)
+
+    def test_cover_unchanged_against_per_subset_search(self, monkeypatch):
+        """The same number and witness as _cover with the per-subset search,
+        on single matroids and on meets."""
+        tables = list(member_tables(6, 60))
+        fast = [_cover(ground, members) for ground, members in tables]
+        monkeypatch.setattr(matroids, "_maximal_members", reference_maximal_members)
+        assert fast == [_cover(ground, members) for ground, members in tables]
+
+    def test_covers_leave_the_memo_empty(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            ground = rng.randint(1, 8)
+            m1, m2 = random_matroid(rng, ground), random_matroid(rng, ground)
+            inner = graphic_matroid(k4())
+            nested = direct_sum(truncate(inner, 2), free_matroid(2))
+            covering_number(m1)
+            covering_number(m1, m2)
+            check_two_cover(m2, m1)
+            covering_number(nested)
+            for m in (m1, m2, nested, inner):
+                assert m._cache == {}, m.descriptor
