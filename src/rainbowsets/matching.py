@@ -33,13 +33,15 @@ class EdgeFamily:
     colors: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "colors", tuple(frozenset(int(e) for e in c) for c in self.colors)
-        )
-        for i, c in enumerate(self.colors):
-            for e in c:
-                if not 0 <= e < self.graph.num_edges:
-                    raise InstanceError(f"colors[{i}]: unknown edge id {e}")
+        colors = tuple(frozenset(map(int, c)) for c in self.colors)
+        object.__setattr__(self, "colors", colors)
+        # one fast pass; the class to blame is looked up only when it fails
+        ids = frozenset().union(*colors)
+        if ids and (min(ids) < 0 or max(ids) >= self.graph.num_edges):
+            for i, c in enumerate(colors):
+                for e in c:
+                    if not 0 <= e < self.graph.num_edges:
+                        raise InstanceError(f"colors[{i}]: unknown edge id {e}")
 
     @property
     def num_colors(self) -> int:
@@ -92,91 +94,95 @@ def drisko_statement(n: int, graph_class: str = "bipartite") -> ArrowStatement:
 
 
 class _RainbowSearch:
-    """Branch and bound for a maximum rainbow matching.
+    """Branch and bound for a maximum rainbow matching, on int bitmasks of
+    edge ids.
 
-    Branches on the color class with the fewest compatible edges (edges by
-    id within a class, then the skip branch); prunes with the size of the
-    current partial plus a maximum matching of the remaining classes' union
-    restricted to unused vertices. The skip branch also drops every class
-    whose live edges cover the same vertex pairs as the branch class
-    (orbital branching on the orbit of identical classes).
+    Branches on the color class with the fewest live edges, the edges that
+    share no vertex with the partial (edges by ascending id within a class,
+    then the skip branch); prunes with the size of the partial plus a
+    maximum matching on the distinct vertex pairs of the live edges. The
+    skip branch also drops every class whose live edges cover the same
+    vertex pairs as the branch class (orbital branching on the orbit of
+    identical classes).
     """
 
     def __init__(self, fam: EdgeFamily, target: Optional[int]):
-        self.fam = fam
-        self.g = fam.graph
-        self.masks = [self.g.edge_mask(e) for e in range(self.g.num_edges)]
+        g = fam.graph
         self.target = target
-        sides = find_bipartition(self.g)
-        if sides is not None:
-            left = sides[0]
-            self.left_of = [
-                (u if u in left else v) for u, v in self.g.edges
-            ]
-            self.right_of = [
-                (v if u in left else u) for u, v in self.g.edges
-            ]
-        else:
-            self.left_of = None
         self.best: list[tuple[int, int]] = []
+        self.colors = [sum(map((1).__lshift__, c)) for c in fam.colors]
+        sides = find_bipartition(g)
+        self.bipartite = sides is not None
+        parallel: dict[int, int] = {}  # vertex mask of a pair -> its edge ids
+        for e, (u, v) in enumerate(g.edges):
+            m = 1 << u | 1 << v
+            parallel[m] = parallel.get(m, 0) | 1 << e
+        incident = [0] * g.n
+        # (edge ids, left, right) per distinct vertex pair
+        self.pairs: list[tuple[int, int, int]] = []
+        for m, edges in parallel.items():
+            u, v = (m & -m).bit_length() - 1, m.bit_length() - 1
+            incident[u] |= edges
+            incident[v] |= edges
+            if sides and v in sides[0]:
+                u, v = v, u
+            self.pairs.append((edges, u, v))
+        # choosing edge e kills e and every edge that meets it
+        self.kills = [incident[u] | incident[v] for u, v in g.edges]
 
-    def _matching_bound(self, edge_ids: list[int]) -> int:
-        if not edge_ids:
-            return 0
-        if self.left_of is not None:
+    def _matching_bound(self, union: int) -> int:
+        """The matching number of the vertex pairs of the edges in union."""
+        live = [p for p in self.pairs if p[0] & union]
+        if self.bipartite:
             adj: dict[int, list[int]] = {}
-            seen_pairs: set[tuple[int, int]] = set()
-            for e in edge_ids:
-                pair = (self.left_of[e], self.right_of[e])
-                if pair in seen_pairs:
-                    continue
-                seen_pairs.add(pair)
-                adj.setdefault(pair[0], []).append(pair[1])
+            for _, l, r in live:
+                adj.setdefault(l, []).append(r)
             return len(_kuhn_max_matching(adj, adj.__getitem__))
-        return len(_max_matching_general(edge_ids, [self.masks[e] for e in edge_ids]))
+        return len(_max_matching_general(list(range(len(live))),
+                                         [1 << l | 1 << r for _, l, r in live]))
 
     def run(self) -> list[tuple[int, int]]:
-        compatible = {
-            c: sorted(self.fam.colors[c]) for c in range(self.fam.num_colors)
-        }
-        self._search(0, compatible, [])
+        self._search(0, dict(enumerate(self.colors)), [])
         return self.best
 
     def _done(self) -> bool:
         return self.target is not None and len(self.best) >= self.target
 
-    def _search(self, used: int, compatible: dict[int, list[int]],
+    def _search(self, killed: int, compatible: dict[int, int],
                 chosen: list[tuple[int, int]]):
         if self._done():
             return
-        live = {
-            c: [e for e in edges if not self.masks[e] & used]
-            for c, edges in compatible.items()
-        }
-        live = {c: es for c, es in live.items() if es}
+        keep = ~killed
+        live = {c: m & keep for c, m in compatible.items() if m & keep}
         if len(chosen) > len(self.best):
             self.best = list(chosen)
         if not live:
             return
-        union_edges = sorted({e for es in live.values() for e in es})
-        bound = len(chosen) + min(len(live), self._matching_bound(union_edges))
+        union = 0
+        for m in live.values():
+            union |= m
+        bound = len(chosen) + min(len(live), self._matching_bound(union))
         if bound <= len(self.best):
             return
-        branch_color = min(live, key=lambda c: (len(live[c]), c))
-        rest = {c: es for c, es in live.items() if c != branch_color}
-        for e in live[branch_color]:
+        branch_color = min(live, key=lambda c: (live[c].bit_count(), c))
+        branch = rest = live.pop(branch_color)
+        while rest:
+            e = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
             chosen.append((branch_color, e))
-            self._search(used | self.masks[e], rest, chosen)
+            self._search(killed | self.kills[e], live, chosen)
             chosen.pop()
             if self._done():
                 return
         # A skip-branch solution using a class with the same live vertex
         # pairs maps to a take-branch solution of the same size, so the
-        # skip branch drops every such class.
-        size = len(live[branch_color])
-        pairs = {self.masks[e] for e in live[branch_color]}
-        self._search(used, {c: es for c, es in rest.items() if len(es) != size
-                            or {self.masks[e] for e in es} != pairs}, chosen)
+        # skip branch drops every such class: those that lie inside the
+        # edges of the branch class's pairs and meet each of them.
+        size = branch.bit_count()
+        orbit = [p[0] for p in self.pairs if p[0] & branch]
+        cover = sum(orbit)
+        self._search(killed, {c: m for c, m in live.items() if m.bit_count() != size
+                              or m & ~cover or not all(p & m for p in orbit)}, chosen)
 
 
 def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
@@ -428,7 +434,7 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
     fam = EdgeFamily(g, tuple(sets))
     search = _RainbowSearch(fam, None)
     for i, j in itertools.combinations(range(len(sets)), 2):
-        nu = search._matching_bound(sorted(sets[i] | sets[j]))
+        nu = search._matching_bound(search.colors[i] | search.colors[j])
         if nu < k:
             raise HypothesisViolation(
                 f"matching number of the union of sets {i} and {j} is {nu} < {k}",

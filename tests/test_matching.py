@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -65,6 +66,23 @@ def two_c4_witness() -> EdgeFamily:
                   (4, 5), (5, 6), (6, 7), (7, 4)))
     return EdgeFamily(g, (frozenset({0, 2}), frozenset({1, 3, 4, 6}),
                           frozenset({1, 3, 5, 7})))
+
+
+class TestEdgeFamilyValidation:
+    @pytest.mark.parametrize("colors, message", [
+        (({0}, {1, 7}, {-1}), r"^colors\[1\]: unknown edge id 7$"),
+        (({0}, {-1}, {9}), r"^colors\[1\]: unknown edge id -1$"),
+        (({2}, set(), {3}), r"^colors\[2\]: unknown edge id 3$"),
+    ])
+    def test_first_bad_class_named(self, colors, message):
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(InstanceError, match=message):
+            EdgeFamily(g, colors)
+
+    def test_colors_become_int_sets(self):
+        fam = EdgeFamily(Graph(3, ((0, 1), (1, 2))), ([0, True], (1.0,), ()))
+        assert fam.colors == (frozenset({0, 1}), frozenset({1}), frozenset())
+        assert all(type(e) is int for c in fam.colors for e in c)
 
 
 class TestMaxRainbowMatching:
@@ -227,6 +245,75 @@ class TestOrbitPruning:
         """The bound on k disjoint K5s is a general matching."""
         got, _ = max_rainbow_matching(k5_family(6), target=13)
         assert len(got) == 12
+
+
+@pytest.fixture
+def bound_calls(monkeypatch) -> list:
+    """A list that gets one entry per _RainbowSearch._matching_bound call."""
+    calls = []
+    bound = matching._RainbowSearch._matching_bound
+
+    def counted(self, union):
+        calls.append(1)
+        return bound(self, union)
+
+    monkeypatch.setattr(matching._RainbowSearch, "_matching_bound", counted)
+    return calls
+
+
+def seeded_batch() -> list[tuple[EdgeFamily, int]]:
+    """(family, n) pairs, n the largest class size: 300 random bipartite
+    matching families, then 300 general graphs whose classes draw edges
+    from a few vertex pairs, so parallel edges fall in one class or across
+    classes."""
+    rng = random.Random(20)
+    batch = []
+    for _ in range(300):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 5))]
+        batch.append((random_matching_family(rng, sizes), max(sizes)))
+    for _ in range(300):
+        n = rng.randint(3, 5)
+        pool = [rng.sample(range(n), 2) for _ in range(rng.randint(2, 6))]
+        colors = [[rng.choice(pool) for _ in range(rng.randint(1, 3))]
+                  for _ in range(rng.randint(1, 4))]
+        batch.append((family_from_pairs(n, *colors), max(map(len, colors))))
+    return batch
+
+
+class TestSearchTreePins:
+    """The search visits the same tree as the list-based search it
+    replaced: the same bound calls and the same witnesses."""
+
+    # bound calls of max_rainbow_matching(drisko_sharpness(n), target=n)
+    DRISKO_BOUND_CALLS = {7: 65, 8: 88, 9: 116, 10: 150, 11: 188, 12: 232, 13: 283}
+    # bound calls of max_rainbow_matching(k5_family(k), target=2k+1)
+    K5_BOUND_CALLS = {3: 97, 4: 170}
+    # sha256 of the repr of the batch's assignment list, and its bound calls
+    BATCH_DIGEST = "c707facb47a827bdbcf0d977bcc8c22bdbaac9947b3a806607469d63a7a741f2"
+    BATCH_BOUND_CALLS = 4256
+
+    @pytest.mark.parametrize("n", sorted(DRISKO_WITNESSES))
+    def test_drisko(self, n, bound_calls):
+        _, function = max_rainbow_matching(drisko_sharpness(n), target=n)
+        assert function.assignments == DRISKO_WITNESSES[n]
+        assert len(bound_calls) == self.DRISKO_BOUND_CALLS[n]
+
+    @pytest.mark.parametrize("k", sorted(K5_WITNESSES))
+    def test_k5(self, k, bound_calls):
+        _, function = max_rainbow_matching(k5_family(k), target=2 * k + 1)
+        assert function.assignments == K5_WITNESSES[k]
+        assert len(bound_calls) == self.K5_BOUND_CALLS[k]
+
+    def test_seeded_batch(self, bound_calls):
+        found = []
+        for fam, n in seeded_batch():
+            best = brute_max_rainbow(fam)
+            for target in (None, n, n - 1):
+                _, function = max_rainbow_matching(fam, target=target)
+                assert len(function) == (best if target is None else min(best, target))
+                found.append(function.assignments)
+        digest = hashlib.sha256(repr(found).encode()).hexdigest()
+        assert (digest, len(bound_calls)) == (self.BATCH_DIGEST, self.BATCH_BOUND_CALLS)
 
 
 def bipartite_pairs(fam: EdgeFamily) -> tuple:
