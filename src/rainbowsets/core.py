@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 

@@ -21,7 +21,6 @@ from .core import (
     matching_check,
     _kuhn_max_matching,
     _max_matching_general,
-    _trail,
 )
 
 
@@ -240,129 +239,6 @@ def check_sequence_instance(sigma: SizeSequence, fam: EdgeFamily) -> bool:
 # the repeats theorem
 
 
-def _representation_map(matchings: Sequence[frozenset[int]],
-                        edges: Iterable[int]) -> ChoiceFunction:
-    """Maximum injective map color -> distinct edge with edge in color."""
-    edge_list = sorted(edges)
-    match = _kuhn_max_matching(
-        range(len(matchings)),
-        lambda c: [e for e in edge_list if e in matchings[c]])
-    return ChoiceFunction(tuple((c, e) for e, c in match.items()))
-
-
-def _repeats_exact(g: Graph, matchings: Sequence[frozenset[int]], k: int,
-                   n: int) -> Optional[tuple[Matching, ChoiceFunction]]:
-    """First size-n matching in the union representing >= k colors."""
-    for chosen in _matchings_of_size_in(g, sorted(set().union(*matchings)), n):
-        rep = _representation_map(matchings, chosen)
-        if len(rep) >= k:
-            return Matching(frozenset(chosen)), rep
-    return None
-
-
-def _cycle_components(g: Graph, edge_ids: frozenset[int]
-                      ) -> list[tuple[bool, list[int], list[int]]]:
-    """Components of an edge set with degree <= 2 everywhere.
-
-    Each component is (is_cycle, edges, vertices) in traversal order:
-    edge i joins vertices[i] to vertices[i + 1] (indices mod length for
-    cycles, where the closing vertex is not repeated).
-    """
-    incident: dict[int, list[int]] = {}
-    for e in sorted(edge_ids):
-        for v in g.edges[e]:
-            incident.setdefault(v, []).append(e)
-    for v, es in incident.items():
-        if len(es) > 2:
-            raise InstanceError(f"vertex {v} has degree > 2 in the edge union")
-    remaining = set(edge_ids)
-    comps: list[tuple[bool, list[int], list[int]]] = []
-    while remaining:
-        # open walks must start at a degree-1 endpoint; cycles can start anywhere
-        start = next((v for v in sorted(incident)
-                      if sum(e in remaining for e in incident[v]) == 1),
-                     min(g.edges[min(remaining)]))
-        path, verts = _trail(g, remaining, start)
-        is_cycle = verts[-1] == start and len(path) >= 2
-        if is_cycle:
-            verts.pop()
-        comps.append((is_cycle, path, verts))
-    return comps
-
-
-def _repeats_k2_constructive(g: Graph, matchings: Sequence[frozenset[int]],
-                             n: int) -> Optional[tuple[Matching, ChoiceFunction]]:
-    """The constructive route for k=2: split the union of the last two
-    matchings into cycles, or cut a single spanning cycle with an edge of
-    the first matching. Returns None when the shape falls outside those
-    cases; callers fall back to the exact search."""
-    m1, m2, m3 = matchings
-    union = m2 | m3
-    comps = _cycle_components(g, union)
-    cycles = [(edges, verts) for is_cycle, edges, verts in comps if is_cycle]
-
-    def finish(edge_set: set[int], rep: dict[int, int]
-               ) -> Optional[tuple[Matching, ChoiceFunction]]:
-        if len(edge_set) != n or not matching_check(g, edge_set):
-            return None
-        if len(set(rep.values())) < 2 or any(
-            e not in edge_set or e not in matchings[c] for c, e in rep.items()
-        ):
-            return None
-        return Matching(frozenset(edge_set)), ChoiceFunction(tuple(rep.items()))
-
-    if len(cycles) >= 2:
-        c1, c2 = cycles[0][0], cycles[1][0]
-        take = (m2 - set(c2)) | (m3 & set(c2))
-        rep = {1: min(m2 & set(c1)), 2: min(m3 & set(c2))}
-        return finish(set(take), rep)
-
-    if len(cycles) == 1 and len(cycles[0][0]) == len(union):
-        cyc, verts = cycles[0]
-        length = len(cyc)
-        e1 = min(m1)
-        u, v = g.edges[e1]
-        on_cycle = [verts.index(x) for x in (u, v) if x in verts]
-        if len(on_cycle) == 0:
-            drop = max(m2)
-            take = {e1} | (m2 - {drop})
-            return finish(set(take), {0: e1, 1: min(m2 - {drop})})
-        if len(on_cycle) == 1:
-            pos = on_cycle[0]
-            hit = verts[pos]
-            conflict = [e for e in m2 if hit in g.edges[e]]
-            take = {e1} | (m2 - set(conflict))
-            rest = m2 - set(conflict)
-            if not rest:
-                return None
-            return finish(set(take), {0: e1, 1: min(rest)})
-        a, b = sorted(on_cycle)
-        d = b - a
-        if d % 2 == 0:
-            return None  # non-bipartite chord; outside the constructive case
-        take = {e1}
-        for t in range((d - 1) // 2):
-            take.add(cyc[(a + 1 + 2 * t) % length])
-        for t in range((length - d - 1) // 2):
-            take.add(cyc[(b + 1 + 2 * t) % length])
-        others = sorted(take - {e1})
-        if not others:
-            return None
-        o = others[0]
-        rep = {0: e1, (1 if o in m2 else 2): o}
-        return finish(set(take), rep)
-
-    # mixed shapes: flip one balanced component of the union to the second
-    # color if that keeps the size and both colors represented
-    comp_sets = [set(edges) for _, edges, _ in comps]
-    for comp in comp_sets:
-        s2, s3 = m2 & comp, m3 & comp
-        if len(s2) == len(s3) and s3 and (m2 - comp):
-            take = (m2 - comp) | s3
-            return finish(set(take), {1: min(m2 - comp), 2: min(s3)})
-    return None
-
-
 def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
                      n: int) -> tuple[Matching, ChoiceFunction]:
     """A size-n matching inside the union of 2k-1 matchings, injectively
@@ -390,16 +266,13 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
                 f"matching {i} has size {len(m)} < required {need}", witness=i
             )
 
-    if k == 1:
-        take = sorted(sets[0])[:n]
-        return Matching(frozenset(take)), ChoiceFunction(((0, take[0]),))
-
-    result = None
-    if k == 2:
-        result = _repeats_k2_constructive(g, sets, n)
-    if result is None:
-        result = _repeats_exact(g, sets, k, n)
-    if result is None:
+    # n - k wildcard copies of the union: a size-n rainbow matching gives at
+    # least k of the real matchings distinct edges, and a size-n matching
+    # representing k of them sends its other n - k edges to the wildcards
+    union = frozenset().union(*sets)
+    matching, function = max_rainbow_matching(
+        EdgeFamily(g, tuple(sets) + (union,) * (n - k)), target=n)
+    if len(matching) < n:
         if find_bipartition(g) is None:
             raise HypothesisViolation(
                 "graph is not bipartite, and no size-%d matching representing "
@@ -409,7 +282,8 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
             "no size-%d matching representing %d of the matchings exists; "
             "this contradicts the repeats theorem" % (n, k)
         )
-    return result
+    return matching, ChoiceFunction(tuple(
+        (c, e) for c, e in function.assignments if c < len(sets)))
 
 
 # ---------------------------------------------------------------------------

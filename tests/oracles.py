@@ -100,6 +100,23 @@ def brute_family_matching(sets: list[frozenset[int]]) -> int:
     return rec(0, frozenset())
 
 
+def brute_repeats(g: Graph, matchings, k: int, n: int) -> bool:
+    """Does some size-n matching inside the union of the matchings give at
+    least k of them distinct edges? Tries every size-n edge subset of the
+    union, and every injective representation of each matching one."""
+    sets = [frozenset(m) for m in matchings]
+    for chosen in itertools.combinations(sorted(frozenset().union(*sets)), n):
+        used = 0
+        for e in chosen:
+            if used & g.edge_mask(e):
+                break
+            used |= g.edge_mask(e)
+        else:
+            if brute_family_matching([m & frozenset(chosen) for m in sets]) >= k:
+                return True
+    return False
+
+
 def brute_full_independent_choice(sets: list[frozenset[int]], matroid) -> bool:
     """Does a full injective choice function with independent image exist
     (Rado)?"""

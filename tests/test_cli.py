@@ -178,6 +178,41 @@ class TestSweepParams:
             assert tag in out
 
 
+class TestSweepReports:
+    """Sweeps run through cli.main to their final report."""
+
+    def test_coercive_244_counterexample_exits_3(self, capsys):
+        code = cli.main(["sweep", "--conjecture", "coercive-244"])
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_COUNTEREXAMPLE == 3
+        assert report["verdict"] == "counterexample"
+        assert [len(c) for c in report["counterexample"]["colors"]] == [2, 4, 4]
+        assert report["detail"]["single_cycle_instances"] == 624
+
+    def test_cap_exits_4(self, capsys):
+        code = cli.main(["sweep", "--conjecture", "drisko", "--params", "n=3",
+                         "instances=5", "--cap", "2"])
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_CAP == 4
+        assert report["verdict"] == "cap-exhausted"
+        assert report["instances_tested"] == 2
+
+    def test_pretty_indents_only_the_report(self, capsys):
+        code = cli.main(["sweep", "--conjecture", "drisko", "--params", "n=3",
+                         "instances=5", "--cap", "2", "--pretty"])
+        out = capsys.readouterr().out
+        # the compact record lines come first, then the indented report
+        start = out.index("{\n")
+        records = out[:start].splitlines()
+        assert code == 4 and len(records) == 3  # the header and two instances
+        for line in records:
+            assert json.dumps(json.loads(line), sort_keys=True,
+                              separators=(",", ":")) == line
+        report = out[start:]
+        assert report.count("\n") > 2
+        assert json.loads(report)["instances_tested"] == 2
+
+
 class TestOneParse:
     """The parser is built once per process, and each structured instance
     field is parsed into its object once per call."""

@@ -9,6 +9,7 @@ from rainbowsets.core import (
     HypothesisViolation,
     InstanceError,
     TheoremViolation,
+    find_bipartition,
     is_rainbow,
     matching_check,
 )
@@ -32,6 +33,7 @@ from rainbowsets.matching import (
 
 from oracles import (
     brute_max_rainbow,
+    brute_repeats,
     first_seen_bipartite_families,
     first_seen_cycle_families,
     naive_bipartite_canonical,
@@ -48,6 +50,25 @@ def family_from_pairs(n, *color_pairs) -> EdgeFamily:
             edges.append(tuple(uv))
         colors.append(frozenset(ids))
     return EdgeFamily(Graph(n, tuple(edges)), tuple(colors))
+
+
+def random_matchings(rng, v, sizes):
+    """Random matchings of the given sizes on v vertices, in a graph that
+    need not be bipartite; a pair already drawn is reused as the same edge
+    half the time and otherwise becomes a parallel edge."""
+    edges: list[tuple[int, int]] = []
+    ms = []
+    for size in sizes:
+        ends = rng.sample(range(v), 2 * size)
+        m = []
+        for pair in zip(ends[::2], ends[1::2]):
+            if pair in edges and rng.random() < 0.5:
+                m.append(edges.index(pair))
+            else:
+                edges.append(pair)
+                m.append(len(edges) - 1)
+        ms.append(frozenset(m))
+    return Graph(v, tuple(edges)), ms
 
 
 def eight_vertex_example() -> EdgeFamily:
@@ -442,8 +463,10 @@ class TestRepeats:
         for c, e in rep.assignments:
             assert e in (m1, m2, m3)[c] and e in matching.edges
 
-    # One instance per reachable exit of the k=2 constructive route, with the
-    # exact witness: (vertices, edges, matchings, n, matching, assignments).
+    # Seven k=2 shapes of the union (two cycles, a spanning cycle cut by the
+    # first matching, a mixed union, none of these), each with the exact
+    # branch-and-bound witness: (vertices, edges, matchings, n, matching,
+    # assignments).
     @pytest.mark.parametrize("nv, edges, ms, n, want_edges, want_rep", [
         pytest.param(4, [(2, 1), (1, 3), (2, 0), (2, 0), (3, 1)], [[0], [1, 2], [3, 4]], 2,
                      [1, 3], ((1, 1), (2, 3)), id="two-cycles"),
@@ -458,7 +481,7 @@ class TestRepeats:
         pytest.param(5, [(4, 2), (1, 3), (2, 1), (4, 3), (2, 4)], [[0, 1], [2, 3], [1, 4]], 2,
                      [0, 1], ((0, 0), (2, 1)), id="spanning-cycle-odd-chord"),
         pytest.param(9, [(7, 0), (5, 8), (2, 1), (7, 6)], [[0], [1, 2], [2, 3]], 2,
-                     [1, 2], ((1, 1), (2, 2)), id="mixed-flip-component"),
+                     [0, 2], ((0, 0), (2, 2)), id="mixed-flip-component"),
         pytest.param(6, [(2, 3), (4, 2), (3, 1), (2, 0), (4, 3)], [[0], [1, 2], [3, 4]], 2,
                      [2, 3], ((1, 2), (2, 3)), id="no-shape-exact"),
     ])
@@ -491,7 +514,7 @@ class TestRepeats:
                 g, [frozenset({0}), frozenset({1}), frozenset({2, 3})], 2, 2
             )
 
-    def test_random_instances_and_constructive_agreement(self):
+    def test_random_full_size_instances_give_valid_witnesses(self):
         rng = random.Random(23)
         for _ in range(60):
             k = rng.choice([2, 3])
@@ -506,6 +529,40 @@ class TestRepeats:
             for c, e in rep.assignments:
                 assert e in fam.colors[c]
 
+    def test_agrees_with_brute_force(self):
+        """Seeded instances for k = 1..4 on bipartite and general graphs,
+        with full sizes and with the staircase min(i, k-1) below the k-th
+        matching: a valid witness exactly when brute force finds one, and
+        otherwise a HypothesisViolation on a non-bipartite graph."""
+        rng = random.Random(41)
+        outcomes = set()
+        for i in range(400):
+            k = rng.randint(1, 4)
+            bipartite, staircase = i % 4 < 2, i % 2 == 1
+            v = 0 if bipartite else rng.randint(2 * k, 8)
+            n = rng.randint(k, 4 if bipartite else v // 2)
+            sizes = [min(j + 1, k - 1) if staircase and j < k - 1 else n
+                     for j in range(2 * k - 1)]
+            if bipartite:
+                fam = random_matching_family(rng, sizes)
+                g, ms = fam.graph, list(fam.colors)
+            else:
+                g, ms = random_matchings(rng, v, sizes)
+            if brute_repeats(g, ms, k, n):
+                matching, rep = repeats_matching(g, ms, k, n)
+                assert len(matching) == n and matching_check(g, matching.edges)
+                values = [e for _, e in rep.assignments]
+                assert len(rep) >= k and len(set(values)) == len(values)
+                for c, e in rep.assignments:
+                    assert e in ms[c] and e in matching.edges
+                outcomes.add(("witness", k))
+            else:
+                assert find_bipartition(g) is None
+                with pytest.raises(HypothesisViolation, match="not bipartite"):
+                    repeats_matching(g, ms, k, n)
+                outcomes.add(("not-bipartite", k))
+        assert {("witness", k) for k in range(1, 5)} <= outcomes
+        assert any(kind == "not-bipartite" for kind, _ in outcomes)
 
     def test_non_bipartite_failure_is_a_hypothesis_violation(self):
         """The theorem covers bipartite graphs; on this triangle-bearing
@@ -523,19 +580,7 @@ class TestRepeats:
         for _ in range(300):
             v = rng.randint(4, 8)
             n = rng.randint(2, v // 2)
-            edges: list[tuple[int, int]] = []
-            ms = []
-            for size in (1, n, n):
-                ends = rng.sample(range(v), 2 * size)
-                m = []
-                for pair in zip(ends[::2], ends[1::2]):
-                    if pair in edges and rng.random() < 0.5:
-                        m.append(edges.index(pair))
-                    else:
-                        edges.append(pair)
-                        m.append(len(edges) - 1)
-                ms.append(frozenset(m))
-            g = Graph(v, tuple(edges))
+            g, ms = random_matchings(rng, v, (1, n, n))
             try:
                 matching, rep = repeats_matching(g, ms, 2, n)
             except HypothesisViolation:
