@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 
@@ -238,6 +239,9 @@ class TestRankAndSpan:
                         <= m.rank(a) + m.rank(b))
 
 
+PINNED_INTERSECTIONS = "87046395b2c9307757b1fd8285b36cd1261d01102cb21262f6be400c84869e45"
+
+
 class TestIntersection:
     def test_uniform_pair(self):
         u = uniform_matroid(3, 2)
@@ -319,6 +323,24 @@ class TestIntersection:
                 common, _ = _intersection_augment(counted(m1), counted(m2))
                 augmentations += len(common)
         assert (searches[0] // 2, augmentations, tests[0]) == (240, 160, 2082)
+
+    def test_results_pinned_at_parent(self):
+        # sha256 of the (common, reachable) pairs on a seeded batch, recorded
+        # before the length-1 augmentations were taken by a scan: the BFS
+        # would take the same element, so nothing here may move
+        rng = random.Random(59)
+        results = []
+        for _ in range(400):
+            ground = rng.randint(1, 9)
+            results.append(_intersection_augment(random_matroid(rng, ground),
+                                                 random_matroid(rng, ground)))
+        for _ in range(60):
+            for m in (binary_matroid(random_binary_columns(rng)),
+                      random_matroid(rng, rng.randint(1, 9))):
+                _, colors, lifted = _rado_lifts(random_family(rng, m.ground_size), m)
+                results.append(_intersection_augment(colors, lifted))
+        pairs = repr([(sorted(common), sorted(reach)) for common, reach in results])
+        assert hashlib.sha256(pairs.encode()).hexdigest() == PINNED_INTERSECTIONS
 
 
 def random_binary_columns(rng: random.Random) -> list[int]:
