@@ -305,13 +305,29 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     m.exchange(I): sources are the y with I + y independent in m1, sinks
     those with I + y independent in m2, and the arcs are x -> y when
     I - x + y is independent in m1 and y -> x when it is in m2.
+
+    A length-1 path is the smallest source that is also a sink, and the
+    BFS would take it first. So before each BFS an ascending scan from a
+    cursor adds the first y outside I with I + y independent in both, and
+    moves the cursor past it. Every element below the cursor is in I or
+    was rejected; while I only grows it stays rejected, since a superset
+    of a dependent set is dependent. The BFS runs only when the scan
+    reaches the end of the ground, and the cursor goes back to 0 after
+    each longer path, which removes elements from I.
     """
     if m1.ground_size != m2.ground_size:
         raise InstanceError("matroid intersection needs a shared ground set")
     m = m1.ground_size
     current: set[int] = set()
+    cursor = 0
     while True:
         ok1, ok2 = m1.exchange(current), m2.exchange(current)
+        y = next((y for y in range(cursor, m)
+                  if y not in current and ok1(None, y) and ok2(None, y)), None)
+        if y is not None:
+            current.add(y)
+            cursor = y + 1
+            continue
         inside = sorted(current)
         outside = [y for y in range(m) if y not in current]
         sinks = {y for y in outside if ok2(None, y)}
@@ -337,6 +353,7 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
                 break
         if found is None:
             return frozenset(current), frozenset(parent)
+        cursor = 0
         while found is not None:
             current ^= {found}
             found = parent[found]

@@ -133,6 +133,24 @@ class TestSelfChecks:
         assert payload["status"] == "theorem-violation"
         assert "not deficient" in payload["error"]
 
+    @pytest.mark.parametrize("k, common, reachable, error", [
+        # both incidences, whose elements are parallel in U(1, 2)
+        pytest.param(1, range, lambda m: (), "not independent", id="dependent-image"),
+        # no incidence chosen and all reachable, so both colors look
+        # deficient, though U(2, 2) is free
+        pytest.param(2, lambda m: (), range, "not rank-deficient", id="rich-violator"),
+    ])
+    def test_wrong_rado_intersection_exits_5(self, tmp_path, capsys, monkeypatch,
+                                             k, common, reachable, error):
+        monkeypatch.setattr(transversals, "_intersection_augment", lambda m1, m2: (
+            frozenset(common(m1.ground_size)), frozenset(reachable(m1.ground_size))))
+        code, payload = run_cli(tmp_path, capsys, ["rado"], {
+            "ground_size": 2, "colors": [[0], [1]],
+            "matroid": {"kind": "uniform", "ground_size": 2, "k": k}})
+        assert code == cli.EXIT_THEOREM == 5
+        assert payload["status"] == "theorem-violation"
+        assert error in payload["error"]
+
 
 class TestSweepParams:
     @pytest.mark.parametrize("tag, params, name", [

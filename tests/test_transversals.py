@@ -15,6 +15,7 @@ from rainbowsets.core import (
 )
 from rainbowsets._gf2 import gf2_rank
 from rainbowsets.matroids import (
+    IndependenceOracle,
     binary_matroid,
     free_matroid,
     graphic_matroid,
@@ -42,15 +43,20 @@ def all_families(ground: int, colors: int):
         yield fam(ground, *combo)
 
 
-def deficient_binary_family(rng: random.Random, k: int) -> tuple[list[int], list[set[int]]]:
+def full_binary_family(rng: random.Random, k: int) -> tuple[list[int], list[set[int]]]:
     """k color classes over GF(2) columns with k+4 rows. Each class holds
-    one planted column (the planted ones are independent) and two random
-    ones, except five classes that draw three columns each from a subspace
-    of rank 4, so no full rainbow choice has an independent image."""
-    bits = k + 4
+    one planted column (the planted ones are independent, so a full rainbow
+    choice has an independent image) and two random ones."""
     cols = [1 << i | rng.getrandbits(i) for i in range(k)]
-    cols += [rng.getrandbits(bits) | 1 for _ in range(k)]
-    sets = [{c, *rng.sample(range(k, 2 * k), 2)} for c in range(k)]
+    cols += [rng.getrandbits(k + 4) | 1 for _ in range(k)]
+    return cols, [{c, *rng.sample(range(k, 2 * k), 2)} for c in range(k)]
+
+
+def deficient_binary_family(rng: random.Random, k: int) -> tuple[list[int], list[set[int]]]:
+    """full_binary_family, except that five classes draw three columns each
+    from a subspace of rank 4, so no full rainbow choice has an independent
+    image."""
+    cols, sets = full_binary_family(rng, k)
     sub = [1 << i | rng.getrandbits(i) for i in range(4)]
     for c in rng.sample(range(k), 5):
         sets[c] = set()
@@ -222,6 +228,30 @@ class TestRado:
         fam = ColoredFamily(GroundSet(len(cols)), tuple(map(frozenset, sets)))
         assert isinstance(rado_rainbow(fam, binary_matroid(cols)), Violator)
         assert len(calls) < 4341 // 100, len(calls)
+
+    def test_binary_rado_exchange_tests_scale_with_augmentations(self, monkeypatch):
+        # every augmentation on this family has length 1; asking every
+        # element outside I whether it is a source and a sink before each
+        # of the 200 made 201,000 exchange tests, where an ascending scan
+        # that goes on from the last element it took makes 1,600
+        calls = [0]
+
+        class Counted(IndependenceOracle):
+            def exchange(self, independent):
+                ok = super().exchange(independent)
+
+                def counted(x, y):
+                    calls[0] += 1
+                    return ok(x, y)
+
+                return counted
+
+        monkeypatch.setattr(transversals, "IndependenceOracle", Counted)
+        cols, sets = full_binary_family(random.Random(17), 200)
+        fam = ColoredFamily(GroundSet(len(cols)), tuple(map(frozenset, sets)))
+        out = rado_rainbow(fam, binary_matroid(cols))
+        assert isinstance(out, ChoiceFunction) and len(out.assignments) == 200
+        assert calls[0] < 201_000 // 50, calls[0]
 
     def test_empty_color_class(self):
         out = rado_rainbow(fam(2, frozenset(), {0, 1}), free_matroid(2))
