@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ from rainbowsets.core import (
     HypothesisViolation,
     InstanceError,
     Network,
+    TheoremViolation,
     WeightMap,
     matching_check,
 )
@@ -36,6 +38,7 @@ from rainbowsets.networks import (
 from oracles import brute_nu_p, brute_union_bounds, brute_weighted_rainbow_path_feasible
 
 DATA = Path(__file__).parent / "data"
+PINNED_PATHS = "3226d336b8a4b96f678a0a0c0c7573dd47664bfaa03576432471bc6d753a3a19"
 
 
 def net_sxt() -> Network:
@@ -250,6 +253,31 @@ class TestNuP:
             for t in net.targets:
                 d.add_edge(("out", t), "T", capacity=1)
             assert nu_p(net, subset)[0] == nx.maximum_flow_value(d, "S", "T")
+
+    def test_results_pinned_at_parent(self):
+        # sha256 of the repr of every result on a seeded batch, recorded while
+        # the witness paths were still read through the counting-lemma layer:
+        # 3,000 nu_p calls, then 300 rainbow_disjoint_paths calls, a quarter
+        # of them with one family short an edge (for the calls that raise,
+        # the exception type and message)
+        rng = random.Random(61)
+        results = []
+        for _ in range(3000):
+            net = random_network(rng, rng.randint(0, 8), rng.randint(1, 3),
+                                 rng.randint(1, 3), rng.randint(0, 40))
+            subset = [e for e in range(net.num_edges) if rng.random() < 0.8]
+            results.append(nu_p(net, subset))
+        for _ in range(300):
+            p = rng.randint(1, 2)
+            net, fams = build_disjoint_path_instance(rng, p, rng.randint(0, 3))
+            if rng.random() < 0.25:
+                i = rng.randrange(len(fams))
+                fams[i] = fams[i] - {rng.choice(sorted(fams[i]))}
+            try:
+                results.append(rainbow_disjoint_paths(net, fams, p))
+            except (HypothesisViolation, TheoremViolation) as err:
+                results.append((type(err).__name__, str(err)))
+        assert hashlib.sha256(repr(results).encode()).hexdigest() == PINNED_PATHS
 
 
 def build_disjoint_path_instance(rng: random.Random, p: int, q: int):
