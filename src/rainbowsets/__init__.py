@@ -55,18 +55,12 @@ from .matroids import (
 )
 from .networks import (
     BipartifiedNetwork,
-    LinearishArborescence,
     PathEnforcer,
     TowerPair,
     bipartify,
     build_towers,
-    check_counting_claim,
-    classify,
-    enforcer_always_has_path,
     enforcer_union_bounds,
     nu_p,
-    phi,
-    psi,
     rainbow_disjoint_paths,
     rainbow_path_weighted,
     scrambled_rainbow_path,

@@ -1,11 +1,9 @@
-"""Network machinery: the bipartite double of a network, linearish
-arborescences and their counting identity, vertex-disjoint path packing,
-rainbow disjoint-path systems, the weighted rainbow-path tree algorithm,
-and the towers/path-enforcer route to scrambled rainbow paths."""
+"""Network machinery: the bipartite double of a network, vertex-disjoint
+path packing, rainbow disjoint-path systems, the weighted rainbow-path tree
+algorithm, and the towers/path-enforcer route to scrambled rainbow paths."""
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -16,102 +14,11 @@ from .core import (
     HypothesisViolation,
     InstanceError,
     Network,
-    ResourceCapError,
     TheoremViolation,
     WeightMap,
     _kuhn_max_matching,
 )
 from .matching import EdgeFamily, max_rainbow_matching, validate_scrambling
-
-
-# ---------------------------------------------------------------------------
-# linearish arborescences
-
-
-@dataclass(frozen=True)
-class LinearishArborescence:
-    """A sub-digraph in which every vertex has in- and out-degree at most
-    one; it decomposes uniquely into directed paths and cycles."""
-
-    network: Network
-    edges: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(int(e) for e in self.edges))
-        outdeg: Counter = Counter()
-        indeg: Counter = Counter()
-        for e in self.edges:
-            if not 0 <= e < self.network.num_edges:
-                raise InstanceError(f"unknown edge id {e}")
-            u, v = self.network.edges[e]
-            outdeg[u] += 1
-            indeg[v] += 1
-        for v, d in outdeg.items():
-            if d > 1:
-                raise InstanceError(f"vertex {v} has out-degree {d} > 1")
-        for v, d in indeg.items():
-            if d > 1:
-                raise InstanceError(f"vertex {v} has in-degree {d} > 1")
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            u, v = self.network.edges[e]
-            out.add(u)
-            out.add(v)
-        return frozenset(out)
-
-
-@dataclass(frozen=True)
-class ComponentClassification:
-    """The path/cycle decomposition of a linearish arborescence, with paths
-    split by whether they start in S and/or end in T."""
-
-    cycles: tuple[tuple[int, ...], ...]
-    st_paths: tuple[tuple[int, ...], ...]
-    s_only_paths: tuple[tuple[int, ...], ...]
-    t_only_paths: tuple[tuple[int, ...], ...]
-    free_paths: tuple[tuple[int, ...], ...]
-
-
-def _follow(step: dict[int, tuple[int, int]], cur: int) -> tuple[int, ...]:
-    """The edges met walking from cur by step[v] = (edge, next vertex), each
-    step popped as it is taken, until the current vertex has no step."""
-    edges: list[int] = []
-    while cur in step:
-        e, cur = step.pop(cur)
-        edges.append(e)
-    return tuple(edges)
-
-
-def classify(arb: LinearishArborescence) -> ComponentClassification:
-    """Decompose into directed paths and cycles and classify the paths."""
-    net = arb.network
-    step = {net.edges[e][0]: (e, net.edges[e][1]) for e in arb.edges}
-    heads = {net.edges[e][1] for e in arb.edges}
-    paths = [_follow(step, v) for v in sorted(set(step) - heads)]
-    cycles: list[tuple[int, ...]] = []
-    while step:
-        e0 = min(e for e, _ in step.values())
-        cycles.append(_follow(step, net.edges[e0][0]))
-    st, s_only, t_only, free = [], [], [], []
-    for path in paths:
-        first = net.edges[path[0]][0]
-        last = net.edges[path[-1]][1]
-        from_s = first in net.sources
-        to_t = last in net.targets
-        if from_s and to_t:
-            st.append(path)
-        elif from_s:
-            s_only.append(path)
-        elif to_t:
-            t_only.append(path)
-        else:
-            free.append(path)
-    return ComponentClassification(
-        tuple(cycles), tuple(st), tuple(s_only), tuple(t_only), tuple(free)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,42 +62,18 @@ def bipartify(net: Network) -> BipartifiedNetwork:
     return BipartifiedNetwork(net, g, tuple(w_pairs))
 
 
-def phi(bn: BipartifiedNetwork, arb: LinearishArborescence) -> frozenset[int]:
-    """The matching {x'y'' : xy in L} + {x'x'' : inner x not in V(L)}."""
-    if arb.network is not bn.network and arb.network != bn.network:
-        raise InstanceError("arborescence belongs to a different network")
-    covered = arb.vertices
-    out = set(arb.edges)
-    for x, b in bn.w_edge_of:
-        if x not in covered:
-            out.add(b)
-    return frozenset(out)
-
-
-def psi(bn: BipartifiedNetwork, b_matching: Iterable[int]) -> frozenset[int]:
-    """The network edges of the non-W part of a matching in B(N)."""
-    ids = frozenset(int(b) for b in b_matching)
-    for b in ids:
-        if not 0 <= b < bn.graph.num_edges:
-            raise InstanceError(f"unknown B-edge id {b}")
-    return ids - bn.w_edges
-
-
-def check_counting_claim(net: Network, arb: LinearishArborescence) -> bool:
-    """|L_ST| = |phi(L)| - |inner| + |free path components|.
-
-    Cycle components cancel exactly and are not part of the correction
-    term; only the paths touching neither S nor T are.
-    """
-    bn = bipartify(net)
-    cls = classify(arb)
-    lhs = len(cls.st_paths)
-    rhs = len(phi(bn, arb)) - len(net.inner) + len(cls.free_paths)
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # vertex-disjoint path packing
+
+
+def _follow(step: dict[int, tuple[int, int]], cur: int) -> tuple[int, ...]:
+    """The edges met walking from cur by step[v] = (edge, next vertex), each
+    step popped as it is taken, until the current vertex has no step."""
+    edges: list[int] = []
+    while cur in step:
+        e, cur = step.pop(cur)
+        edges.append(e)
+    return tuple(edges)
 
 
 def nu_p(net: Network, edge_ids: Iterable[int]
@@ -201,9 +84,12 @@ def nu_p(net: Network, edge_ids: Iterable[int]
     nu^P(F) = nu(B_F) - |inner|, where B_F is B(N) restricted to the images
     of F plus W. The matching is Kuhn's over the sending vertices in
     ascending order, each trying its B-edges by ascending id (of parallel
-    B-edges only the lowest). A maximum matching's psi image has no free
-    paths, so by the counting identity its S-T paths are nu^P disjoint
-    paths; they are the witness, ordered by their source vertex.
+    B-edges only the lowest). Each matched B-edge below m is a network
+    edge (u, v), a step from u to v; a source has no in-edge, so the walks
+    from the sources in ascending order that end in T are vertex-disjoint
+    S-T paths. By the counting identity a maximum matching's network
+    edges form no path that touches neither S nor T, so there are nu^P of
+    them: the witness.
     """
     return _path_packing(bipartify(net), edge_ids)
 
@@ -223,8 +109,14 @@ def _path_packing(bn: BipartifiedNetwork, edge_ids: Iterable[int]
     for u, v in lowest:
         adj.setdefault(u, []).append(v)
     match = _kuhn_max_matching(range(len(bn.graph.bipartition[0])), lambda u: adj.get(u, ()))
-    arb = LinearishArborescence(net, psi(bn, (lowest[u, v] for v, u in match.items())))
-    value, paths = len(match) - len(net.inner), classify(arb).st_paths
+    step: dict[int, tuple[int, int]] = {}
+    for v, u in match.items():
+        e = lowest[u, v]
+        if e < net.num_edges:
+            step[net.edges[e][0]] = (e, net.edges[e][1])
+    walks = (_follow(step, s) for s in sorted(net.sources))
+    paths = tuple(w for w in walks if w and net.edges[w[-1]][1] in net.targets)
+    value = len(match) - len(net.inner)
     if len(paths) != value:
         raise TheoremViolation(f"a maximum B(N) matching gives {len(paths)} S-T paths, "
                                f"not nu^P = {value}")
@@ -250,11 +142,12 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
     """From 2p-1+q edge sets each packing p vertex-disjoint S-T paths
     (q = number of inner vertices), extract a rainbow set doing the same.
 
-    Each family is reduced to a witness sub-digraph of p disjoint paths,
-    pushed through the bipartite double, and a staircase rainbow-matching
-    run over q wildcard copies of W followed by the family images yields
-    the rainbow set; edges picked under a wildcard color or landing on W
-    are discarded, which the counting identity absorbs.
+    Each family is reduced to p of its witness paths, whose B(N) image is
+    their edges plus the W edge of every inner vertex they miss, and a
+    staircase rainbow-matching run over q wildcard copies of W followed by
+    the family images yields the rainbow set; edges picked under a
+    wildcard color or landing on W are discarded, which the counting
+    identity absorbs.
     """
     if p < 1:
         raise HypothesisViolation(f"need p >= 1, got {p}")
@@ -273,24 +166,21 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
             raise HypothesisViolation(
                 f"family {i} packs only {value} < {p} disjoint paths", witness=i
             )
-        arb = LinearishArborescence(
-            net, frozenset(e for path in witness[:p] for e in path)
-        )
-        image = phi(bn, arb)
+        path_edges = [e for path in witness[:p] for e in path]
+        covered = {v for e in path_edges for v in net.edges[e]}
+        image = frozenset(path_edges + [b for x, b in bn.w_edge_of if x not in covered])
         if len(image) != p + q:
             raise TheoremViolation(f"family {i} maps to {len(image)} B(N) edges, not {p + q}")
         images.append(image)
 
-    w_class = frozenset(bn.w_edges)
-    colors = tuple([w_class] * q + images)
-    fam = EdgeFamily(bn.graph, colors)
+    w = bn.w_edges
+    fam = EdgeFamily(bn.graph, tuple([w] * q + images))
     matching, function = max_rainbow_matching(fam, target=p + q)
     if len(matching) < p + q:
         raise TheoremViolation(
             "staircase rainbow matching of size %d not found in B(N)" % (p + q)
         )
     picked: list[tuple[int, int]] = []
-    w = bn.w_edges
     for color, b_edge in function.assignments:
         if color < q or b_edge in w:
             continue  # wildcard color, or a family color spent on a W edge
@@ -537,24 +427,6 @@ def enforcer_union_bounds(enforcer: PathEnforcer, n: int,
     adj = [[r for e in sorted(s) for r in copies[e]] for s in enforcer.sets]
     match = _kuhn_max_matching(range(n * k), lambda u: adj[u // n])
     return len(match) >= n * (k - 1) + 1
-
-
-def enforcer_always_has_path(net: Network, enforcer: PathEnforcer,
-                             cap: int = 10**5) -> bool:
-    """Brute-force check that every full choice function contains an s-t
-    path; feasible only while the product of the set sizes is small."""
-    s, t = net.single_terminals()
-    product = 1
-    for k in enforcer.sets:
-        product *= max(1, len(k))
-    if product > cap:
-        raise ResourceCapError(
-            f"enforcer choice space of size {product} exceeds the cap {cap}"
-        )
-    for combo in itertools.product(*(sorted(k) for k in enforcer.sets)):
-        if t not in _reach(net, combo, s):
-            return False
-    return True
 
 
 def _reach(net: Network, edge_ids: Iterable[int], s: int) -> dict[int, tuple[int, int]]:

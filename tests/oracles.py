@@ -1,16 +1,23 @@
 """Independent brute-force oracles used to pin expected values in tests.
 
 Everything here recomputes answers by exhaustive enumeration, staying off
-the code paths it is used to check.
+the code paths it is used to check. The one exception is the counting-lemma
+layer of the path-packing proof (linearish arborescences, their
+classification and the maps phi and psi into the bipartite double), which
+the tests check against the lemma itself.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable
 
-from rainbowsets.core import Graph, Network
+from rainbowsets.core import Graph, InstanceError, Network, ResourceCapError
 from rainbowsets.matching import EdgeFamily
+from rainbowsets.networks import BipartifiedNetwork, PathEnforcer, _follow, bipartify
 
 
 def brute_max_matching(g: Graph) -> int:
@@ -398,6 +405,143 @@ def brute_nu_p(net: Network, edge_ids) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+@dataclass(frozen=True)
+class LinearishArborescence:
+    """A sub-digraph in which every vertex has in- and out-degree at most
+    one; it decomposes uniquely into directed paths and cycles."""
+
+    network: Network
+    edges: frozenset[int]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", frozenset(int(e) for e in self.edges))
+        outdeg: Counter = Counter()
+        indeg: Counter = Counter()
+        for e in self.edges:
+            if not 0 <= e < self.network.num_edges:
+                raise InstanceError(f"unknown edge id {e}")
+            u, v = self.network.edges[e]
+            outdeg[u] += 1
+            indeg[v] += 1
+        for v, d in outdeg.items():
+            if d > 1:
+                raise InstanceError(f"vertex {v} has out-degree {d} > 1")
+        for v, d in indeg.items():
+            if d > 1:
+                raise InstanceError(f"vertex {v} has in-degree {d} > 1")
+
+    @property
+    def vertices(self) -> frozenset[int]:
+        out: set[int] = set()
+        for e in self.edges:
+            u, v = self.network.edges[e]
+            out.add(u)
+            out.add(v)
+        return frozenset(out)
+
+
+@dataclass(frozen=True)
+class ComponentClassification:
+    """The path/cycle decomposition of a linearish arborescence, with paths
+    split by whether they start in S and/or end in T."""
+
+    cycles: tuple[tuple[int, ...], ...]
+    st_paths: tuple[tuple[int, ...], ...]
+    s_only_paths: tuple[tuple[int, ...], ...]
+    t_only_paths: tuple[tuple[int, ...], ...]
+    free_paths: tuple[tuple[int, ...], ...]
+
+
+def classify(arb: LinearishArborescence) -> ComponentClassification:
+    """Decompose into directed paths and cycles and classify the paths."""
+    net = arb.network
+    step = {net.edges[e][0]: (e, net.edges[e][1]) for e in arb.edges}
+    heads = {net.edges[e][1] for e in arb.edges}
+    paths = [_follow(step, v) for v in sorted(set(step) - heads)]
+    cycles: list[tuple[int, ...]] = []
+    while step:
+        e0 = min(e for e, _ in step.values())
+        cycles.append(_follow(step, net.edges[e0][0]))
+    st, s_only, t_only, free = [], [], [], []
+    for path in paths:
+        first = net.edges[path[0]][0]
+        last = net.edges[path[-1]][1]
+        from_s = first in net.sources
+        to_t = last in net.targets
+        if from_s and to_t:
+            st.append(path)
+        elif from_s:
+            s_only.append(path)
+        elif to_t:
+            t_only.append(path)
+        else:
+            free.append(path)
+    return ComponentClassification(
+        tuple(cycles), tuple(st), tuple(s_only), tuple(t_only), tuple(free)
+    )
+
+
+def phi(bn: BipartifiedNetwork, arb: LinearishArborescence) -> frozenset[int]:
+    """The matching {x'y'' : xy in L} + {x'x'' : inner x not in V(L)}."""
+    if arb.network is not bn.network and arb.network != bn.network:
+        raise InstanceError("arborescence belongs to a different network")
+    covered = arb.vertices
+    out = set(arb.edges)
+    for x, b in bn.w_edge_of:
+        if x not in covered:
+            out.add(b)
+    return frozenset(out)
+
+
+def psi(bn: BipartifiedNetwork, b_matching: Iterable[int]) -> frozenset[int]:
+    """The network edges of the non-W part of a matching in B(N)."""
+    ids = frozenset(int(b) for b in b_matching)
+    for b in ids:
+        if not 0 <= b < bn.graph.num_edges:
+            raise InstanceError(f"unknown B-edge id {b}")
+    return ids - bn.w_edges
+
+
+def check_counting_claim(net: Network, arb: LinearishArborescence) -> bool:
+    """|L_ST| = |phi(L)| - |inner| + |free path components|.
+
+    Cycle components cancel exactly and are not part of the correction
+    term; only the paths touching neither S nor T are.
+    """
+    bn = bipartify(net)
+    cls = classify(arb)
+    lhs = len(cls.st_paths)
+    rhs = len(phi(bn, arb)) - len(net.inner) + len(cls.free_paths)
+    return lhs == rhs
+
+
+def enforcer_always_has_path(net: Network, enforcer: PathEnforcer,
+                             cap: int = 10**5) -> bool:
+    """Brute-force check that every full choice function contains an s-t
+    path; feasible only while the product of the set sizes is small."""
+    s, t = net.single_terminals()
+    product = 1
+    for k in enforcer.sets:
+        product *= max(1, len(k))
+    if product > cap:
+        raise ResourceCapError(
+            f"enforcer choice space of size {product} exceeds the cap {cap}"
+        )
+    for combo in itertools.product(*(sorted(k) for k in enforcer.sets)):
+        reached = {s}
+        grew = True
+        while grew:
+            grew = False
+            for e in combo:
+                u, v = net.edges[e]
+                if u in reached and v not in reached:
+                    reached.add(v)
+                    grew = True
+        if t not in reached:
+            return False
+    return True
 
 
 def brute_union_bounds(sets, n: int, weight=None) -> bool:

@@ -17,25 +17,29 @@ from rainbowsets.core import (
     matching_check,
 )
 from rainbowsets.networks import (
-    ComponentClassification,
-    LinearishArborescence,
     PathEnforcer,
     bipartify,
     build_towers,
-    check_counting_claim,
-    classify,
-    enforcer_always_has_path,
     enforcer_union_bounds,
     nu_p,
-    phi,
-    psi,
     rainbow_disjoint_paths,
     rainbow_path_weighted,
     scrambled_rainbow_path,
     validate_st_path,
 )
 
-from oracles import brute_nu_p, brute_union_bounds, brute_weighted_rainbow_path_feasible
+from oracles import (
+    ComponentClassification,
+    LinearishArborescence,
+    brute_nu_p,
+    brute_union_bounds,
+    brute_weighted_rainbow_path_feasible,
+    check_counting_claim,
+    classify,
+    enforcer_always_has_path,
+    phi,
+    psi,
+)
 
 DATA = Path(__file__).parent / "data"
 PINNED_PATHS = "3226d336b8a4b96f678a0a0c0c7573dd47664bfaa03576432471bc6d753a3a19"
