@@ -303,8 +303,9 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     in ascending order, which fixes the outcome deterministically. Each
     augmentation reads its arcs from one exchange test per matroid,
     m.exchange(I): sources are the y with I + y independent in m1, sinks
-    those with I + y independent in m2, and the arcs are x -> y when
-    I - x + y is independent in m1 and y -> x when it is in m2.
+    those with I + y independent in m2 (each y asked when the search
+    reaches it), and the arcs are x -> y when I - x + y is independent in
+    m1 and y -> x when it is in m2.
 
     A length-1 path is the smallest source that is also a sink, and the
     BFS would take it first. So before each BFS an ascending scan from a
@@ -312,8 +313,9 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     moves the cursor past it. Every element below the cursor is in I or
     was rejected; while I only grows it stays rejected, since a superset
     of a dependent set is dependent. The BFS runs only when the scan
-    reaches the end of the ground, and the cursor goes back to 0 after
-    each longer path, which removes elements from I.
+    reaches the end of the ground. A longer path removes elements from I,
+    but shortest augmenting paths never get shorter (Cunningham 1986), so
+    no length-1 path is left and the cursor stays at the end.
     """
     if m1.ground_size != m2.ground_size:
         raise InstanceError("matroid intersection needs a shared ground set")
@@ -330,7 +332,6 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
             continue
         inside = sorted(current)
         outside = [y for y in range(m) if y not in current]
-        sinks = {y for y in outside if ok2(None, y)}
         parent: dict[int, Optional[int]] = {}
         queue: list[Optional[int]] = [None]  # None: a root with an arc to each source
         found = None
@@ -345,7 +346,7 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
                 nbrs = [x for x in inside if x not in parent and ok2(x, u)]
             for v in nbrs:
                 parent[v] = u
-                if v in sinks:
+                if v not in current and ok2(None, v):
                     found = v
                     break
                 queue.append(v)
@@ -353,7 +354,7 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
                 break
         if found is None:
             return frozenset(current), frozenset(parent)
-        cursor = 0
+        cursor = m
         while found is not None:
             current ^= {found}
             found = parent[found]
