@@ -42,6 +42,7 @@ from .matroids import (
     truncate,
     uniform_matroid,
 )
+from .spancycles import OddCycleResult
 from .sweeps import SweepReport, SweepSpec, sweep
 
 
@@ -242,18 +243,8 @@ def _weighted_drisko(spec: SweepSpec, on_record, n: int, wmax: int,
 # short rainbow cycles
 
 
-@dataclass(frozen=True)
-class RainbowCycleHit:
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-    colors: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
-                        ) -> Optional[RainbowCycleHit]:
+                        ) -> Optional[OddCycleResult]:
     """A rainbow cycle of length at most r using the disjoint color
     classes, or None.
 
@@ -291,7 +282,7 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
         incident.setdefault(u, []).append(e)
         incident.setdefault(v, []).append(e)
 
-    best: list[Optional[RainbowCycleHit]] = [None]
+    best: list[Optional[OddCycleResult]] = [None]
 
     def dfs(start: int, cur: int, verts: list[int], edges: list[int],
             colors_used: set[int]) -> bool:
@@ -301,7 +292,7 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
             u, v = g.edges[e]
             nxt = v if u == cur else u
             if nxt == start and len(edges) >= 1:
-                best[0] = RainbowCycleHit(
+                best[0] = OddCycleResult(
                     tuple(verts), tuple(edges + [e]),
                     tuple(color_of[x] for x in edges + [e]),
                 )

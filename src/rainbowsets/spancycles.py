@@ -168,7 +168,9 @@ def _minimal_deficient(matroid: IndependenceOracle,
 
 @dataclass(frozen=True)
 class OddCycleResult:
-    """An odd cycle with pairwise-distinct colors, one per edge."""
+    """A cycle with pairwise-distinct colors, one per edge: odd when the
+    spanning pipeline returns it, of bounded length when
+    harness.rainbow_short_cycle does."""
 
     vertices: tuple[int, ...]
     edges: tuple[int, ...]
