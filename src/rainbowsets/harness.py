@@ -27,7 +27,6 @@ from .matching import (
     max_rainbow_matching,
     random_matching_family,
     stairs_sequence,
-    validate_scrambling,
 )
 from .matroids import (
     COVER_GROUND_CAP,
@@ -329,7 +328,6 @@ def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
             pool = sorted(e for c in fam.colors for e in c)
             rng.shuffle(pool)
             classes = [tuple(sorted(pool[i:i + n])) for i in range(0, len(pool), n)]
-            validate_scrambling([sorted(c) for c in fam.colors], classes, n)
             yield fam, classes
 
     def check(candidate) -> Optional[tuple[dict, dict]]:

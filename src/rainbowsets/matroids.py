@@ -29,10 +29,11 @@ class IndependenceOracle:
     rank_fn takes a subset of the ground as an int bitmask (bit i for
     element i). The set API in front of it (rank, is_independent, in_span,
     exchange) takes element sets, checks that they lie in the ground and
-    memoizes ranks by frozenset; a subset is independent iff its rank
-    equals its size. The descriptor records the construction (kind +
-    parameters) so oracles can be serialized. A construction may also pass
-    exchange_fn, a native form of exchange() that must agree with rank.
+    asks rank_fn on their masks; it keeps no memo. A subset is independent
+    iff its rank equals its size. The descriptor records the construction
+    (kind + parameters) so oracles can be serialized. A construction may
+    also pass exchange_fn, a native form of exchange() that must agree
+    with rank.
     """
 
     def __init__(self, ground_size: int, rank_fn: Callable[[int], int],
@@ -44,12 +45,10 @@ class IndependenceOracle:
         self._rank_fn = rank_fn
         self._exchange_fn = exchange_fn
         self.descriptor = descriptor
-        self._cache: dict[frozenset[int], int] = {}
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
-        r = self._cache.get(s)
-        return (self._rank_miss(s) if r is None else r) == len(s)
+        return self.rank(s) == len(s)
 
     def rank(self, subset: Optional[Iterable[int]] = None) -> int:
         """Size of a maximal independent subset (of the whole ground if
@@ -57,19 +56,15 @@ class IndependenceOracle:
 
         Raises InstanceError naming the smallest element outside the ground.
         """
-        s = frozenset(range(self.ground_size) if subset is None else subset)
-        r = self._cache.get(s)
-        return self._rank_miss(s) if r is None else r
+        return self._rank_fn(self._mask(range(self.ground_size) if subset is None else subset))
 
-    def _rank_miss(self, s: frozenset[int]) -> int:
-        # only ranks inside the ground are cached, so a hit needs no check
+    def _mask(self, subset: Iterable[int]) -> int:
+        """The bitmask of a subset, checked against the ground as in rank."""
+        s = frozenset(subset)
         if s and (min(s) < 0 or max(s) >= self.ground_size):
-            outside = [x for x in s if not 0 <= x < self.ground_size]
-            raise InstanceError(
-                f"element {min(outside)} outside ground of size {self.ground_size}"
-            )
-        r = self._cache[s] = self._rank_fn(sum(1 << x for x in s))
-        return r
+            outside = min(x for x in s if not 0 <= x < self.ground_size)
+            raise InstanceError(f"element {outside} outside ground of size {self.ground_size}")
+        return sum(1 << x for x in s)
 
     def in_span(self, subset: Iterable[int], x: int) -> bool:
         """True iff adding x does not raise the rank of the subset.
@@ -85,16 +80,22 @@ class IndependenceOracle:
         I - x + y is independent (I + y when x is None), for x in I and y
         outside I.
 
-        By default each test is one memoized is_independent query; a
-        construction with a native exchange_fn answers all of them from
-        one pass over I, without checking that elements lie in the ground.
+        By default I's mask is built and checked once, and each test is one
+        rank_fn call on it with x cleared and y set (a y outside the ground
+        raises InstanceError); a construction with a native exchange_fn
+        answers all of them from one pass over I, without checking that
+        elements lie in the ground.
         """
         s = frozenset(independent)
         if self._exchange_fn is not None:
             return self._exchange_fn(s)
+        base, rank_fn, ground = self._mask(s), self._rank_fn, self.ground_size
 
         def ok(x: Optional[int], y: int) -> bool:
-            return self.is_independent((s if x is None else s - {x}) | {y})
+            if not 0 <= y < ground:
+                raise InstanceError(f"element {y} outside ground of size {ground}")
+            mask = (base if x is None else base & ~(1 << x)) | 1 << y
+            return rank_fn(mask) == mask.bit_count()
 
         return ok
 
@@ -372,9 +373,9 @@ def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> froz
 
 def _member_masks(m: IndependenceOracle) -> bytes:
     """One byte per subset of the ground, read as a bitmask: 1 iff the
-    subset is independent in m. The rank function is asked directly, past
-    the oracle's memo, and only about the subsets whose every one-smaller
-    subset is a member: the nonempty independent sets and the circuits.
+    subset is independent in m. The rank function is asked directly on
+    each mask, and only about the subsets whose every one-smaller subset
+    is a member: the nonempty independent sets and the circuits.
     The ground is capped at COVER_GROUND_CAP elements."""
     g = m.ground_size
     if g > COVER_GROUND_CAP:

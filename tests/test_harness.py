@@ -173,6 +173,42 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
     assert brute_max_rainbow(EdgeFamily(g, tuple(map(frozenset, COERCIVE_HIT["colors"])))) < 3
 
 
+def sharpness_sweep(monkeypatch, capsys, replay_size):
+    """The scrambled-sharpness sweep through the CLI, with a solver whose
+    first answer on each candidate has n - 1 edges and whose replay answer
+    has replay_size: the parsed stdout lines and the exit code."""
+    calls = []
+
+    def solver(fam, target=None):
+        calls.append(target)
+        size = replay_size if len(calls) % 2 == 0 else target - 1
+        return list(range(size)), None
+
+    monkeypatch.setattr(harness, "max_rainbow_matching", solver)
+    code = cli.main(["sweep", "--conjecture", "scrambled-sharpness",
+                     "--params", "n=4", "instances=3"])
+    lines = capsys.readouterr().out.splitlines()
+    return [json.loads(line) for line in lines], code
+
+
+def test_sharpness_hit_is_replayed_and_reported(monkeypatch, capsys):
+    """A candidate whose scrambled classes have no rainbow matching of size
+    n, also on replay from its serialized form, ends the sweep with exit 3."""
+    out, code = sharpness_sweep(monkeypatch, capsys, replay_size=3)
+    assert code == cli.EXIT_COUNTEREXAMPLE == 3
+    assert out[1] == {"instance": 0, "verdict": "sharpness-witness"}
+    report = out[-1]
+    assert report["verdict"] == "counterexample"
+    assert report["detail"] == {"meaning": "sharpness witness", "max_rainbow": 3}
+    assert len(report["counterexample"]["scrambling"]) == 6
+
+
+def test_sharpness_replay_that_disagrees_is_a_theorem_violation(monkeypatch, capsys):
+    out, code = sharpness_sweep(monkeypatch, capsys, replay_size=4)
+    assert code == cli.EXIT_THEOREM == 5
+    assert out[-1]["status"] == "theorem-violation"
+
+
 def test_rota_computes_each_covering_number_once(monkeypatch):
     """The rejection loop's enumeration is the one the check relies on: each
     drawn matroid's independent subsets are listed once, and each instance

@@ -429,6 +429,38 @@ class TestExchange:
         for _ in range(4):
             assert_exchange_matches(m, random_independent(rng, m), name)
 
+    @pytest.mark.parametrize("make", [lambda: graphic_matroid(k4()),
+                                      lambda: partition_matroid(6, [[0, 1], [2, 3, 4]])],
+                             ids=["graphic", "partition"])
+    def test_default_exchange_names_y_outside_the_ground(self, make):
+        ok = make().exchange({0, 2})
+        assert ok(None, 5) and ok(0, 5)
+        for y in (6, -1):
+            for x in (None, 0):
+                with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
+                    ok(x, y)
+
+    def test_default_exchange_checks_the_independent_set(self):
+        with pytest.raises(InstanceError, match="element 7 outside ground of size 6"):
+            graphic_matroid(k4()).exchange({0, 7})
+
+    def test_queries_leave_no_state(self):
+        """The oracle holds what its constructor set and nothing more, after
+        rank, independence, span and exchange queries."""
+        rng = random.Random(11)
+        for name, make in sorted(RANK_CASES.items()):
+            m = make()
+            fresh = dict(vars(m))
+            assert fresh.keys() == {"ground_size", "_rank_fn", "_exchange_fn", "descriptor"}
+            for _ in range(10):
+                subset = random_independent(rng, m)
+                m.rank(subset), m.is_independent(subset), m.in_span(subset, 0)
+                ok = m.exchange(subset)
+                for y in range(m.ground_size):
+                    ok(None, y)
+            m.rank()
+            assert vars(m) == fresh, name
+
     @pytest.mark.parametrize("seed", range(25))
     def test_augment_same_with_and_without_native_exchange(self, seed):
         rng = random.Random(2000 + seed)
@@ -604,17 +636,3 @@ class TestMaximalMembers:
         fast = [_cover(ground, members) for ground, members in tables]
         monkeypatch.setattr(matroids, "_maximal_members", reference_maximal_members)
         assert fast == [_cover(ground, members) for ground, members in tables]
-
-    def test_covers_leave_the_memo_empty(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            ground = rng.randint(1, 8)
-            m1, m2 = random_matroid(rng, ground), random_matroid(rng, ground)
-            inner = graphic_matroid(k4())
-            nested = direct_sum(truncate(inner, 2), free_matroid(2))
-            covering_number(m1)
-            covering_number(m1, m2)
-            check_two_cover(m2, m1)
-            covering_number(nested)
-            for m in (m1, m2, nested, inner):
-                assert m._cache == {}, m.descriptor
