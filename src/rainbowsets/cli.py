@@ -335,6 +335,8 @@ def parse_instance(raw: bytes) -> dict:
         raise InstanceError(f"instance: not UTF-8 ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"instance: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InstanceError("instance: nested too deeply to decode") from exc
     if not isinstance(data, dict):
         raise InstanceError("instance: top level must be a JSON object")
     for field in ("colors", "paths", "scrambling", "families", "weights", "latin"):

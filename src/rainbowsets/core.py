@@ -309,8 +309,7 @@ _CLOSED = sys.maxsize  # the lowlink of a right vertex in a closed component
 
 
 def _kuhn_max_matching(lefts: Iterable[int],
-                       neighbors: Callable[[int], Iterable[int]],
-                       dead: Optional[set[int]] = None) -> dict[int, int]:
+                       neighbors: Callable[[int], Iterable[int]]) -> dict[int, int]:
     """Maximum bipartite matching by augmenting paths; returns {right: left}.
 
     Each left vertex in turn roots one depth-first search; neighbors(u)
@@ -327,8 +326,7 @@ def _kuhn_max_matching(lefts: Iterable[int],
     searches skip it, which only saves exploring it again. A failed search
     closes everything it visited, and on a chain of classes {0}, {0, 1},
     {1, 2}, ... every search closes the vertex before it, so the chain costs
-    linear time. If a set is passed as dead, the right vertices that
-    alternating paths from the unmatched lefts reach are added to it.
+    linear time.
     """
     match: dict[int, int] = {}
     # low[v] is v's lowlink, a position on tarjan; v heads a component
@@ -337,7 +335,6 @@ def _kuhn_max_matching(lefts: Iterable[int],
     # search is in low.
     low: dict[int, int] = {}
     tarjan: list[int] = []
-    unmatched: list[int] = []
     for root in lefts:
         stack = [iter(neighbors(root))]
         path: list[int] = []  # matched right vertices from the root down
@@ -375,16 +372,6 @@ def _kuhn_max_matching(lefts: Iterable[int],
                     del low[w]
                 tarjan.clear()
             break
-        else:
-            unmatched.append(root)
-    if dead is not None:
-        reach: set[int] = set()
-        while unmatched:
-            for v in neighbors(unmatched.pop()):
-                if v not in reach:
-                    reach.add(v)
-                    unmatched.append(match[v])
-        dead |= reach
     return match
 
 

@@ -438,25 +438,24 @@ def _serialize_family_instance(g: Graph, colors: Sequence[Iterable[int]]) -> dic
     }
 
 
-def _index_tables(matchings: list[tuple], maps: Iterable) -> list[list[int]]:
-    """One table per map of matching elements (anything indexable by an
-    element): entry i is the index in `matchings` (sorted, each a sorted
-    tuple) of the image of matchings[i]."""
+def _index_tables(matchings: list[tuple[int, ...]], perms: Iterable[Sequence[int]]
+                  ) -> list[list[int]]:
+    """One table per edge permutation: entry i is the index in `matchings`
+    (sorted, each a sorted tuple of edge ids) of the image of matchings[i]."""
     index = {m: i for i, m in enumerate(matchings)}
-    return [[index[tuple(sorted(f[x] for x in m))] for m in matchings] for f in maps]
+    return [[index[tuple(sorted(p[e] for e in m))] for m in matchings] for p in perms]
 
 
-def _side_relabelings(nl: int, nr: int, matchings: list[tuple[tuple[int, int], ...]]
-                      ) -> list[list[int]]:
-    """The index tables (_index_tables) of the relabelings of a
-    bipartition's sides: each permutation of either side, and the side swap
-    when nl == nr, acting on matchings of (left, right) pairs."""
-    pairs = list(itertools.product(range(nl), range(nr)))
-    return _index_tables(matchings, (
-        {(l, r): (rp[r], lp[l]) if swap else (lp[l], rp[r]) for l, r in pairs}
-        for swap in ((False,), (False, True))[nl == nr]
-        for lp in itertools.permutations(range(nl))
-        for rp in itertools.permutations(range(nr))))
+def _side_automorphisms(nl: int, nr: int) -> Iterator[list[int]]:
+    """Every relabeling of K_{nl,nr}'s sides as a permutation of its edge
+    ids (edge l*nr + r joins left l and right nl + r): each permutation of
+    either side, then, when nl == nr, each of those followed by the side
+    swap."""
+    for swap in ((False,), (False, True))[nl == nr]:
+        for lp in itertools.permutations(range(nl)):
+            for rp in itertools.permutations(range(nr)):
+                yield [rp[r] * nr + lp[l] if swap else lp[l] * nr + rp[r]
+                       for l in range(nl) for r in range(nr)]
 
 
 def _cycle_automorphisms(lengths: tuple[int, ...]) -> Iterator[list[int]]:
@@ -495,92 +494,80 @@ def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dic
     return check
 
 
+def _orderly_families(g: Graph, sizes: tuple[int, ...],
+                      automorphisms: Iterable[Sequence[int]]) -> Iterator[EdgeFamily]:
+    """Every family of matchings of g with the given nondecreasing sizes, up
+    to the automorphisms (permutations of g's edge ids): the first family
+    of each class in enumeration order.
+
+    That first family is found by orderly generation (Read 1978). The
+    matchings of each size are listed once, sorted, the sizes in increasing
+    order, so a family is a nondecreasing index list and the families come
+    out in lexicographic order; an automorphism keeps each matching's size,
+    so the first family of a class is its least member. Its part of the
+    smallest size is then the least under every automorphism, and the rest
+    is the least under the automorphisms that fix that part."""
+    counts = Counter(sizes)
+    matchings: list[tuple[int, ...]] = []
+    parts = []
+    for size in sorted(counts):
+        start = len(matchings)
+        matchings += _matchings_of_size_in(g, range(g.num_edges), size)
+        parts.append(itertools.combinations_with_replacement(
+            range(start, len(matchings)), counts[size]))
+    tables = _index_tables(matchings, automorphisms)
+    heads, *rest = parts
+    tails = list(itertools.product(*rest))
+    for head in heads:
+        if not _bipartite_canonical(head, tables):
+            continue
+        # with one size the head is the whole family: no tail is left to test
+        stabilizer = ([t for t in tables if sorted(t[i] for i in head) == list(head)]
+                      if rest else [])
+        for tail in tails:
+            family = head + tuple(itertools.chain(*tail))
+            if _bipartite_canonical(family, stabilizer):
+                yield EdgeFamily(g, tuple(frozenset(matchings[i]) for i in family))
+
+
 def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
                     ) -> Iterator[EdgeFamily]:
-    """Every family of matchings of the given nondecreasing sizes inside
-    each disjoint union of cycles with the given lengths, up to
-    automorphism: the first family of each class in enumeration order.
-
-    The matchings of each size are listed once, sorted, the sizes in
-    increasing order, so a family is a nondecreasing index list and the
-    families come out in lexicographic order; an automorphism keeps each
-    matching's size, so the first family of a class is its least member
-    (Read 1978, as in _bipartite_families). Its part of the smallest size
-    is then the least under every automorphism, and the rest is the least
-    under the automorphisms that fix that part."""
-    counts = Counter(sizes)
+    """_orderly_families inside each disjoint union of cycles with the
+    given lengths, up to its automorphisms."""
     for lengths in ambients:
-        g = _cycle_graph(lengths)
-        matchings: list[tuple[int, ...]] = []
-        parts = []
-        for size in sorted(counts):
-            start = len(matchings)
-            matchings += _matchings_of_size_in(g, range(g.num_edges), size)
-            parts.append(list(itertools.combinations_with_replacement(
-                range(start, len(matchings)), counts[size])))
-        tables = _index_tables(matchings, _cycle_automorphisms(lengths))
-        heads, *tails = parts
-        for head in heads:
-            if not _bipartite_canonical(head, tables):
-                continue
-            stabilizer = [t for t in tables if sorted(t[i] for i in head) == list(head)]
-            for tail in itertools.product(*tails):
-                family = head + tuple(itertools.chain(*tail))
-                if _bipartite_canonical(family, stabilizer):
-                    yield EdgeFamily(g, tuple(frozenset(matchings[i]) for i in family))
+        yield from _orderly_families(_cycle_graph(lengths), sizes,
+                                     _cycle_automorphisms(lengths))
 
 
 def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
     """Every family of n matchings of size n over each bipartition with at
     most max_vertices vertices, covering both sides, up to relabeling: the
-    first family of each isomorphism class in enumeration order.
-
-    That first family is found by orderly generation (Read 1978): per
-    bipartition the families come out as nondecreasing index lists into the
-    sorted matchings, in lexicographic order, which is the order of the
-    families themselves; a relabeling keeps a family covering and on its
-    bipartition, so the first family of a class is its least member."""
+    _orderly_families of K_{nl,nr} under _side_automorphisms that cover
+    it. A relabeling keeps a family covering, so this keeps the first
+    family of each isomorphism class in enumeration order."""
     for nl in range(n, max_vertices + 1):
         # no family covers more than n * n vertices of a side: build no tables there
         for nr in range(nl, min(max_vertices - nl, n * n) + 1):
-            matchings = sorted(tuple(zip(lefts, rights))
-                               for lefts in itertools.combinations(range(nl), n)
-                               for rights in itertools.permutations(range(nr), n))
-            relabelings = _side_relabelings(nl, nr, matchings)
-            for family in itertools.combinations_with_replacement(range(len(matchings)), n):
-                covered_l = {l for i in family for l, _ in matchings[i]}
-                covered_r = {r for i in family for _, r in matchings[i]}
-                if len(covered_l) != nl or len(covered_r) != nr:
-                    continue  # counted already at a smaller bipartition
-                if _bipartite_canonical(family, relabelings):
-                    yield _bipartite_family(nl, nr, (matchings[i] for i in family))
-
-
-def _bipartite_family(nl: int, nr: int,
-                      matchings: Iterable[Iterable[tuple[int, int]]]) -> EdgeFamily:
-    """Matchings of (left, right) pairs as a family on the bipartite graph
-    with sides 0..nl-1 and nl..nl+nr-1; every pair is a fresh edge id."""
-    edges: list[tuple[int, int]] = []
-    colors: list[frozenset[int]] = []
-    for m in matchings:
-        ids = []
-        for l, r in m:
-            ids.append(len(edges))
-            edges.append((l, nl + r))
-        colors.append(frozenset(ids))
-    sides = (frozenset(range(nl)), frozenset(range(nl, nl + nr)))
-    return EdgeFamily(Graph(nl + nr, tuple(edges), sides), tuple(colors))
+            g = Graph(nl + nr, tuple((l, nl + r) for l in range(nl) for r in range(nr)),
+                      (frozenset(range(nl)), frozenset(range(nl, nl + nr))))
+            for fam in _orderly_families(g, (n,) * n, _side_automorphisms(nl, nr)):
+                # one that leaves a vertex uncovered was counted at a smaller bipartition
+                if len({v for c in fam.colors for e in c for v in g.edges[e]}) == nl + nr:
+                    yield fam
 
 
 def random_matching_family(rng, sizes: Sequence[int]) -> EdgeFamily:
     """A seeded family of bipartite matchings with the given sizes: each is
     a uniform random permutation matching of K_{m,m} (m = largest size)
-    restricted to its first entries; repeats across colors become parallel
-    edges with fresh ids."""
+    restricted to its first entries, with sides 0..m-1 and m..2m-1; every
+    edge gets a fresh id, so repeats across colors become parallel edges."""
     m = max(sizes) if sizes else 1
-    matchings = []
+    edges: list[tuple[int, int]] = []
+    colors: list[frozenset[int]] = []
     for s in sizes:
         perm = list(range(m))
         rng.shuffle(perm)
-        matchings.append(zip(range(s), perm))
-    return _bipartite_family(m, m, matchings)
+        colors.append(frozenset(range(len(edges), len(edges) + s)))
+        edges += ((l, m + perm[l]) for l in range(s))
+    sides = (frozenset(range(m)), frozenset(range(m, 2 * m)))
+    return EdgeFamily(Graph(2 * m, tuple(edges), sides), tuple(colors))

@@ -29,18 +29,24 @@ def hall_rainbow(fam: ColoredFamily) -> HallResult:
     """A full injective choice function, or a deficiency witness.
 
     Maximum bipartite matching by augmenting paths. When it misses a color,
-    the violator is the unmatched colors and the owners of the elements
-    their failed searches visited: the colors that some maximum matching
-    misses (Dulmage-Mendelsohn).
+    the violator is the colors that alternating paths from the unmatched
+    colors reach (from a color to an element of its class, which is matched,
+    else the path would augment, and on to that element's color): the colors
+    that some maximum matching misses (Dulmage-Mendelsohn).
     """
     k = fam.num_colors
     adj = [sorted(s) for s in fam.sets]
-    dead: set[int] = set()
-    match = _kuhn_max_matching(range(k), adj.__getitem__, dead)  # element -> color
+    match = _kuhn_max_matching(range(k), adj.__getitem__)  # element -> color
     if len(match) == k:
         return ChoiceFunction(tuple((c, x) for x, c in match.items()))
-    violator = Violator(frozenset(range(k)).difference(match.values())
-                        | {match[x] for x in dead})
+    reached = set(range(k)).difference(match.values())
+    frontier = list(reached)
+    while frontier:
+        for x in adj[frontier.pop()]:
+            if match[x] not in reached:
+                reached.add(match[x])
+                frontier.append(match[x])
+    violator = Violator(frozenset(reached))
     if len(family_union(fam, violator.colors)) >= len(violator.colors):
         raise TheoremViolation(f"Hall violator {sorted(violator.colors)} is not deficient")
     return violator

@@ -4,13 +4,15 @@ Everything here recomputes answers by exhaustive enumeration, staying off
 the code paths it is used to check. The one exception is the counting-lemma
 layer of the path-packing proof (linearish arborescences, their
 classification and the maps phi and psi into the bipartite double), which
-the tests check against the lemma itself.
+the tests check against the lemma itself. random_bipartite draws the
+bipartite graphs that the matching kernel and Hall are checked on.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -59,6 +61,41 @@ def kuhn_reference(lefts, neighbors) -> dict:
     for u in lefts:
         aug(u, set())
     return match
+
+
+def alternating_reach(lefts, adj, match) -> set:
+    """The right vertices alternating paths from the unmatched lefts reach.
+    Each is matched, or the path to it would augment the matching (Berge)."""
+    reach: set = set()
+    frontier = [u for u in lefts if u not in match.values()]
+    while frontier:
+        for v in adj[frontier.pop()]:
+            if v not in reach:
+                assert v in match, f"augmenting path to {v}"
+                reach.add(v)
+                frontier.append(match[v])
+    return reach
+
+
+def random_bipartite(rng: random.Random, max_side: int):
+    """Lefts in a random order and a shuffled adjacency {left: [right]}.
+    Every third graph is a chain {0}, {0, 1}, {1, 2}, ... with a few extra
+    edges, the shape on which every search succeeds."""
+    nl, nr = rng.randint(1, max_side), rng.randint(1, max_side)
+    if rng.random() < 1 / 3:
+        nr = nl
+        adj = {u: [nl + v for v in (u - 1, u) if v >= 0] for u in range(nl)}
+        for u in rng.sample(range(nl), nl // 3):
+            adj[u].append(nl + rng.randrange(nr))
+    else:
+        p = rng.random()
+        adj = {u: [nl + v for v in range(nr) if rng.random() < p]
+               for u in range(nl)}
+    for nbrs in adj.values():
+        if rng.random() < 0.5:
+            rng.shuffle(nbrs)
+    lefts = rng.sample(range(nl), nl) if rng.random() < 0.5 else list(range(nl))
+    return lefts, adj
 
 
 def brute_max_rainbow(fam: EdgeFamily) -> int:

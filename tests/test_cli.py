@@ -111,6 +111,17 @@ class TestInputErrors:
         assert payload["status"] == "error"
         assert field in payload["error"]
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        """A decoder that runs out of stack on a valid JSON document reports
+        an input error, not a search cap."""
+        path = tmp_path / "instance.json"
+        path.write_text('{"ground_size": 1, "colors": ' + "[" * 5000 + "]" * 5000 + "}")
+        code = cli.main(["hall", "--input", str(path)])
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_INPUT == 2
+        assert payload["status"] == "error"
+        assert payload["error"] == "instance: nested too deeply to decode"
+
     @pytest.mark.parametrize("name", [None, "absent.json"], ids=["directory", "missing-file"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, name):
         path = tmp_path / name if name else tmp_path

@@ -26,7 +26,7 @@ from rainbowsets.core import (
     _max_matching_general,
 )
 
-from oracles import brute_max_matching, kuhn_reference
+from oracles import brute_max_matching, kuhn_reference, random_bipartite
 
 
 def fam(ground: int, *sets) -> ColoredFamily:
@@ -227,66 +227,17 @@ class TestBlossomKernel:
         assert len(m) == 25 and matching_check(g, m.edges)
 
 
-def _random_bipartite(rng: random.Random, max_side: int):
-    """Lefts in a random order and a shuffled adjacency {left: [right]}.
-    Every third graph is a chain {0}, {0, 1}, {1, 2}, ... with a few extra
-    edges, the shape on which every search succeeds."""
-    nl, nr = rng.randint(1, max_side), rng.randint(1, max_side)
-    if rng.random() < 1 / 3:
-        nr = nl
-        adj = {u: [nl + v for v in (u - 1, u) if v >= 0] for u in range(nl)}
-        for u in rng.sample(range(nl), nl // 3):
-            adj[u].append(nl + rng.randrange(nr))
-    else:
-        p = rng.random()
-        adj = {u: [nl + v for v in range(nr) if rng.random() < p]
-               for u in range(nl)}
-    for nbrs in adj.values():
-        if rng.random() < 0.5:
-            rng.shuffle(nbrs)
-    lefts = rng.sample(range(nl), nl) if rng.random() < 0.5 else list(range(nl))
-    return lefts, adj
-
-
-def _alternating_reach(lefts, adj, match) -> set:
-    """The right vertices alternating paths from the unmatched lefts reach.
-    Each is matched, or the path to it would augment the matching (Berge)."""
-    reach: set = set()
-    frontier = [u for u in lefts if u not in match.values()]
-    while frontier:
-        for v in adj[frontier.pop()]:
-            if v not in reach:
-                assert v in match, f"augmenting path to {v}"
-                reach.add(v)
-                frontier.append(match[v])
-    return reach
-
-
 class TestKuhnKernel:
     def test_matches_recursive_reference(self):
         rng = random.Random(3)
         for _ in range(600):
-            lefts, adj = _random_bipartite(rng, 12)
-            dead: set[int] = set()
-            got = _kuhn_max_matching(lefts, adj.__getitem__, dead)
+            lefts, adj = random_bipartite(rng, 12)
+            got = _kuhn_max_matching(lefts, adj.__getitem__)
             assert list(got.items()) == list(kuhn_reference(lefts, adj.__getitem__).items())
-            assert dead == _alternating_reach(lefts, adj, got)
-
-    def test_dead_is_the_alternating_reach_of_the_unmatched_lefts(self):
-        rng = random.Random(4)
-        for _ in range(400):
-            lefts, adj = _random_bipartite(rng, 9)
-            dead: set[int] = set()
-            got = _kuhn_max_matching(lefts, adj.__getitem__, dead)
-            match = kuhn_reference(lefts, adj.__getitem__)
-            assert list(got.items()) == list(match.items())
-            assert dead == _alternating_reach(lefts, adj, match)
 
     def test_successful_search_closes_a_component(self):
         """Left 2's search succeeds at right 12 after closing the cycle
-        10 -> 0 -> 11 -> 1 -> 10, and left 3's search skips right 10. The
-        closed pair lies outside the alternating reach of the one unmatched
-        left, 5, so it is not dead."""
+        10 -> 0 -> 11 -> 1 -> 10, and left 3's search skips right 10."""
         adj = {0: [10, 11], 1: [11, 10], 2: [10, 12], 3: [10, 13], 4: [14], 5: [14]}
         calls = []
 
@@ -294,22 +245,10 @@ class TestKuhnKernel:
             calls.append(u)
             return adj[u]
 
-        dead: set[int] = set()
-        got = _kuhn_max_matching(range(6), neighbors, dead)
+        got = _kuhn_max_matching(range(6), neighbors)
         assert list(got.items()) == list(kuhn_reference(range(6), adj.__getitem__).items())
         assert got == {10: 0, 11: 1, 12: 2, 13: 3, 14: 4}
         assert calls[:9] == [0, 1, 2, 0, 1, 3, 4, 5, 4]  # left 3 calls neither 0 nor 1
-        assert dead == _alternating_reach(range(6), adj, got) == {14}
-
-    def test_closed_component_inside_the_reach_is_dead(self):
-        """As above, but lefts 4 and 5 go unmatched through left 3, which
-        reaches right 10 of the closed pair. Their failed searches skip the
-        pair, and it is dead all the same."""
-        adj = {0: [10, 11], 1: [11, 10], 2: [10, 12], 3: [10, 13], 4: [13], 5: [13]}
-        dead: set[int] = set()
-        got = _kuhn_max_matching(range(6), adj.__getitem__, dead)
-        assert list(got.items()) == list(kuhn_reference(range(6), adj.__getitem__).items())
-        assert dead == _alternating_reach(range(6), adj, got) == {10, 11, 13}
 
     def test_augmenting_path_longer_than_recursion_limit(self):
         """Left i holds rights i and i + 1 and takes i; the last left, 0,

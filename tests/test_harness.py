@@ -16,12 +16,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from rainbowsets import cli, harness, sweeps
+from rainbowsets import cli, harness, matching, sweeps
 from rainbowsets.core import (
+    ChoiceFunction,
     Graph,
     HypothesisViolation,
     InstanceError,
     LatinSquare,
+    Matching,
+    Transversal,
     transversal_check,
 )
 from rainbowsets.harness import (
@@ -173,6 +176,67 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
     assert brute_max_rainbow(EdgeFamily(g, tuple(map(frozenset, COERCIVE_HIT["colors"])))) < 3
 
 
+def no_rainbow_matching(fam, target=None):
+    return Matching(frozenset()), ChoiceFunction(())
+
+
+# (tag, params, module, name of the search its check calls, a stand-in
+# that makes every candidate a hit, the keys of the serialized counterexample)
+HITS = [
+    ("brs", {"n": 3}, harness, "latin_transversal",
+     lambda square, target=None: Transversal(frozenset()), {"latin"}),
+    ("weighted-drisko", {"n": 2, "instances": 3}, harness, "_weighted_rainbow_exists",
+     lambda fam, weights, size, budget: False, {"graph", "colors", "weights", "budget"}),
+    ("rho-two-cover", {"ground": 4, "instances": 3}, harness, "check_two_cover",
+     lambda m1, m2: SimpleNamespace(holds=False, rho_m=1, rho_n=1, rho_meet=3),
+     {"matroid", "matroid2"}),
+    ("rota", {"n": 2, "instances": 3}, harness, "_rota_partition",
+     lambda members, parts: harness.RotaSearchResult(len(parts), None, None, False),
+     {"matroid", "parts"}),
+    ("short-cycle", {"n": 4, "r": 3, "instances": 3}, harness, "rainbow_short_cycle",
+     lambda g, sets, r: None, {"graph", "families"}),
+    ("ab", {"n": 3, "max_vertices": 6}, matching, "max_rainbow_matching",
+     no_rainbow_matching, {"graph", "colors"}),
+]
+
+
+def sweep_through_cli(capsys, tag, params) -> tuple[list, int]:
+    """The parsed stdout lines and the exit code of a sweep run by cli.main."""
+    code = cli.main(["sweep", "--conjecture", tag,
+                     "--params", *(f"{k}={v}" for k, v in params.items())])
+    return [json.loads(line) for line in capsys.readouterr().out.splitlines()], code
+
+
+@pytest.mark.parametrize("tag, params, module, name, stand_in, keys", HITS,
+                         ids=[hit[0] for hit in HITS])
+def test_first_candidate_hit_ends_the_sweep(monkeypatch, capsys, tag, params, module,
+                                            name, stand_in, keys):
+    monkeypatch.setattr(module, name, stand_in)
+    out, code = sweep_through_cli(capsys, tag, params)
+    assert code == cli.EXIT_COUNTEREXAMPLE == 3
+    assert {k: out[1][k] for k in ("instance", "verdict")} == {
+        "instance": 0, "verdict": "counterexample"}
+    report = out[-1]
+    assert (report["verdict"], report["instances_tested"]) == ("counterexample", 1)
+    assert set(report["counterexample"]) == keys
+
+
+def test_ab_counterexample_is_a_family_on_the_complete_bipartite_graph(
+        monkeypatch, capsys, tmp_path):
+    """The first family at n = 3 takes matching (0, 0), (1, 1), (2, 2) of
+    K_{3,3} three times; edge 3l + r joins left l and right 3 + r. It does
+    have a rainbow matching of size n - 1, which the unpatched CLI finds."""
+    monkeypatch.setattr(matching, "max_rainbow_matching", no_rainbow_matching)
+    out, _ = sweep_through_cli(capsys, "ab", {"n": 3, "max_vertices": 6})
+    hit = out[-1]["counterexample"]
+    edges = [[l, 3 + r] for l in range(3) for r in range(3)]
+    assert hit == {"graph": {"n": 6, "edges": edges}, "colors": [[0, 4, 8]] * 3}
+    monkeypatch.undo()
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(hit))
+    assert cli.main(["rainbow-matching", "--target", "2", "--input", str(path)]) == cli.EXIT_OK
+
+
 def sharpness_sweep(monkeypatch, capsys, replay_size):
     """The scrambled-sharpness sweep through the CLI, with a solver whose
     first answer on each candidate has n - 1 edges and whose replay answer
@@ -185,10 +249,7 @@ def sharpness_sweep(monkeypatch, capsys, replay_size):
         return list(range(size)), None
 
     monkeypatch.setattr(harness, "max_rainbow_matching", solver)
-    code = cli.main(["sweep", "--conjecture", "scrambled-sharpness",
-                     "--params", "n=4", "instances=3"])
-    lines = capsys.readouterr().out.splitlines()
-    return [json.loads(line) for line in lines], code
+    return sweep_through_cli(capsys, "scrambled-sharpness", {"n": 4, "instances": 3})
 
 
 def test_sharpness_hit_is_replayed_and_reported(monkeypatch, capsys):

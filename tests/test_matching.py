@@ -368,15 +368,23 @@ class TestBipartiteFamilies:
     def test_side_swap_is_a_relabeling(self):
         """On K_{4,4} the family {a, a, b} is least under the permutations
         of each side alone (the first half of the tables) but not once the
-        sides may be swapped."""
+        sides may be swapped. Edge 4l + r joins left l and right r."""
         a, b = ((0, 0), (1, 1), (2, 2)), ((0, 1), (2, 3), (3, 0))
-        matchings = sorted(tuple(zip(lefts, rights))
+        matchings = sorted(tuple(4 * l + r for l, r in zip(lefts, rights))
                            for lefts in itertools.combinations(range(4), 3)
                            for rights in itertools.permutations(range(4), 3))
-        tables = matching._side_relabelings(4, 4, matchings)
-        family = [matchings.index(m) for m in (a, a, b)]
+        tables = matching._index_tables(matchings, matching._side_automorphisms(4, 4))
+        family = [matchings.index(tuple(4 * l + r for l, r in m)) for m in (a, a, b)]
         assert matching._bipartite_canonical(family, tables[:len(tables) // 2])
         assert not matching._bipartite_canonical(family, tables)
+
+    def test_bound_calls_at_3_7(self, bound_calls):
+        """Every family at (3, 7) has a rainbow matching of size 2, and the
+        searches that find them make 76 bound calls, as they did when each
+        family's edges had fresh ids rather than those of K_{nl,nr}."""
+        for fam in matching._bipartite_families(3, 7):
+            assert len(max_rainbow_matching(fam, target=2)[0]) == 2
+        assert len(bound_calls) == 76
 
 
 class TestCycleFamilies:

@@ -27,9 +27,12 @@ from rainbowsets import transversals
 from rainbowsets.transversals import Violator, hall_rainbow, rado_rainbow
 
 from oracles import (
+    alternating_reach,
     brute_family_matching,
     brute_full_independent_choice,
     brute_full_injective_choice,
+    kuhn_reference,
+    random_bipartite,
 )
 
 
@@ -146,18 +149,70 @@ class TestHall:
         n = 5000
         calls = 0
 
-        def counting(lefts, neighbors, dead=None):
+        def counting(lefts, neighbors):
             def counted(u):
                 nonlocal calls
                 calls += 1
                 return neighbors(u)
-            return _kuhn_max_matching(lefts, counted, dead)
+            return _kuhn_max_matching(lefts, counted)
 
         monkeypatch.setattr(transversals, "_kuhn_max_matching", counting)
         out = hall_rainbow(fam(n, {0}, *[{i - 1, i} for i in range(1, n)]))
         assert isinstance(out, ChoiceFunction)
         assert out.as_dict() == {i: i for i in range(n)}
         assert calls <= 3 * n
+
+    @staticmethod
+    def reach_violator(lefts, adj) -> set:
+        """The unmatched lefts of the reference matching and the owners of
+        their alternating reach."""
+        match = kuhn_reference(lefts, adj.__getitem__)
+        return ({u for u in lefts if u not in match.values()}
+                | {match[v] for v in alternating_reach(lefts, adj, match)})
+
+    def hall_on(self, adj):
+        """hall_rainbow on the colors 0..len(adj)-1 with the classes of adj:
+        the violator's colors, or the empty set for a choice function."""
+        ground = 1 + max((v for nbrs in adj.values() for v in nbrs), default=0)
+        out = hall_rainbow(fam(ground, *(adj[u] for u in range(len(adj)))))
+        return set() if isinstance(out, ChoiceFunction) else out.colors
+
+    def test_violator_is_the_alternating_reach_of_the_unmatched_colors(self):
+        """Any maximum matching gives the same reach (Dulmage-Mendelsohn),
+        so the reference matching, whatever order its lefts and neighbors
+        are tried in, names hall's violator."""
+        violators = 0
+        for seed, graphs, max_side in ((3, 600, 12), (4, 400, 9)):
+            rng = random.Random(seed)
+            for _ in range(graphs):
+                lefts, adj = random_bipartite(rng, max_side)
+                expected = self.reach_violator(lefts, adj)
+                assert self.hall_on(adj) == expected
+                violators += bool(expected)
+        assert violators > 300
+
+    # hall tries each class in ascending order; on these classes color 2's
+    # search succeeds at element 12 after closing the cycle
+    # 10 -> 1 -> 11 -> 0 -> 10, and color 3's search skips element 10
+    CLOSING = {0: [10, 11], 1: [10, 11], 2: [10, 11, 12], 3: [10, 13]}
+
+    def test_closed_component_outside_the_reach_is_not_in_the_violator(self):
+        """The closed pair lies outside the alternating reach of the one
+        unmatched color, 5."""
+        adj = {**self.CLOSING, 4: [14], 5: [14]}
+        calls = []
+        _kuhn_max_matching(range(6), lambda u: calls.append(u) or adj[u])
+        assert calls[:7] == [0, 1, 0, 2, 1, 0, 3]  # color 3 calls neither 0 nor 1
+        assert self.hall_on(adj) == self.reach_violator(range(6), adj) == {4, 5}
+
+    def test_closed_component_inside_the_reach_is_in_the_violator(self):
+        """Colors 4 and 5 go unmatched through color 3, which reaches
+        element 10 of the closed pair. Their failed searches skip the pair,
+        and its colors are in the violator all the same."""
+        adj = {**self.CLOSING, 4: [13], 5: [13]}
+        got = _kuhn_max_matching(range(6), adj.__getitem__)
+        assert list(got.items()) == list(kuhn_reference(range(6), adj.__getitem__).items())
+        assert self.hall_on(adj) == self.reach_violator(range(6), adj) == {0, 1, 3, 4, 5}
 
 
 class TestRado:
