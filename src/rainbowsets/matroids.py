@@ -83,8 +83,10 @@ class IndependenceOracle:
         By default I's mask is built and checked once, and each test is one
         rank_fn call on it with x cleared and y set (a y outside the ground
         raises InstanceError); a construction with a native exchange_fn
-        answers all of them from one pass over I, without checking that
-        elements lie in the ground.
+        answers all of them from one pass over I. binary_matroid's native
+        test raises the same InstanceError for I or y outside the ground;
+        the incidence lifts inside transversals.rado_rainbow, which build
+        I and y themselves, do not check.
         """
         s = frozenset(independent)
         if self._exchange_fn is not None:
@@ -205,12 +207,18 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         part vanishes, so I - x + y is independent iff y's column part does
         not vanish or x is in that circuit."""
         k = len(cols)
-        basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
+        try:  # an element outside the ground fails to index or to shift
+            basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
+        except (IndexError, ValueError):
+            outside = min(i for i in s if not 0 <= i < k)
+            raise InstanceError(f"element {outside} outside ground of size {k}") from None
         circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
 
         def ok(x: Optional[int], y: int) -> bool:
             c = circuits.get(y)
             if c is None:
+                if not 0 <= y < k:
+                    raise InstanceError(f"element {y} outside ground of size {k}")
                 r = _reduce(cols[y] << k, basis)
                 c = circuits[y] = -1 if r >> k else r
             return c == -1 or (x is not None and c >> x & 1 == 1)

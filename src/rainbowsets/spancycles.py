@@ -68,12 +68,15 @@ def rainbow_spanning_set(matroid: IndependenceOracle,
     """A rainbow set spanning the target, under the cooperative hypothesis
     that every color subset J has rank(union) >= |J| or spans the target.
 
-    If no rank-deficient color subset exists the full Rado rainbow base
-    spans everything; otherwise a deficient J is shrunk until dropping its
-    smallest color leaves a family with a full Rado rainbow set, which then
-    has the same span as J's union. The proof uses the hypothesis on that
-    J alone, so only J is checked: if its union misses the target, J is
-    raised as the witness of a HypothesisViolation.
+    Rado's theorem runs on the kept colors, all of them at first, where a
+    full choice function is a rainbow base and spans everything. On a
+    violator J (rank of its union below |J|) the smallest color of J is
+    dropped and Rado retried on the rest: a full choice function there
+    has |J| - 1 independent elements inside J's union, so it spans that
+    union, and otherwise Rado's violator is a deficient set strictly
+    inside J. The proof uses the hypothesis on the final J alone, so only
+    J is checked: if its union misses the target, J is raised as the
+    witness of a HypothesisViolation.
     """
     tset = frozenset(int(t) for t in target)
     a_sets = [frozenset(int(x) for x in s) for s in sets]
@@ -88,78 +91,31 @@ def rainbow_spanning_set(matroid: IndependenceOracle,
         )
 
     ground = GroundSet(matroid.ground_size)
-    outcome = rado_rainbow(ColoredFamily(ground, tuple(a_sets)), matroid)
-    if isinstance(outcome, ChoiceFunction):
-        result = SpanningRainbowResult(outcome, None, None)
-        _assert_spans(matroid, result.image, tset)
-        return result
-
-    deficient = _minimal_deficient(matroid, a_sets, outcome.colors)
+    keep = list(range(n))
+    deficient: Optional[frozenset[int]] = None
+    dropped: Optional[int] = None
     while True:
+        outcome = rado_rainbow(ColoredFamily(ground, tuple(a_sets[i] for i in keep)), matroid)
+        if isinstance(outcome, ChoiceFunction):
+            break
+        deficient = frozenset(keep[c] for c in outcome.colors)
         dropped = min(deficient)
         keep = sorted(deficient - {dropped})
-        sub = rado_rainbow(
-            ColoredFamily(ground, tuple(a_sets[i] for i in keep)), matroid
-        )
-        if isinstance(sub, ChoiceFunction):
-            break
-        # Rado's violator is a deficient set strictly inside this one
-        deficient = _minimal_deficient(
-            matroid, a_sets, frozenset(keep[c] for c in sub.colors))
-    union: set[int] = set()
-    for i in deficient:
-        union |= a_sets[i]
-    if not all(matroid.in_span(union, t) for t in tset):
-        raise HypothesisViolation(
-            f"color set {sorted(deficient)} is rank-deficient and does not span the target",
-            witness=deficient,
-        )
-    remapped = ChoiceFunction(
-        tuple((keep[c], x) for c, x in sub.assignments)
-    )
-    if matroid.rank(remapped.image) != len(deficient) - 1 or (
-        matroid.rank(union) != len(deficient) - 1
-    ):
-        raise TheoremViolation("rank bookkeeping failed on the deficient set")
-    _assert_spans(matroid, remapped.image, tset)
-    return SpanningRainbowResult(remapped, frozenset(deficient), dropped)
-
-
-def _assert_spans(matroid: IndependenceOracle, image: frozenset[int],
-                  target: frozenset[int]):
-    for t in target:
-        if not matroid.in_span(image, t):
-            raise TheoremViolation(
-                f"returned rainbow set does not span target element {t}"
+    function = ChoiceFunction(tuple((keep[c], x) for c, x in outcome.assignments))
+    if deficient is not None:
+        union = frozenset().union(*(a_sets[i] for i in deficient))
+        if not all(matroid.in_span(union, t) for t in tset):
+            raise HypothesisViolation(
+                f"color set {sorted(deficient)} is rank-deficient and does not span the target",
+                witness=deficient,
             )
-
-
-def _minimal_deficient(matroid: IndependenceOracle,
-                       sets: Sequence[frozenset[int]],
-                       start: frozenset[int]) -> frozenset[int]:
-    """Shrink a deficient color set by greedy element removal, smallest
-    index first, until no single removal leaves it deficient. A smaller
-    deficient subset may remain: deficiency is not monotone."""
-
-    def is_deficient(indices: frozenset[int]) -> bool:
-        union: set[int] = set()
-        for i in indices:
-            union |= sets[i]
-        return matroid.rank(union) < len(indices)
-
-    current = frozenset(start)
-    if not is_deficient(current):
-        raise TheoremViolation(f"color set {sorted(current)} is not rank-deficient")
-    changed = True
-    while changed:
-        changed = False
-        for j in sorted(current):
-            smaller = current - {j}
-            if smaller and is_deficient(smaller):
-                current = smaller
-                changed = True
-                break
-    return current
+        want = len(deficient) - 1
+        if matroid.rank(function.image) != want or matroid.rank(union) != want:
+            raise TheoremViolation("rank bookkeeping failed on the deficient set")
+    for t in tset:
+        if not matroid.in_span(function.image, t):
+            raise TheoremViolation(f"returned rainbow set does not span target element {t}")
+    return SpanningRainbowResult(function, deficient, dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowsets import cli, core, transversals
+from rainbowsets import cli, core, spancycles, transversals
 from rainbowsets.harness import SWEEPS
 
 
@@ -158,6 +158,25 @@ class TestSelfChecks:
         code, payload = run_cli(tmp_path, capsys, ["rado"], {
             "ground_size": 2, "colors": [[0], [1]],
             "matroid": {"kind": "uniform", "ground_size": 2, "k": k}})
+        assert code == cli.EXIT_THEOREM == 5
+        assert payload["status"] == "theorem-violation"
+        assert error in payload["error"]
+
+    @pytest.mark.parametrize("rado, error", [
+        # column 2 alone misses the target column 1
+        pytest.param(lambda real: lambda fam, m: core.ChoiceFunction(((2, 2),)),
+                     "does not span target element 1", id="image-misses-target"),
+        # the retry on color 1, after {0, 1} (parallel columns) was found
+        # deficient, answers with no element instead of one
+        pytest.param(lambda real: lambda fam, m: (
+                         real(fam, m) if fam.num_colors == 3 else core.ChoiceFunction(())),
+                     "rank bookkeeping", id="deficient-answer-wrong-size"),
+    ])
+    def test_wrong_spanning_set_exits_5(self, tmp_path, capsys, monkeypatch, rado, error):
+        monkeypatch.setattr(spancycles, "rado_rainbow", rado(spancycles.rado_rainbow))
+        code, payload = run_cli(tmp_path, capsys, ["span-rainbow"], {
+            "ground_size": 3, "colors": [[0], [1], [2]], "target": [1],
+            "matroid": {"kind": "binary", "matrix": [[1, 1, 0], [0, 0, 1]]}})
         assert code == cli.EXIT_THEOREM == 5
         assert payload["status"] == "theorem-violation"
         assert error in payload["error"]

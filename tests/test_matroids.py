@@ -444,6 +444,20 @@ class TestExchange:
         with pytest.raises(InstanceError, match="element 7 outside ground of size 6"):
             graphic_matroid(k4()).exchange({0, 7})
 
+    def test_binary_exchange_checks_the_ground(self):
+        # the native test names an element outside the ground as the default
+        # does, where column -1 would wrap to the last one
+        m = binary_matroid([1 << i for i in range(6)])
+        ok = m.exchange({0, 2})
+        assert ok(None, 5) and ok(0, 5)
+        for y in (-1, 6):
+            for x in (None, 0):
+                with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
+                    ok(x, y)
+        for independent, y in (({0, 7}, 7), ({-1}, -1)):
+            with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
+                m.exchange(independent)
+
     def test_queries_leave_no_state(self):
         """The oracle holds what its constructor set and nothing more, after
         rank, independence, span and exchange queries."""

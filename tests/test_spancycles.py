@@ -162,8 +162,9 @@ class TestRainbowSpanningSet:
         assert err.value.witness == {0, 1}
 
     def test_deficient_set_hiding_a_smaller_one(self):
-        # Greedy removal stops at colors {1, 2, 3, 4}, but Rado fails below
-        # it: {2, 4} (both {0}) is deficient and is the set the proof uses.
+        # Rado's first violator is larger, and Rado fails again once its
+        # smallest color is dropped: {2, 4} (both {0}) is deficient and is
+        # the set the proof uses.
         m = binary_matroid([0b101, 0b011, 0b110, 0b010])
         sets = [frozenset({2, 3}), frozenset({0, 2, 3}), frozenset({0}),
                 frozenset({1, 2, 3}), frozenset({0})]
@@ -197,6 +198,23 @@ class TestRainbowSpanningSet:
                 assert x in sets[c]
             rank = brute_rank(m, image)
             assert all(brute_rank(m, image | {t}) == rank for t in target)
+            if res.deficient_colors is not None:
+                deficient, dropped = res.deficient_colors, res.dropped_color
+                union = frozenset().union(*(sets[c] for c in deficient))
+                assert brute_rank(m, union) == len(deficient) - 1
+                assert dropped == min(deficient)
+                assert res.function.domain == deficient - {dropped}
+
+    def test_deficient_color_found_by_dropping(self):
+        # All four colors are deficient (rank 2); with color 0 dropped, Rado
+        # finds the empty color 1 deficient on its own. Its union misses the
+        # target, so color 1 is the witness, although {1, 2, 3} is
+        # deficient too and spans the target.
+        m = binary_matroid([0b101, 0b001])
+        sets = [frozenset({1}), frozenset(), frozenset({0, 1}), frozenset({0, 1})]
+        with pytest.raises(HypothesisViolation) as err:
+            rainbow_spanning_set(m, {0}, sets)
+        assert err.value.witness == {1}
 
     def test_output_invariants_random(self):
         rng = random.Random(5)
@@ -278,8 +296,9 @@ class TestCooperativeOddCycle:
 
     def test_violation_outside_deficient_set_answers(self):
         # {0, 1} breaks the condition (one edge, no odd cycle), but the
-        # minimal deficient set the proof uses is {1, 2, 3, 4}, which has
-        # a triangle, so the answer is verified instead of rejected.
+        # deficient set the proof uses is {1, 2, 3, 4}, Rado's violator once
+        # color 0 is dropped, which has a triangle, so the answer is
+        # verified instead of rejected.
         g = Graph(5, ((0, 1), (1, 2), (2, 0)))
         fams = [frozenset({0}), frozenset({0})] + [frozenset({0, 1, 2})] * 3
         res = cooperative_odd_cycle_check(g, fams)
