@@ -20,8 +20,14 @@ from .core import (
 )
 from .matching import (
     EdgeFamily,
+    _RainbowSearch,
     _bipartite_families,
+    _complete_bipartite,
     _cycle_families,
+    _draw_matchings,
+    _drawn_family,
+    _host_edges,
+    _id_mask,
     _no_rainbow_matching,
     _serialize_family_instance,
     max_rainbow_matching,
@@ -321,21 +327,22 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
 def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
                          instances: int) -> SweepReport:
     rng = random.Random(spec.seed)
+    search = _RainbowSearch(_complete_bipartite(n, n))
 
     def candidates():
         for _ in range(instances):
-            fam = random_matching_family(rng, [n] * (n * (n - 1) // 2))
-            pool = sorted(e for c in fam.colors for e in c)
+            _, draw = _draw_matchings(rng, [n] * (n * (n - 1) // 2))
+            pool = list(range(n * len(draw)))  # the family's fresh edge ids
             rng.shuffle(pool)
-            classes = [tuple(sorted(pool[i:i + n])) for i in range(0, len(pool), n)]
-            yield fam, classes
+            yield draw, [tuple(sorted(pool[i:i + n])) for i in range(0, len(pool), n)]
 
     def check(candidate) -> Optional[tuple[dict, dict]]:
-        fam, classes = candidate
-        scrambled = EdgeFamily(fam.graph, tuple(frozenset(c) for c in classes))
-        matching, _ = max_rainbow_matching(scrambled, target=n)
-        if len(matching) >= n:
+        draw, classes = candidate
+        # fresh id -> edge of K_{n,n}; a class may hold one edge twice
+        host = [e for rights in draw for e in _host_edges(n, rights)]
+        if len(search.run([_id_mask(host[e] for e in c) for c in classes], n)) >= n:
             return None
+        fam = _drawn_family(n, draw)
         instance = {**_serialize_family_instance(fam.graph, fam.colors),
                     "scrambling": [list(c) for c in classes]}
         # replay from the serialized instance to confirm
@@ -400,11 +407,20 @@ def random_matroid(rng: random.Random, ground: int) -> IndependenceOracle:
 def _random_claim(sizes_of: Callable[[int], tuple[int, ...]], spec: SweepSpec,
                   on_record, n: int, instances: int) -> SweepReport:
     """A sweep of seeded random families of matchings of sizes sizes_of(n),
-    each checked for a rainbow matching of size n."""
+    each checked for a rainbow matching of size n by one search on K_{n,n}
+    (n is the largest size); a counterexample is built with fresh edge ids,
+    as random_matching_family draws it."""
     rng, sizes = random.Random(spec.seed), sizes_of(n)
-    families = (random_matching_family(rng, sizes) for _ in range(instances))
-    return sweep(spec, families, _no_rainbow_matching(n), {"instances": instances},
-                 on_record)
+    search = _RainbowSearch(_complete_bipartite(n, n))
+
+    def check(draw) -> Optional[tuple[dict, dict]]:
+        if len(search.run([_id_mask(_host_edges(n, rights)) for rights in draw], n)) >= n:
+            return None
+        fam = _drawn_family(n, draw)
+        return _serialize_family_instance(fam.graph, fam.colors), {}
+
+    draws = (_draw_matchings(rng, sizes)[1] for _ in range(instances))
+    return sweep(spec, draws, check, {"instances": instances}, on_record)
 
 
 def _ab(spec: SweepSpec, on_record, n: int, max_vertices: int) -> SweepReport:
@@ -506,14 +522,18 @@ class SweepParam(NamedTuple):
     maximum: Optional[int] = None
 
 
+# the largest n of drisko, stairs and scrambled-sharpness: K_{64,64}, the
+# graph their one search is set up on, has 4,096 edges
+RANDOM_CLAIM_MAX_N = 64
+
 # tag -> (sweep, declared parameters); the sweep takes the spec, the record
 # callback and each declared parameter by name.
 SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
     "brs": (_brs, (SweepParam("n", maximum=6),)),
     "drisko": (partial(_random_claim, lambda n: (n,) * (2 * n - 1)),
-               (SweepParam("n"), SweepParam("instances", 1000))),
+               (SweepParam("n", maximum=RANDOM_CLAIM_MAX_N), SweepParam("instances", 1000))),
     "stairs": (partial(_random_claim, lambda n: stairs_sequence(n).sizes),
-               (SweepParam("n"), SweepParam("instances", 1000))),
+               (SweepParam("n", maximum=RANDOM_CLAIM_MAX_N), SweepParam("instances", 1000))),
     "ab": (_ab, (SweepParam("n"), SweepParam("max_vertices", 6, minimum=2))),
     "coercive-244": (_coercive_244, ()),
     "weighted-drisko": (_weighted_drisko, (SweepParam("n", maximum=4),
@@ -522,7 +542,8 @@ SWEEPS: dict[str, tuple[Callable[..., SweepReport], tuple[SweepParam, ...]]] = {
     "rho-two-cover": (_rho_two_cover,
                       (SweepParam("ground", 8, maximum=COVER_GROUND_CAP),
                        SweepParam("instances", 500))),
-    "scrambled-sharpness": (_scrambled_sharpness, (SweepParam("n", minimum=4),
+    "scrambled-sharpness": (_scrambled_sharpness, (SweepParam("n", minimum=4,
+                                                              maximum=RANDOM_CLAIM_MAX_N),
                                                    SweepParam("instances", 1000))),
     # n² ground elements, within COVER_GROUND_CAP
     "rota": (_rota, (SweepParam("n", maximum=4), SweepParam("instances", 50))),

@@ -96,6 +96,11 @@ class _RainbowSearch:
     """Branch and bound for a maximum rainbow matching, on int bitmasks of
     edge ids.
 
+    The set-up depends on the graph alone: its bipartition, its distinct
+    vertex pairs and the edges each edge kills. So one search serves every
+    family on the same graph (a sweep sets one up on K_{m,m} and runs it
+    once per family), and `run` takes each class as the mask of its edges.
+
     Branches on the color class with the fewest live edges, the edges that
     share no vertex with the partial (edges by ascending id within a class,
     then the skip branch); prunes with the size of the partial plus a
@@ -105,11 +110,7 @@ class _RainbowSearch:
     identical classes).
     """
 
-    def __init__(self, fam: EdgeFamily, target: Optional[int]):
-        g = fam.graph
-        self.target = target
-        self.best: list[tuple[int, int]] = []
-        self.colors = [sum(map((1).__lshift__, c)) for c in fam.colors]
+    def __init__(self, g: Graph):
         sides = find_bipartition(g)
         self.bipartite = sides is not None
         parallel: dict[int, int] = {}  # vertex mask of a pair -> its edge ids
@@ -140,8 +141,14 @@ class _RainbowSearch:
         return len(_max_matching_general(list(range(len(live))),
                                          [1 << l | 1 << r for _, l, r in live]))
 
-    def run(self) -> list[tuple[int, int]]:
-        self._search(0, dict(enumerate(self.colors)), [])
+    def run(self, colors: Sequence[int], target: Optional[int]
+            ) -> list[tuple[int, int]]:
+        """A maximum rainbow matching of the classes (one edge-id mask per
+        class) as (class, edge) pairs, or the first one found of size
+        target."""
+        self.target = target
+        self.best: list[tuple[int, int]] = []
+        self._search(0, dict(enumerate(colors)), [])
         return self.best
 
     def _done(self) -> bool:
@@ -184,6 +191,15 @@ class _RainbowSearch:
                               or m & ~cover or not all(p & m for p in orbit)}, chosen)
 
 
+def _id_mask(ids: Iterable[int]) -> int:
+    """The int with bit e set for each e in ids; a repeated id sets its bit
+    once."""
+    mask = 0
+    for e in ids:
+        mask |= 1 << e
+    return mask
+
+
 def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
                          ) -> tuple[Matching, ChoiceFunction]:
     """A maximum-size rainbow matching with its color provenance.
@@ -193,7 +209,7 @@ def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
     """
     if target is not None and target < 0:
         raise InstanceError(f"target must be nonnegative, got {target}")
-    chosen = _RainbowSearch(fam, target).run()
+    chosen = _RainbowSearch(fam.graph).run(list(map(_id_mask, fam.colors)), target)
     matching = Matching(frozenset(e for _, e in chosen))
     function = ChoiceFunction(tuple(chosen))
     return matching, function
@@ -306,9 +322,9 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
         if not f:
             raise HypothesisViolation(f"edge set {i} is empty", witness=i)
     fam = EdgeFamily(g, tuple(sets))
-    search = _RainbowSearch(fam, None)
+    search, masks = _RainbowSearch(g), list(map(_id_mask, sets))
     for i, j in itertools.combinations(range(len(sets)), 2):
-        nu = search._matching_bound(search.colors[i] | search.colors[j])
+        nu = search._matching_bound(masks[i] | masks[j])
         if nu < k:
             raise HypothesisViolation(
                 f"matching number of the union of sets {i} and {j} is {nu} < {k}",
@@ -539,6 +555,13 @@ def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
                                      _cycle_automorphisms(lengths))
 
 
+def _complete_bipartite(nl: int, nr: int) -> Graph:
+    """K_{nl,nr} with sides 0..nl-1 and nl..nl+nr-1: edge l*nr + r joins
+    left vertex l and right vertex nl + r."""
+    return Graph(nl + nr, tuple((l, nl + r) for l in range(nl) for r in range(nr)),
+                 (frozenset(range(nl)), frozenset(range(nl, nl + nr))))
+
+
 def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
     """Every family of n matchings of size n over each bipartition with at
     most max_vertices vertices, covering both sides, up to relabeling: the
@@ -548,26 +571,51 @@ def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
     for nl in range(n, max_vertices + 1):
         # no family covers more than n * n vertices of a side: build no tables there
         for nr in range(nl, min(max_vertices - nl, n * n) + 1):
-            g = Graph(nl + nr, tuple((l, nl + r) for l in range(nl) for r in range(nr)),
-                      (frozenset(range(nl)), frozenset(range(nl, nl + nr))))
+            g = _complete_bipartite(nl, nr)
             for fam in _orderly_families(g, (n,) * n, _side_automorphisms(nl, nr)):
                 # one that leaves a vertex uncovered was counted at a smaller bipartition
                 if len({v for c in fam.colors for e in c for v in g.edges[e]}) == nl + nr:
                     yield fam
 
 
+def _draw_matchings(rng, sizes: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """m (the largest size, or 1 with no sizes) and, per size s, the right
+    vertices 0..m-1 that left vertices 0..s-1 take in a uniform random
+    permutation matching of K_{m,m}, by one rng.shuffle per size."""
+    m = max(sizes) if sizes else 1
+    rights = []
+    for s in sizes:
+        perm = list(range(m))
+        rng.shuffle(perm)
+        rights.append(perm[:s])
+    return m, rights
+
+
+def _host_edges(m: int, rights: Sequence[int]) -> list[int]:
+    """The ids in _complete_bipartite(m, m) of the edges (l, rights[l])."""
+    return [l * m + r for l, r in enumerate(rights)]
+
+
+def _drawn_family(m: int, draw: Sequence[Sequence[int]]) -> EdgeFamily:
+    """A draw of _draw_matchings as a family with sides 0..m-1 and
+    m..2m-1 in which every edge gets a fresh id, class by class and by
+    ascending left vertex, so repeats across colors become parallel edges."""
+    edges: list[tuple[int, int]] = []
+    colors: list[frozenset[int]] = []
+    for rights in draw:
+        colors.append(frozenset(range(len(edges), len(edges) + len(rights))))
+        edges += ((l, m + r) for l, r in enumerate(rights))
+    sides = (frozenset(range(m)), frozenset(range(m, 2 * m)))
+    return EdgeFamily(Graph(2 * m, tuple(edges), sides), tuple(colors))
+
+
 def random_matching_family(rng, sizes: Sequence[int]) -> EdgeFamily:
     """A seeded family of bipartite matchings with the given sizes: each is
     a uniform random permutation matching of K_{m,m} (m = largest size)
     restricted to its first entries, with sides 0..m-1 and m..2m-1; every
-    edge gets a fresh id, so repeats across colors become parallel edges."""
-    m = max(sizes) if sizes else 1
-    edges: list[tuple[int, int]] = []
-    colors: list[frozenset[int]] = []
-    for s in sizes:
-        perm = list(range(m))
-        rng.shuffle(perm)
-        colors.append(frozenset(range(len(edges), len(edges) + s)))
-        edges += ((l, m + perm[l]) for l in range(s))
-    sides = (frozenset(range(m)), frozenset(range(m, 2 * m)))
-    return EdgeFamily(Graph(2 * m, tuple(edges), sides), tuple(colors))
+    edge gets a fresh id, so repeats across colors become parallel edges.
+
+    It is the draw of _draw_matchings built by _drawn_family; the random
+    claim sweeps draw the same families from the same rng but search them
+    on K_{m,m} itself, and build this form only for a counterexample."""
+    return _drawn_family(*_draw_matchings(rng, sizes))

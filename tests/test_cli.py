@@ -192,6 +192,11 @@ class TestSweepParams:
         pytest.param("drisko", [], "'n'", id="missing-parameter"),
         pytest.param("drisko", ["n=2", "n=3"], "'n'", id="repeated-parameter"),
         pytest.param("brs", ["n=7"], "'n'", id="brs-n-above-maximum"),
+        pytest.param("drisko", ["n=100000000000000000000"], "'n'", id="drisko-n-1e20"),
+        pytest.param("drisko", ["n=65"], "'n'", id="drisko-n-above-maximum"),
+        pytest.param("stairs", ["n=65"], "'n'", id="stairs-n-above-maximum"),
+        pytest.param("scrambled-sharpness", ["n=65"], "'n'",
+                     id="scrambled-sharpness-n-above-maximum"),
         pytest.param("rota", ["n=5"], "'n'", id="rota-n-above-cover-cap"),
         pytest.param("rho-two-cover", ["ground=17"], "'ground'",
                      id="rho-two-cover-ground-above-cover-cap"),

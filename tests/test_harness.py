@@ -7,11 +7,11 @@ counterexample and detail), the full stream of per-instance records, and
 the report when the instance cap stops the sweep after three instances.
 """
 
+import hashlib
 import itertools
 import json
 import random
 from collections import Counter
-from types import SimpleNamespace
 from types import SimpleNamespace
 
 import pytest
@@ -180,9 +180,19 @@ def no_rainbow_matching(fam, target=None):
     return Matching(frozenset()), ChoiceFunction(())
 
 
-# (tag, params, module, name of the search its check calls, a stand-in
-# that makes every candidate a hit, the keys of the serialized counterexample)
+def no_rainbow_run(search, colors, target):
+    """A stand-in for the shared search's run that finds nothing."""
+    return []
+
+
+# (tag, params, module or class, name of the search its check calls, a
+# stand-in that makes every candidate a hit, the keys of the serialized
+# counterexample)
 HITS = [
+    ("drisko", {"n": 3, "instances": 3}, matching._RainbowSearch, "run",
+     no_rainbow_run, {"graph", "colors"}),
+    ("stairs", {"n": 3, "instances": 3}, matching._RainbowSearch, "run",
+     no_rainbow_run, {"graph", "colors"}),
     ("brs", {"n": 3}, harness, "latin_transversal",
      lambda square, target=None: Transversal(frozenset()), {"latin"}),
     ("weighted-drisko", {"n": 2, "instances": 3}, harness, "_weighted_rainbow_exists",
@@ -237,18 +247,34 @@ def test_ab_counterexample_is_a_family_on_the_complete_bipartite_graph(
     assert cli.main(["rainbow-matching", "--target", "2", "--input", str(path)]) == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("tag, sizes", [("drisko", (3,) * 5), ("stairs", (1, 2, 3, 3, 3))])
+def test_random_claim_counterexample_has_fresh_edge_ids(monkeypatch, capsys, tmp_path,
+                                                        tag, sizes):
+    """A forced hit on the first family at n = 3 is serialized as
+    random_matching_family draws it from the sweep's seed (0): one fresh
+    edge id per edge of each class, not the edge ids of K_{3,3} that the
+    sweep searches on. It does have a rainbow matching of size 3, which the
+    unpatched CLI finds."""
+    monkeypatch.setattr(matching._RainbowSearch, "run", no_rainbow_run)
+    out, _ = sweep_through_cli(capsys, tag, {"n": 3, "instances": 3})
+    hit = out[-1]["counterexample"]
+    fam = matching.random_matching_family(random.Random(0), sizes)
+    assert hit == matching._serialize_family_instance(fam.graph, fam.colors)
+    monkeypatch.undo()
+    path = tmp_path / "counterexample.json"
+    path.write_text(json.dumps(hit))
+    assert cli.main(["rainbow-matching", "--target", "3", "--input", str(path)]) == cli.EXIT_OK
+
+
 def sharpness_sweep(monkeypatch, capsys, replay_size):
-    """The scrambled-sharpness sweep through the CLI, with a solver whose
-    first answer on each candidate has n - 1 edges and whose replay answer
-    has replay_size: the parsed stdout lines and the exit code."""
-    calls = []
-
-    def solver(fam, target=None):
-        calls.append(target)
-        size = replay_size if len(calls) % 2 == 0 else target - 1
-        return list(range(size)), None
-
-    monkeypatch.setattr(harness, "max_rainbow_matching", solver)
+    """The scrambled-sharpness sweep through the CLI, with a shared search
+    whose answer on each candidate has n - 1 edges and a replay (through
+    max_rainbow_matching) whose answer has replay_size: the parsed stdout
+    lines and the exit code."""
+    monkeypatch.setattr(matching._RainbowSearch, "run",
+                        lambda search, colors, target: [None] * (target - 1))
+    monkeypatch.setattr(harness, "max_rainbow_matching",
+                        lambda fam, target=None: (list(range(replay_size)), None))
     return sweep_through_cli(capsys, "scrambled-sharpness", {"n": 4, "instances": 3})
 
 
@@ -268,6 +294,70 @@ def test_sharpness_replay_that_disagrees_is_a_theorem_violation(monkeypatch, cap
     out, code = sharpness_sweep(monkeypatch, capsys, replay_size=4)
     assert code == cli.EXIT_THEOREM == 5
     assert out[-1]["status"] == "theorem-violation"
+
+
+class TestRandomClaimSearch:
+    """drisko, stairs and scrambled-sharpness set up one search on K_{n,n}
+    and run it on every family, visiting the same search tree as one search
+    set up per family did."""
+
+    # sha256 of the JSON of [records, report] at the default 1,000 instances
+    DIGESTS = {
+        ("drisko", 0): "ed2b62f1271e5b15524ce22e806b18fff6c1ba21ebf63ee99aede0d6d9ccf66e",
+        ("drisko", 7): "859d5afcf91646d0a88143d2f7eba2bff25f9b3008c703b6485ae59e7deafdca",
+        ("drisko", 41): "9fb568b4a11f5cbf5c2392e3b0d71c89c8abdabb2d71efb657119ae362e1e8ea",
+        ("stairs", 0): "878e6f851919de5ae9ba0e3a632e7113004b94d3de7a88ffd549d49dea0527b2",
+        ("stairs", 7): "74f6413e60590f4cba10dc312afa389a05501018e2d0ddaedcc7125b26febee7",
+        ("stairs", 41): "3c4d633970167ddb6eef1e8c47d613c850ea607f3e33570624dbc24febfa46d9",
+        ("scrambled-sharpness", 0):
+            "613e7b09129670ef308c21785983512f9cf9cbbbb61cac841c8e97830f8ea38c",
+        ("scrambled-sharpness", 7):
+            "d5b47ceab0f087d2ddd6abfd5c9ed0ce350d5095113200b34e5aff7bf79169f0",
+        ("scrambled-sharpness", 41):
+            "f9e72281d4c6d75ee7531a32618895b3c68845f5505b1dec0d6600dd1c2181cf",
+    }
+    N = {"drisko": 3, "stairs": 3, "scrambled-sharpness": 4}
+
+    @staticmethod
+    def sweep_at(tag, n, seed):
+        records = []
+        spec = SweepSpec(tag, (("n", n),), seed=seed)
+        return run_sweep(spec, on_record=records.append), records
+
+    @pytest.mark.parametrize("tag", sorted(N))
+    def test_one_search_per_sweep(self, monkeypatch, tag):
+        made = []
+        init = matching._RainbowSearch.__init__
+
+        def counted(search, g):
+            made.append(g)
+            init(search, g)
+
+        monkeypatch.setattr(matching._RainbowSearch, "__init__", counted)
+        report, records = self.sweep_at(tag, self.N[tag], 0)
+        assert len(records) == report.instances_tested == 1000
+        assert [g.num_edges for g in made] == [self.N[tag] ** 2]
+
+    @pytest.mark.parametrize("tag, calls", [("drisko", 3371), ("stairs", 3602)])
+    def test_bound_calls_at_n3_seed0(self, monkeypatch, tag, calls):
+        """Each class is a matching, so its edges on K_{3,3} are live
+        exactly when its fresh edges were, in the same order."""
+        counted = []
+        bound = matching._RainbowSearch._matching_bound
+
+        def counting(search, union):
+            counted.append(union)
+            return bound(search, union)
+
+        monkeypatch.setattr(matching._RainbowSearch, "_matching_bound", counting)
+        self.sweep_at(tag, 3, 0)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("tag, seed", sorted(DIGESTS))
+    def test_report_and_records(self, tag, seed):
+        report, records = self.sweep_at(tag, self.N[tag], seed)
+        digest = hashlib.sha256(json.dumps([records, report.as_dict()]).encode()).hexdigest()
+        assert digest == self.DIGESTS[tag, seed]
 
 
 def test_rota_computes_each_covering_number_once(monkeypatch):
