@@ -290,11 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "sweep":
             p.add_argument("--input", default=None,
                            help="instance JSON file (default: stdin)")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="pretty", action="store_false",
-                         default=False, help="compact machine output (default)")
-        fmt.add_argument("--pretty", dest="pretty", action="store_true",
-                         help="indented human output")
+        p.add_argument("--pretty", action="store_true",
+                       help="indented human output (default: compact JSON)")
         for flag, kwargs in options.items():
             p.add_argument(flag, **kwargs)
     return parser

@@ -26,12 +26,10 @@ from .matching import (
     _cycle_families,
     _draw_matchings,
     _drawn_family,
-    _host_edges,
     _id_mask,
     _no_rainbow_matching,
     _serialize_family_instance,
     max_rainbow_matching,
-    random_matching_family,
     stairs_sequence,
 )
 from .matroids import (
@@ -198,25 +196,30 @@ def _rota_partition(members: bytes, part_sets: list[frozenset[int]]) -> RotaSear
 # weighted rainbow matchings
 
 
-def _weighted_rainbow_exists(fam: EdgeFamily, weights: Sequence[int],
-                             size: int, budget: int) -> bool:
+def _weighted_rainbow_exists(m: int, draw: Sequence[Sequence[int]],
+                             weights: Sequence[int], size: int, budget: int) -> bool:
     """Exact search for a rainbow matching of the given size and total
-    weight within budget."""
-    g = fam.graph
-    masks = [g.edge_mask(e) for e in range(g.num_edges)]
-    colors = sorted(range(fam.num_colors),
-                    key=lambda c: (len(fam.colors[c]), c))
+    weight within budget, among the classes of a _draw_matchings draw on
+    K_{m,m}; weights[i] is the weight of the drawn edge with fresh id i in
+    _drawn_family."""
+    # per class: (vertex mask, weight) of each edge, by ascending left vertex
+    classes: list[list[tuple[int, int]]] = []
+    fresh = 0
+    for host in draw:
+        classes.append([((1 << e // m) | (1 << (m + e % m)), weights[fresh + i])
+                        for i, e in enumerate(host)])
+        fresh += len(host)
+    classes.sort(key=len)  # stable: equal sizes keep class order
 
     def rec(ci: int, used: int, count: int, spent: int) -> bool:
         if count == size:
             return True
-        if fam.num_colors - ci < size - count:
+        if len(classes) - ci < size - count:
             return False
-        c = colors[ci]
-        for e in sorted(fam.colors[c]):
-            if masks[e] & used or spent + weights[e] > budget:
+        for mask, weight in classes[ci]:
+            if mask & used or spent + weight > budget:
                 continue
-            if rec(ci + 1, used | masks[e], count + 1, spent + weights[e]):
+            if rec(ci + 1, used | mask, count + 1, spent + weight):
                 return True
         return rec(ci + 1, used, count, spent)
 
@@ -229,14 +232,16 @@ def _weighted_drisko(spec: SweepSpec, on_record, n: int, wmax: int,
 
     def candidates():
         for _ in range(instances):
-            fam = random_matching_family(rng, [n] * (2 * n - 1))
-            yield fam, [rng.randint(0, wmax) for _ in range(fam.graph.num_edges)]
+            _, draw = _draw_matchings(rng, [n] * (2 * n - 1))
+            yield draw, [rng.randint(0, wmax) for _ in range(n * len(draw))]
 
     def check(candidate) -> Optional[tuple[dict, dict]]:
-        fam, weights = candidate
-        budget = max(sum(weights[e] for e in color) for color in fam.colors)
-        if _weighted_rainbow_exists(fam, weights, n, budget):
+        draw, weights = candidate
+        # class c holds fresh ids c*n .. c*n + n - 1
+        budget = max(sum(weights[c * n:(c + 1) * n]) for c in range(len(draw)))
+        if _weighted_rainbow_exists(n, draw, weights, n, budget):
             return None
+        fam = _drawn_family(n, draw)
         return ({**_serialize_family_instance(fam.graph, fam.colors),
                  "weights": weights, "budget": budget}, {"n": n})
 
@@ -339,7 +344,7 @@ def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
     def check(candidate) -> Optional[tuple[dict, dict]]:
         draw, classes = candidate
         # fresh id -> edge of K_{n,n}; a class may hold one edge twice
-        host = [e for rights in draw for e in _host_edges(n, rights)]
+        host = [e for edges in draw for e in edges]
         if len(search.run([_id_mask(host[e] for e in c) for c in classes], n)) >= n:
             return None
         fam = _drawn_family(n, draw)
@@ -362,7 +367,20 @@ def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
 
 
 # ---------------------------------------------------------------------------
-# random matroids (for the covering-number sweeps)
+# random graphs and matroids (for the short-cycle and covering-number sweeps)
+
+
+def _random_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """A seeded loopless multigraph on n >= 2 vertices with m edges: two
+    rng.randrange ends per edge, the second redrawn until they differ."""
+    edges: list[tuple[int, int]] = []
+    for _ in range(m):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        while v == u:
+            v = rng.randrange(n)
+        edges.append((u, v))
+    return Graph(n, tuple(edges))
 
 
 def random_matroid(rng: random.Random, ground: int) -> IndependenceOracle:
@@ -382,15 +400,7 @@ def random_matroid(rng: random.Random, ground: int) -> IndependenceOracle:
         caps = [rng.randint(1, 2) for _ in parts]
         return partition_matroid(ground, parts, caps)
     if kind == "graphic":
-        v = rng.randint(2, max(2, ground))
-        edges = []
-        for _ in range(ground):
-            u = rng.randrange(v)
-            w = rng.randrange(v)
-            while w == u:
-                w = rng.randrange(v)
-            edges.append((u, w))
-        return graphic_matroid(Graph(v, tuple(edges)))
+        return graphic_matroid(_random_graph(rng, rng.randint(2, max(2, ground)), ground))
     if kind == "binary":
         bits = rng.randint(1, min(6, max(1, ground)))
         cols = [rng.randint(1, (1 << bits) - 1) for _ in range(ground)]
@@ -414,7 +424,7 @@ def _random_claim(sizes_of: Callable[[int], tuple[int, ...]], spec: SweepSpec,
     search = _RainbowSearch(_complete_bipartite(n, n))
 
     def check(draw) -> Optional[tuple[dict, dict]]:
-        if len(search.run([_id_mask(_host_edges(n, rights)) for rights in draw], n)) >= n:
+        if len(search.run(list(map(_id_mask, draw)), n)) >= n:
             return None
         fam = _drawn_family(n, draw)
         return _serialize_family_instance(fam.graph, fam.colors), {}
@@ -493,24 +503,14 @@ def _short_cycle(spec: SweepSpec, on_record, n: int, r: int,
     need = -(-n // r)
     sets = [list(range(c * need, (c + 1) * need)) for c in range(n)]
 
-    def candidates():
-        for _ in range(instances):
-            edges: list[tuple[int, int]] = []
-            for _e in range(n * need):
-                u = rng.randrange(n)
-                v = rng.randrange(n)
-                while v == u:
-                    v = rng.randrange(n)
-                edges.append((u, v))
-            yield Graph(n, tuple(edges))
-
     def check(g: Graph) -> Optional[tuple[dict, dict]]:
         if rainbow_short_cycle(g, sets, r) is not None:
             return None
         graph = {"n": n, "edges": [list(e) for e in g.edges]}
         return {"graph": graph, "families": sets}, {"n": n, "r": r}
 
-    return sweep(spec, candidates(), check, {"n": n, "r": r}, on_record)
+    graphs = (_random_graph(rng, n, n * need) for _ in range(instances))
+    return sweep(spec, graphs, check, {"n": n, "r": r}, on_record)
 
 
 class SweepParam(NamedTuple):

@@ -98,8 +98,8 @@ class _RainbowSearch:
 
     The set-up depends on the graph alone: its bipartition, its distinct
     vertex pairs and the edges each edge kills. So one search serves every
-    family on the same graph (a sweep sets one up on K_{m,m} and runs it
-    once per family), and `run` takes each class as the mask of its edges.
+    family on the same graph (a sweep sets one up per host graph and runs
+    it once per family), and `run` takes each class as the mask of its edges.
 
     Branches on the color class with the fewest live edges, the edges that
     share no vertex with the partial (edges by ascending id within a class,
@@ -210,12 +210,16 @@ def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
     if target is not None and target < 0:
         raise InstanceError(f"target must be nonnegative, got {target}")
     chosen = _RainbowSearch(fam.graph).run(list(map(_id_mask, fam.colors)), target)
-    matching = Matching(frozenset(e for _, e in chosen))
-    function = ChoiceFunction(tuple(chosen))
-    return matching, function
+    return Matching(frozenset(e for _, e in chosen)), ChoiceFunction(tuple(chosen))
 
 
-def _validate_matching_colors(fam: EdgeFamily, min_sizes: Sequence[int]):
+def _has_rainbow_matching(fam: EdgeFamily, min_sizes: Sequence[int], target: int,
+                          bipartite: bool) -> bool:
+    """True iff the family, one matching of at least min_sizes[i] edges per
+    class (on a bipartite graph if asked), has a rainbow matching of size
+    target; a family outside that hypothesis raises HypothesisViolation."""
+    if bipartite and find_bipartition(fam.graph) is None:
+        raise HypothesisViolation("instance graph is not bipartite")
     if fam.num_colors != len(min_sizes):
         raise HypothesisViolation(
             f"expected {len(min_sizes)} color classes, got {fam.num_colors}",
@@ -224,31 +228,23 @@ def _validate_matching_colors(fam: EdgeFamily, min_sizes: Sequence[int]):
     for i, need in enumerate(min_sizes):
         edges = fam.colors[i]
         if not matching_check(fam.graph, edges):
-            raise HypothesisViolation(
-                f"color {i} is not a matching", witness=i
-            )
+            raise HypothesisViolation(f"color {i} is not a matching", witness=i)
         if len(edges) < need:
-            raise HypothesisViolation(
-                f"color {i} has size {len(edges)} < required {need}", witness=i
-            )
+            raise HypothesisViolation(f"color {i} has size {len(edges)} < required {need}",
+                                      witness=i)
+    matching, _ = max_rainbow_matching(fam, target=target)
+    return len(matching) >= target
 
 
 def check_arrow_instance(stmt: ArrowStatement, fam: EdgeFamily) -> bool:
     """True iff the instance has a rainbow matching of size stmt.c."""
-    if stmt.graph_class == "bipartite" and find_bipartition(fam.graph) is None:
-        raise HypothesisViolation("instance graph is not bipartite")
-    _validate_matching_colors(fam, [stmt.b] * stmt.a)
-    matching, _ = max_rainbow_matching(fam, target=stmt.c)
-    return len(matching) >= stmt.c
+    return _has_rainbow_matching(fam, [stmt.b] * stmt.a, stmt.c,
+                                 stmt.graph_class == "bipartite")
 
 
 def check_sequence_instance(sigma: SizeSequence, fam: EdgeFamily) -> bool:
     """True iff the instance has a rainbow matching of size sigma.target."""
-    if find_bipartition(fam.graph) is None:
-        raise HypothesisViolation("instance graph is not bipartite")
-    _validate_matching_colors(fam, sigma.sizes)
-    matching, _ = max_rainbow_matching(fam, target=sigma.target)
-    return len(matching) >= sigma.target
+    return _has_rainbow_matching(fam, sigma.sizes, sigma.target, True)
 
 
 # ---------------------------------------------------------------------------
@@ -309,9 +305,11 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
 def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
                              k: int) -> tuple[Matching, ChoiceFunction]:
     """A rainbow matching of size k from 2k-1 nonempty edge sets whose
-    pairwise unions all contain matchings of size k."""
-    sides = find_bipartition(g)
-    if sides is None:
+    pairwise unions all contain matchings of size k. One search on g
+    decides bipartiteness, bounds each pairwise union and finds the
+    matching."""
+    search = _RainbowSearch(g)
+    if not search.bipartite:
         raise HypothesisViolation("graph is not bipartite")
     sets = [frozenset(int(e) for e in f) for f in families]
     if len(sets) != 2 * k - 1:
@@ -321,8 +319,8 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
     for i, f in enumerate(sets):
         if not f:
             raise HypothesisViolation(f"edge set {i} is empty", witness=i)
-    fam = EdgeFamily(g, tuple(sets))
-    search, masks = _RainbowSearch(g), list(map(_id_mask, sets))
+    EdgeFamily(g, tuple(sets))  # rejects an unknown edge id
+    masks = list(map(_id_mask, sets))
     for i, j in itertools.combinations(range(len(sets)), 2):
         nu = search._matching_bound(masks[i] | masks[j])
         if nu < k:
@@ -330,13 +328,13 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
                 f"matching number of the union of sets {i} and {j} is {nu} < {k}",
                 witness=(i, j),
             )
-    matching, function = max_rainbow_matching(fam, target=k)
-    if len(matching) < k:
+    chosen = search.run(masks, k)
+    if len(chosen) < k:
         raise TheoremViolation(
             "no rainbow matching of size %d despite pairwise unions of "
             "matching number >= %d" % (k, k)
         )
-    return matching, function
+    return Matching(frozenset(e for _, e in chosen)), ChoiceFunction(tuple(chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +412,26 @@ def scrambled_matching_check(g: Graph, original: Sequence[Iterable[int]],
 # ---------------------------------------------------------------------------
 # counterexample sweeps
 
+# a family of the exhaustive claim sweeps: its graph, and each class's edge ids
+_Family = tuple[Graph, tuple[tuple[int, ...], ...]]
 
-def _matchings_of_size_in(g: Graph, pool: Sequence[int], size: int
-                          ) -> Iterator[tuple[int, ...]]:
-    """The size-`size` matchings among the pool edges, each in pool order,
-    lexicographically by pool position. A branch stops once too few edges
-    disjoint from its picks remain to complete it."""
-    masks = [g.edge_mask(e) for e in pool]
+
+def _matchings_of_size_in(g: Graph, size: int) -> Iterator[tuple[int, ...]]:
+    """The size-`size` matchings of g, each as ascending edge ids, in
+    lexicographic order. A branch stops once too few edges disjoint from
+    its picks remain to complete it."""
+    masks = [g.edge_mask(e) for e in range(g.num_edges)]
 
     def rec(idx: int, used: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
         if len(acc) == size:
             yield tuple(acc)
             return
-        free = [j for j in range(idx, len(pool)) if not masks[j] & used]
+        free = [e for e in range(idx, len(masks)) if not masks[e] & used]
         if len(acc) + len(free) < size:
             return
-        for j in free:
-            acc.append(pool[j])
-            yield from rec(j + 1, used | masks[j], acc)
+        for e in free:
+            acc.append(e)
+            yield from rec(e + 1, used | masks[e], acc)
             acc.pop()
 
     yield from rec(0, 0, [])
@@ -497,24 +497,29 @@ def _bipartite_canonical(family: Sequence[int], tables: Sequence[Sequence[int]]
     return all(sorted([table[i] for i in family]) >= least for table in tables)
 
 
-def _no_rainbow_matching(need: int) -> Callable[[EdgeFamily], Optional[tuple[dict, dict]]]:
-    """A sweep check for families with no rainbow matching of size need;
-    a hit is the serialized family."""
+def _no_rainbow_matching(need: int) -> Callable[[_Family], Optional[tuple[dict, dict]]]:
+    """A sweep check for families with no rainbow matching of size need:
+    one search is set up per graph, when the stream moves to a new graph
+    object, and run on each family's class masks; a hit is the serialized
+    family."""
+    host: list = [None, None]  # the current graph and its search
 
-    def check(fam: EdgeFamily) -> Optional[tuple[dict, dict]]:
-        matching, _ = max_rainbow_matching(fam, target=need)
-        if len(matching) >= need:
+    def check(family: _Family) -> Optional[tuple[dict, dict]]:
+        g, colors = family
+        if g is not host[0]:
+            host[:] = g, _RainbowSearch(g)
+        if len(host[1].run(list(map(_id_mask, colors)), need)) >= need:
             return None
-        return _serialize_family_instance(fam.graph, fam.colors), {}
+        return _serialize_family_instance(g, colors), {}
 
     return check
 
 
 def _orderly_families(g: Graph, sizes: tuple[int, ...],
-                      automorphisms: Iterable[Sequence[int]]) -> Iterator[EdgeFamily]:
+                      automorphisms: Iterable[Sequence[int]]) -> Iterator[_Family]:
     """Every family of matchings of g with the given nondecreasing sizes, up
     to the automorphisms (permutations of g's edge ids): the first family
-    of each class in enumeration order.
+    of each class in enumeration order, as (g, its matchings).
 
     That first family is found by orderly generation (Read 1978). The
     matchings of each size are listed once, sorted, the sizes in increasing
@@ -528,7 +533,7 @@ def _orderly_families(g: Graph, sizes: tuple[int, ...],
     parts = []
     for size in sorted(counts):
         start = len(matchings)
-        matchings += _matchings_of_size_in(g, range(g.num_edges), size)
+        matchings += _matchings_of_size_in(g, size)
         parts.append(itertools.combinations_with_replacement(
             range(start, len(matchings)), counts[size]))
     tables = _index_tables(matchings, automorphisms)
@@ -543,11 +548,11 @@ def _orderly_families(g: Graph, sizes: tuple[int, ...],
         for tail in tails:
             family = head + tuple(itertools.chain(*tail))
             if _bipartite_canonical(family, stabilizer):
-                yield EdgeFamily(g, tuple(frozenset(matchings[i]) for i in family))
+                yield g, tuple(matchings[i] for i in family)
 
 
 def _cycle_families(sizes: tuple[int, ...], ambients: Iterable[tuple[int, ...]]
-                    ) -> Iterator[EdgeFamily]:
+                    ) -> Iterator[_Family]:
     """_orderly_families inside each disjoint union of cycles with the
     given lengths, up to its automorphisms."""
     for lengths in ambients:
@@ -562,7 +567,7 @@ def _complete_bipartite(nl: int, nr: int) -> Graph:
                  (frozenset(range(nl)), frozenset(range(nl, nl + nr))))
 
 
-def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
+def _bipartite_families(n: int, max_vertices: int) -> Iterator[_Family]:
     """Every family of n matchings of size n over each bipartition with at
     most max_vertices vertices, covering both sides, up to relabeling: the
     _orderly_families of K_{nl,nr} under _side_automorphisms that cover
@@ -572,28 +577,24 @@ def _bipartite_families(n: int, max_vertices: int) -> Iterator[EdgeFamily]:
         # no family covers more than n * n vertices of a side: build no tables there
         for nr in range(nl, min(max_vertices - nl, n * n) + 1):
             g = _complete_bipartite(nl, nr)
-            for fam in _orderly_families(g, (n,) * n, _side_automorphisms(nl, nr)):
+            for family in _orderly_families(g, (n,) * n, _side_automorphisms(nl, nr)):
                 # one that leaves a vertex uncovered was counted at a smaller bipartition
-                if len({v for c in fam.colors for e in c for v in g.edges[e]}) == nl + nr:
-                    yield fam
+                if len({v for c in family[1] for e in c for v in g.edges[e]}) == nl + nr:
+                    yield family
 
 
 def _draw_matchings(rng, sizes: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """m (the largest size, or 1 with no sizes) and, per size s, the right
-    vertices 0..m-1 that left vertices 0..s-1 take in a uniform random
-    permutation matching of K_{m,m}, by one rng.shuffle per size."""
+    """m (the largest size, or 1 with no sizes) and, per size s, the edges
+    that left vertices 0..s-1 take in a uniform random permutation matching
+    of K_{m,m}, as ids in _complete_bipartite(m, m) (l*m + r joins left l
+    and right m + r), by one rng.shuffle per size."""
     m = max(sizes) if sizes else 1
-    rights = []
+    draw = []
     for s in sizes:
         perm = list(range(m))
         rng.shuffle(perm)
-        rights.append(perm[:s])
-    return m, rights
-
-
-def _host_edges(m: int, rights: Sequence[int]) -> list[int]:
-    """The ids in _complete_bipartite(m, m) of the edges (l, rights[l])."""
-    return [l * m + r for l, r in enumerate(rights)]
+        draw.append([l * m + r for l, r in enumerate(perm[:s])])
+    return m, draw
 
 
 def _drawn_family(m: int, draw: Sequence[Sequence[int]]) -> EdgeFamily:
@@ -602,9 +603,9 @@ def _drawn_family(m: int, draw: Sequence[Sequence[int]]) -> EdgeFamily:
     ascending left vertex, so repeats across colors become parallel edges."""
     edges: list[tuple[int, int]] = []
     colors: list[frozenset[int]] = []
-    for rights in draw:
-        colors.append(frozenset(range(len(edges), len(edges) + len(rights))))
-        edges += ((l, m + r) for l, r in enumerate(rights))
+    for host in draw:
+        colors.append(frozenset(range(len(edges), len(edges) + len(host))))
+        edges += ((e // m, m + e % m) for e in host)
     sides = (frozenset(range(m)), frozenset(range(m, 2 * m)))
     return EdgeFamily(Graph(2 * m, tuple(edges), sides), tuple(colors))
 

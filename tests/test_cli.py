@@ -212,6 +212,15 @@ class TestSweepParams:
         assert payload["status"] == "error"
         assert name in payload["error"]
 
+    @pytest.mark.parametrize("argv", [["sweep", "--conjecture", "brs", "--params", "n=3"],
+                                      ["hall"]], ids=["sweep", "hall"])
+    def test_json_is_not_an_option(self, capsys, argv):
+        """Compact JSON is the output unless --pretty is given; no flag
+        selects it."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--json"])
+        assert exc.value.code == 2
+
     def test_seed_is_a_sweep_option_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["hall", "--seed", "1"])

@@ -18,12 +18,10 @@ import pytest
 
 from rainbowsets import cli, harness, matching, sweeps
 from rainbowsets.core import (
-    ChoiceFunction,
     Graph,
     HypothesisViolation,
     InstanceError,
     LatinSquare,
-    Matching,
     Transversal,
     transversal_check,
 )
@@ -176,10 +174,6 @@ def test_coercive_counterexample_replays_through_cli(tmp_path, capsys):
     assert brute_max_rainbow(EdgeFamily(g, tuple(map(frozenset, COERCIVE_HIT["colors"])))) < 3
 
 
-def no_rainbow_matching(fam, target=None):
-    return Matching(frozenset()), ChoiceFunction(())
-
-
 def no_rainbow_run(search, colors, target):
     """A stand-in for the shared search's run that finds nothing."""
     return []
@@ -196,7 +190,7 @@ HITS = [
     ("brs", {"n": 3}, harness, "latin_transversal",
      lambda square, target=None: Transversal(frozenset()), {"latin"}),
     ("weighted-drisko", {"n": 2, "instances": 3}, harness, "_weighted_rainbow_exists",
-     lambda fam, weights, size, budget: False, {"graph", "colors", "weights", "budget"}),
+     lambda m, draw, weights, size, budget: False, {"graph", "colors", "weights", "budget"}),
     ("rho-two-cover", {"ground": 4, "instances": 3}, harness, "check_two_cover",
      lambda m1, m2: SimpleNamespace(holds=False, rho_m=1, rho_n=1, rho_meet=3),
      {"matroid", "matroid2"}),
@@ -205,8 +199,8 @@ HITS = [
      {"matroid", "parts"}),
     ("short-cycle", {"n": 4, "r": 3, "instances": 3}, harness, "rainbow_short_cycle",
      lambda g, sets, r: None, {"graph", "families"}),
-    ("ab", {"n": 3, "max_vertices": 6}, matching, "max_rainbow_matching",
-     no_rainbow_matching, {"graph", "colors"}),
+    ("ab", {"n": 3, "max_vertices": 6}, matching._RainbowSearch, "run",
+     no_rainbow_run, {"graph", "colors"}),
 ]
 
 
@@ -236,7 +230,7 @@ def test_ab_counterexample_is_a_family_on_the_complete_bipartite_graph(
     """The first family at n = 3 takes matching (0, 0), (1, 1), (2, 2) of
     K_{3,3} three times; edge 3l + r joins left l and right 3 + r. It does
     have a rainbow matching of size n - 1, which the unpatched CLI finds."""
-    monkeypatch.setattr(matching, "max_rainbow_matching", no_rainbow_matching)
+    monkeypatch.setattr(matching._RainbowSearch, "run", no_rainbow_run)
     out, _ = sweep_through_cli(capsys, "ab", {"n": 3, "max_vertices": 6})
     hit = out[-1]["counterexample"]
     edges = [[l, 3 + r] for l in range(3) for r in range(3)]
@@ -356,6 +350,54 @@ class TestRandomClaimSearch:
     @pytest.mark.parametrize("tag, seed", sorted(DIGESTS))
     def test_report_and_records(self, tag, seed):
         report, records = self.sweep_at(tag, self.N[tag], seed)
+        digest = hashlib.sha256(json.dumps([records, report.as_dict()]).encode()).hexdigest()
+        assert digest == self.DIGESTS[tag, seed]
+
+
+class TestFamilySweepSearch:
+    """ab and coercive-244 set up one search per host graph and run it on
+    each family's classes; weighted-drisko searches each draw itself. None
+    of them builds a Graph, an EdgeFamily or a search per family."""
+
+    PARAMS = {"ab": (("n", 3), ("max_vertices", 7)), "coercive-244": (),
+              "weighted-drisko": (("n", 3),)}
+    # sha256 of the JSON of [records, report], taken when each family was
+    # an EdgeFamily searched by max_rainbow_matching
+    DIGESTS = {
+        ("ab", 0): "ede791556d9e22718074dfd29e1f88a81821becdaf35be2569336a8886faf126",
+        ("ab", 7): "f54e9af524c37fdf2e483d320cc72a94415c74c6ae943f027e2541ecbca87b33",
+        ("ab", 41): "90f610b87fcc729e6391f6c32ead744b9d30d742e5d8df7c19fec39db9c32b18",
+        ("coercive-244", 0): "e58356cf84f810e6f721651b07d04ad7dc581e38b080f3f2184b2cb0307c7ebc",
+        ("coercive-244", 7): "3a3cb0acb6f354d10048825528c0926b3cb116ac1a1b848c95a02bfa7681af1c",
+        ("coercive-244", 41): "4cd2b950b26ebfa0825e3057f821a233c11be79f7548253e1bafd93a09653a4c",
+        ("weighted-drisko", 0): "7253f43fd937236d277f1a4ea9244e28740e94a06fc6e4f77c9265f11d7c1315",
+        ("weighted-drisko", 7): "fd60ae06e532bbb1c74652a922133cd71487e9e67e7fe68c09c5b8d6ed4ef1d6",
+        ("weighted-drisko", 41): "50f8391aa782960980ee4977dcde6e69e9cecbe80cfd1c1cd23444856d0ce396",
+    }
+
+    def sweep_at(self, tag, seed):
+        records = []
+        return run_sweep(SweepSpec(tag, self.PARAMS[tag], seed=seed),
+                         on_record=records.append), records
+
+    # K_{3,3} and K_{3,4}; C8, C10 and C4 + C4; no host graph
+    @pytest.mark.parametrize("tag, hosts, tested", [
+        ("ab", 2, 28), ("coercive-244", 3, 6), ("weighted-drisko", 0, 1000)])
+    def test_one_build_per_host_graph(self, monkeypatch, tag, hosts, tested):
+        built = Counter()
+        for cls, name in ((Graph, "__post_init__"), (EdgeFamily, "__post_init__"),
+                          (matching._RainbowSearch, "__init__")):
+            def counted(obj, *args, _cls=cls, _build=getattr(cls, name)):
+                built[_cls.__name__] += 1
+                _build(obj, *args)
+            monkeypatch.setattr(cls, name, counted)
+        report, records = self.sweep_at(tag, 0)
+        assert len(records) == report.instances_tested == tested
+        assert built == Counter({"Graph": hosts, "_RainbowSearch": hosts})
+
+    @pytest.mark.parametrize("tag, seed", sorted(DIGESTS))
+    def test_report_and_records(self, tag, seed):
+        report, records = self.sweep_at(tag, seed)
         digest = hashlib.sha256(json.dumps([records, report.as_dict()]).encode()).hexdigest()
         assert digest == self.DIGESTS[tag, seed]
 

@@ -337,12 +337,14 @@ class TestSearchTreePins:
         assert (digest, len(bound_calls)) == (self.BATCH_DIGEST, self.BATCH_BOUND_CALLS)
 
 
-def bipartite_pairs(fam: EdgeFamily) -> tuple:
-    """(nl, nr, family) of a bipartite family: each color as its sorted
-    (left, right) pairs, right vertices counted from 0."""
-    nl, nr = (len(side) for side in fam.graph.bipartition)
-    return nl, nr, tuple(tuple(sorted((u, v - nl) for u, v in map(fam.graph.edges.__getitem__, c)))
-                         for c in fam.colors)
+def bipartite_pairs(family: tuple) -> tuple:
+    """(nl, nr, family) of a (graph, classes) family of a bipartite sweep:
+    each class as its sorted (left, right) pairs, right vertices counted
+    from 0."""
+    g, colors = family
+    nl, nr = (len(side) for side in g.bipartition)
+    return nl, nr, tuple(tuple(sorted((u, v - nl) for u, v in map(g.edges.__getitem__, c)))
+                         for c in colors)
 
 
 class TestBipartiteFamilies:
@@ -380,10 +382,11 @@ class TestBipartiteFamilies:
 
     def test_bound_calls_at_3_7(self, bound_calls):
         """Every family at (3, 7) has a rainbow matching of size 2, and the
-        searches that find them make 76 bound calls, as they did when each
-        family's edges had fresh ids rather than those of K_{nl,nr}."""
-        for fam in matching._bipartite_families(3, 7):
-            assert len(max_rainbow_matching(fam, target=2)[0]) == 2
+        sweep's check, one search per K_{nl,nr}, finds them in 76 bound
+        calls, as one search per family did, with fresh edge ids or those
+        of K_{nl,nr}."""
+        check = matching._no_rainbow_matching(2)
+        assert all(check(family) is None for family in matching._bipartite_families(3, 7))
         assert len(bound_calls) == 76
 
 
@@ -397,8 +400,7 @@ class TestCycleFamilies:
     ], ids=["244-C8", "244-C10", "244-C4+C4", "122-C6", "122-C3+C3"])
     def test_first_seen_families_in_order(self, sizes, lengths, count):
         pytest.importorskip("networkx")
-        yielded = [tuple(tuple(sorted(c)) for c in f.colors)
-                   for f in matching._cycle_families(sizes, (lengths,))]
+        yielded = [colors for _, colors in matching._cycle_families(sizes, (lengths,))]
         assert yielded == first_seen_cycle_families(sizes, lengths)
         assert len(yielded) == count
 
@@ -621,6 +623,20 @@ class TestCooperativeDrisko:
         assert len(matching) == 2
         ground = ColoredFamily(GroundSet(g.num_edges), tuple(sets))
         assert is_rainbow(ground, function)
+
+    def test_one_bipartition_per_call(self, monkeypatch):
+        """One search decides bipartiteness, bounds the pairwise unions and
+        finds the matching, so the graph's bipartition is found once."""
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return find_bipartition(g)
+
+        monkeypatch.setattr(matching, "find_bipartition", counted)
+        g = self.bipartite_graph((0, 4), (1, 5), (0, 5))
+        found, _ = cooperative_drisko_check(g, [{0}, {1}, {0, 1, 2}], 2)
+        assert len(found) == 2 and calls == [g]
 
     def test_empty_set_named(self):
         g = self.bipartite_graph((0, 4))
