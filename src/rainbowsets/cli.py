@@ -369,8 +369,8 @@ def _run_sweep_command(args) -> int:
 
 # The status and exit code of each error main reports; HypothesisViolation
 # is an InstanceError. A search deeper than the recursion limit is a cap
-# that fired: a stop-gap until the branch and bound and latin_transversal
-# keep explicit stacks.
+# that fired: the branch and bound keeps an explicit stack, so only
+# latin_transversal, which recurses once per row, still gets here.
 _FAILURES = {
     InstanceError: ("error", EXIT_INPUT),
     ResourceCapError: ("cap-exhausted", EXIT_CAP),

@@ -108,6 +108,9 @@ class _RainbowSearch:
     skip branch also drops every class whose live edges cover the same
     vertex pairs as the branch class (orbital branching on the orbit of
     identical classes).
+
+    `run` walks that tree depth first on an explicit stack, so its depth is
+    not bounded by the recursion limit, and leaves the object as set up.
     """
 
     def __init__(self, g: Graph):
@@ -146,49 +149,42 @@ class _RainbowSearch:
         """A maximum rainbow matching of the classes (one edge-id mask per
         class) as (class, edge) pairs, or the first one found of size
         target."""
-        self.target = target
-        self.best: list[tuple[int, int]] = []
-        self._search(0, dict(enumerate(colors)), [])
-        return self.best
-
-    def _done(self) -> bool:
-        return self.target is not None and len(self.best) >= self.target
-
-    def _search(self, killed: int, compatible: dict[int, int],
-                chosen: list[tuple[int, int]]):
-        if self._done():
-            return
-        keep = ~killed
-        live = {c: m & keep for c, m in compatible.items() if m & keep}
-        if len(chosen) > len(self.best):
-            self.best = list(chosen)
-        if not live:
-            return
-        union = 0
-        for m in live.values():
-            union |= m
-        bound = len(chosen) + min(len(live), self._matching_bound(union))
-        if bound <= len(self.best):
-            return
-        branch_color = min(live, key=lambda c: (live[c].bit_count(), c))
-        branch = rest = live.pop(branch_color)
-        while rest:
-            e = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            chosen.append((branch_color, e))
-            self._search(killed | self.kills[e], live, chosen)
-            chosen.pop()
-            if self._done():
-                return
-        # A skip-branch solution using a class with the same live vertex
-        # pairs maps to a take-branch solution of the same size, so the
-        # skip branch drops every such class: those that lie inside the
-        # edges of the branch class's pairs and meet each of them.
-        size = branch.bit_count()
-        orbit = [p[0] for p in self.pairs if p[0] & branch]
-        cover = sum(orbit)
-        self._search(killed, {c: m for c, m in live.items() if m.bit_count() != size
-                              or m & ~cover or not all(p & m for p in orbit)}, chosen)
+        best: list[tuple[int, int]] = []
+        # (killed edges, candidate classes, chosen pairs, the mask of the
+        # class whose skip branch this is, or 0)
+        stack = [(0, dict(enumerate(colors)), (), 0)]
+        while stack and (target is None or len(best) < target):
+            killed, compatible, chosen, skipped = stack.pop()
+            if skipped:
+                # A skip-branch solution using a class with the same live
+                # vertex pairs maps to a take-branch solution of the same
+                # size, so the skip branch drops every such class: those
+                # inside the edges of the skipped class's pairs meeting each.
+                size = skipped.bit_count()
+                orbit = [p[0] for p in self.pairs if p[0] & skipped]
+                cover = sum(orbit)
+                compatible = {c: m for c, m in compatible.items() if m.bit_count() != size
+                              or m & ~cover or not all(p & m for p in orbit)}
+            keep = ~killed
+            live = {c: m & keep for c, m in compatible.items() if m & keep}
+            if len(chosen) > len(best):
+                best = list(chosen)
+            if not live:
+                continue
+            union = 0
+            for m in live.values():
+                union |= m
+            if len(chosen) + min(len(live), self._matching_bound(union)) <= len(best):
+                continue
+            branch_color = min(live, key=lambda c: (live[c].bit_count(), c))
+            branch = rest = live.pop(branch_color)
+            # the skip branch pops last, the take branches by ascending edge id
+            stack.append((killed, live, chosen, branch))
+            while rest:
+                e = rest.bit_length() - 1
+                rest ^= 1 << e
+                stack.append((killed | self.kills[e], live, chosen + ((branch_color, e),), 0))
+        return best
 
 
 def _id_mask(ids: Iterable[int]) -> int:

@@ -319,28 +319,22 @@ class TestScrambledPath:
             assert e in inst["scrambling"][c]
 
 
-@pytest.fixture
-def recursion_limit():
-    """A recursion limit low enough that instances just past it stay small."""
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(400)
-    yield sys.getrecursionlimit()
-    sys.setrecursionlimit(old)
-
-
 class TestDeepInstances:
-    """Valid instances whose recursive searches go deeper than the
-    recursion limit end cap-exhausted (exit 4) naming the limit, not with a
-    traceback and exit 1."""
+    """Valid instances that need more levels than the recursion limit. The
+    branch and bound keeps an explicit stack, so rainbow-matching answers;
+    latin still recurses once per row and ends cap-exhausted (exit 4) naming
+    the limit, not with a traceback and exit 1."""
 
     def test_disjoint_edges_one_per_color(self, tmp_path, capsys, recursion_limit):
         n = recursion_limit + 1
-        code, payload = run_cli(tmp_path, capsys, ["rainbow-matching"], {
-            "graph": {"n": 2 * n, "edges": [[2 * i, 2 * i + 1] for i in range(n)]},
-            "colors": [[i] for i in range(n)]})
-        assert code == cli.EXIT_CAP == 4
-        assert payload["status"] == "cap-exhausted"
-        assert f"recursion limit {recursion_limit}" in payload["error"]
+        for argv in ([], ["--target", str(n)]):
+            code, payload = run_cli(tmp_path, capsys, ["rainbow-matching"] + argv, {
+                "graph": {"n": 2 * n, "edges": [[2 * i, 2 * i + 1] for i in range(n)]},
+                "colors": [[i] for i in range(n)]})
+            assert code == cli.EXIT_OK == 0
+            assert payload["status"] == "rainbow-matching"
+            assert payload["size"] == n
+            assert payload["assignment"] == {str(i): i for i in range(n)}
 
     def test_cyclic_latin_square(self, tmp_path, capsys, recursion_limit):
         n = recursion_limit + 1

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -335,6 +336,46 @@ class TestSearchTreePins:
                 found.append(function.assignments)
         digest = hashlib.sha256(repr(found).encode()).hexdigest()
         assert (digest, len(bound_calls)) == (self.BATCH_DIGEST, self.BATCH_BOUND_CALLS)
+
+
+def tiled(fam: EdgeFamily, k: int) -> EdgeFamily:
+    """k disjoint copies of the family: copy i shifts the vertices by i
+    times the vertex count and the edge ids by i times the edge count."""
+    g = fam.graph
+    n, m = g.n, g.num_edges
+    edges = tuple((u + i * n, v + i * n) for i in range(k) for u, v in g.edges)
+    colors = tuple(frozenset(e + i * m for e in c) for i in range(k) for c in fam.colors)
+    return EdgeFamily(Graph(k * n, edges), colors)
+
+
+class TestExplicitStack:
+    """The search keeps an explicit stack: it goes deeper than the recursion
+    limit, and a search object keeps nothing of a run."""
+
+    def test_tiled_copies_past_the_recursion_limit(self, recursion_limit):
+        """k copies of a family with a full rainbow matching have one of k
+        times its size. A copy with a smaller maximum is left out: the
+        bound's slack adds up across copies and the tree blows up with k."""
+        fams = (fam for fam, _ in seeded_batch()
+                if fam.num_colors > 1 and brute_max_rainbow(fam) == fam.num_colors)
+        for fam in itertools.islice(fams, 3):
+            k = recursion_limit // fam.num_colors + 1
+            big = tiled(fam, k)
+            for target in (None, k * fam.num_colors):
+                got, function = max_rainbow_matching(big, target=target)
+                assert len(got) == k * fam.num_colors
+                assert matching_check(big.graph, got.edges)
+                assert is_rainbow(ColoredFamily(GroundSet(big.graph.num_edges), big.colors),
+                                  function)
+                assert frozenset(e for _, e in function.assignments) == got.edges
+
+    @pytest.mark.parametrize("target", [None, 3])
+    def test_run_keeps_no_state(self, target):
+        fam = drisko_sharpness(7)
+        search = matching._RainbowSearch(fam.graph)
+        tables = copy.deepcopy(vars(search))
+        search.run([matching._id_mask(c) for c in fam.colors], target)
+        assert vars(search) == tables
 
 
 def bipartite_pairs(family: tuple) -> tuple:
