@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Optional
 
 from ._gf2 import _basis, _reduce, gf2_rank
@@ -32,18 +33,23 @@ class IndependenceOracle:
     asks rank_fn on their masks; it keeps no memo. A subset is independent
     iff its rank equals its size. The descriptor records the construction
     (kind + parameters) so oracles can be serialized. A construction may
-    also pass exchange_fn, a native form of exchange() that must agree
-    with rank.
+    also pass native forms that must agree with rank: exchange_fn, of
+    exchange(), and members_fn, which returns the member table that
+    _member_masks would build, one byte per subset of the ground, without
+    asking rank. members_fn is called only on grounds of at most
+    COVER_GROUND_CAP elements.
     """
 
     def __init__(self, ground_size: int, rank_fn: Callable[[int], int],
                  descriptor: dict,
-                 exchange_fn: Optional[Callable[[frozenset[int]], ExchangeTest]] = None):
+                 exchange_fn: Optional[Callable[[frozenset[int]], ExchangeTest]] = None,
+                 members_fn: Optional[Callable[[], bytes]] = None):
         if ground_size < 0:
             raise InstanceError("ground size must be >= 0")
         self.ground_size = ground_size
         self._rank_fn = rank_fn
         self._exchange_fn = exchange_fn
+        self._members_fn = members_fn
         self.descriptor = descriptor
 
     def is_independent(self, subset: Iterable[int]) -> bool:
@@ -142,13 +148,18 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
             r += k if k < c else c
         return r
 
+    def members() -> bytes:
+        """The subsets free of every (cap + 1)-subset of a part."""
+        return _free_of(ground_size, (sum(c) for p, cap in zip(part_sets, caps)
+                                      for c in combinations([1 << x for x in p], cap + 1)))
+
     desc = {
         "kind": "partition",
         "ground_size": ground_size,
         "parts": [sorted(p) for p in part_sets],
         "caps": list(caps),
     }
-    return IndependenceOracle(ground_size, rank, desc)
+    return IndependenceOracle(ground_size, rank, desc, members_fn=members)
 
 
 def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
@@ -156,16 +167,21 @@ def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("uniform matroid needs k >= 0")
     desc = {"kind": "uniform", "ground_size": ground_size, "k": k}
-    return IndependenceOracle(ground_size, lambda s: min(s.bit_count(), k), desc)
+    return IndependenceOracle(ground_size, lambda s: min(s.bit_count(), k), desc,
+                              members_fn=lambda: _at_most(ground_size, k))
 
 
 def free_matroid(ground_size: int) -> IndependenceOracle:
     desc = {"kind": "free", "ground_size": ground_size}
-    return IndependenceOracle(ground_size, int.bit_count, desc)
+    return IndependenceOracle(ground_size, int.bit_count, desc,
+                              members_fn=lambda: _at_most(ground_size, ground_size))
 
 
 def graphic_matroid(g: Graph) -> IndependenceOracle:
-    """Ground = edge ids of g; independent iff the edge set is acyclic."""
+    """Ground = edge ids of g; independent iff the edge set is acyclic.
+
+    A graphic matroid is binary on the incidence columns of its edges
+    (parallel edges get equal columns), which gives its member table."""
 
     edges = g.edges
 
@@ -188,7 +204,8 @@ def graphic_matroid(g: Graph) -> IndependenceOracle:
         "kind": "graphic",
         "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
     }
-    return IndependenceOracle(g.num_edges, rank, desc)
+    return IndependenceOracle(g.num_edges, rank, desc, members_fn=lambda: _binary_members(
+        [g.edge_mask(e) for e in range(g.num_edges)]))
 
 
 def binary_matroid(columns: list[int]) -> IndependenceOracle:
@@ -226,7 +243,7 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         return ok
 
     return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in _bits(s)]),
-                              desc, exchange)
+                              desc, exchange, lambda: _binary_members(cols))
 
 
 def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
@@ -234,7 +251,9 @@ def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
     if k < 0:
         raise InstanceError("truncation needs k >= 0")
     desc = {"kind": "truncation", "k": k, "inner": m.descriptor}
-    return IndependenceOracle(m.ground_size, lambda s: min(k, m._rank_fn(s)), desc)
+    return IndependenceOracle(
+        m.ground_size, lambda s: min(k, m._rank_fn(s)), desc,
+        members_fn=lambda: _meet(_member_masks(m), _at_most(m.ground_size, k)))
 
 
 def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOracle:
@@ -245,8 +264,14 @@ def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOrac
     def rank(s: int) -> int:
         return m._rank_fn(s & low) + n._rank_fn(s >> off)
 
+    def members() -> bytes:
+        """Subset (r << off) | l is a member iff l is one of m and r of n."""
+        left = _member_masks(m)
+        absent = bytes(len(left))
+        return b"".join(left if bit else absent for bit in _member_masks(n))
+
     desc = {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor}
-    return IndependenceOracle(off + n.ground_size, rank, desc)
+    return IndependenceOracle(off + n.ground_size, rank, desc, members_fn=members)
 
 
 def from_descriptor(desc: dict, default_ground: Optional[int] = None) -> IndependenceOracle:
@@ -381,15 +406,19 @@ def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> froz
 
 def _member_masks(m: IndependenceOracle) -> bytes:
     """One byte per subset of the ground, read as a bitmask: 1 iff the
-    subset is independent in m. The rank function is asked directly on
-    each mask, and only about the subsets whose every one-smaller subset
-    is a member: the nonempty independent sets and the circuits.
-    The ground is capped at COVER_GROUND_CAP elements."""
+    subset is independent in m. A construction's members_fn builds it
+    from the construction's own dependent sets. An oracle built from a
+    bare rank function is scanned instead: its rank function is asked
+    directly on each mask, and only about the subsets whose every
+    one-smaller subset is a member: the nonempty independent sets and the
+    circuits. The ground is capped at COVER_GROUND_CAP elements."""
     g = m.ground_size
     if g > COVER_GROUND_CAP:
         raise ResourceCapError(
             f"covering number capped at ground size {COVER_GROUND_CAP}, got {g}"
         )
+    if m._members_fn is not None:
+        return m._members_fn()
     rank_fn = m._rank_fn
     members = bytearray(1 << g)
     members[0] = 1
@@ -404,6 +433,45 @@ def _member_masks(m: IndependenceOracle) -> bytes:
             if rank_fn(mask) == mask.bit_count():
                 members[mask] = 1
     return bytes(members)
+
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def _free_of(g: int, seeds: Iterable[int]) -> bytes:
+    """The member table over the subsets of range(g) whose members are the
+    subsets that contain no seed: the dependent sets are the supersets of
+    the seeds. One shift-and-OR pass per element over the table read as
+    one int, the superset twin of _maximal_members."""
+    marked = bytearray(1 << g)
+    for s in seeds:
+        marked[s] = 1
+    big = int.from_bytes(marked, "little")
+    for i, clear in enumerate(_clear_masks(g)):
+        # when s lacks i, byte s of big moves to the byte of s | 1 << i
+        big |= (big & clear) << (8 << i)
+    return big.to_bytes(1 << g, "little").translate(_FLIP)
+
+
+def _binary_members(cols: list[int]) -> bytes:
+    """The member table of the binary matroid on these columns: a subset is
+    dependent iff it contains a nonempty subset whose columns XOR to 0."""
+    span = [0]  # span[s]: the XOR of the columns in s
+    for c in cols:
+        span += [v ^ c for v in span]
+    zero = [s for s, v in enumerate(span) if not v]
+    return _free_of(len(cols), zero[1:])  # zero[0] is the empty set
+
+
+@lru_cache(maxsize=None)
+def _popcounts(g: int) -> bytes:
+    """One byte per subset of range(g): its size."""
+    return bytes(s.bit_count() for s in range(1 << g))
+
+
+def _at_most(g: int, k: int) -> bytes:
+    """The member table of the subsets of range(g) with at most k elements."""
+    return _popcounts(g).translate(bytes(size <= k for size in range(256)))
 
 
 def _meet(a: bytes, b: bytes) -> bytes:
@@ -450,7 +518,11 @@ def _maximal_members(m: int, members: bytes) -> list[int]:
         # when s lacks i, byte s of big >> 8 * 2**i is the byte of s | 1 << i
         grows |= big >> (8 << i) & clear
     maximal = (big & ~grows).to_bytes(len(members), "little")
-    return [s for s, bit in enumerate(maximal) if bit]
+    found, s = [], maximal.find(1)
+    while s >= 0:
+        found.append(s)
+        s = maximal.find(1, s + 1)
+    return found
 
 
 def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:

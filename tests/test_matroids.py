@@ -378,7 +378,8 @@ def random_family(rng: random.Random, ground: int) -> ColoredFamily:
 
 
 def without_exchange(m: IndependenceOracle) -> IndependenceOracle:
-    """The same rank function with the default, query-per-pair exchange test."""
+    """The same rank function with no native forms: the default,
+    query-per-pair exchange test, and member tables by the rank scan."""
     return IndependenceOracle(m.ground_size, m._rank_fn, m.descriptor)
 
 
@@ -465,7 +466,8 @@ class TestExchange:
         for name, make in sorted(RANK_CASES.items()):
             m = make()
             fresh = dict(vars(m))
-            assert fresh.keys() == {"ground_size", "_rank_fn", "_exchange_fn", "descriptor"}
+            assert fresh.keys() == {"ground_size", "_rank_fn", "_exchange_fn", "_members_fn",
+                                    "descriptor"}
             for _ in range(10):
                 subset = random_independent(rng, m)
                 m.rank(subset), m.is_independent(subset), m.in_span(subset, 0)
@@ -599,10 +601,38 @@ MEMBER_CASES = {
 }
 
 
+# One case per construction at COVER_GROUND_CAP = 16 elements.
+GROUND_16_CASES = {
+    # a zero column and two parallel pairs
+    "binary": lambda: binary_matroid(
+        [0, 0b1011, 0b1011, 0b110001, 0b000111, 0b101010, 0b010101, 0b111000,
+         0b100001, 0b011110, 0b110110, 0b001001, 0b101101, 0b010010, 0b111111, 0b000111]),
+    "graphic-parallel": lambda: graphic_matroid(Graph(7, (
+        (0, 1), (0, 1), (1, 2), (2, 0), (2, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+        (1, 4), (3, 5), (0, 4), (2, 6), (5, 6), (1, 3)))),
+    # elements 13-15 lie in no part; the third part has capacity 0
+    "partition-free-cap-0": lambda: partition_matroid(
+        16, [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9, 10], [11, 12]], [2, 3, 0]),
+    "uniform": lambda: uniform_matroid(16, 7),
+    "free": lambda: free_matroid(16),
+    "truncated-truncation": lambda: truncate(truncate(graphic_matroid(Graph(
+        7, tuple(itertools.combinations(range(7), 2))[:16])), 5), 4),
+    "direct-sum-nested": lambda: direct_sum(
+        direct_sum(binary_matroid([1, 2, 3, 4, 5, 6]), partition_matroid(4, [[0, 1, 2]], [1])),
+        uniform_matroid(6, 3)),
+}
+
+
 def member_oracles() -> list[tuple[str, IndependenceOracle]]:
     rng = random.Random(19)
     return ([(name, make()) for name, make in sorted({**RANK_CASES, **MEMBER_CASES}.items())]
             + [(f"random-{i}", random_matroid(rng, i % 11)) for i in range(200)])
+
+
+def native_oracles() -> list[tuple[str, IndependenceOracle]]:
+    """member_oracles without the bare rank function, plus GROUND_16_CASES."""
+    return ([(label, m) for label, m in member_oracles() if label != "bare-rank-fn"]
+            + [(f"{name}-16", make()) for name, make in sorted(GROUND_16_CASES.items())])
 
 
 class TestMemberTable:
@@ -624,6 +654,33 @@ class TestMemberTable:
             independent, circuits = reference_member_queries(
                 reference_member_table(m.descriptor, m.ground_size))
             assert sorted(asked) == sorted(independent + circuits), label
+
+    def test_native_tables_match_the_rank_scan(self):
+        for label, m in native_oracles():
+            assert m._members_fn is not None, label
+            assert _member_masks(m) == _member_masks(without_exchange(m)), label
+
+    def test_native_tables_ask_no_rank_query(self, monkeypatch):
+        """Every oracle a construction builds, inner ones included, gets a
+        rank function that raises once the oracles are built; the tables
+        still match the reference."""
+        armed = []
+
+        class Guarded(IndependenceOracle):
+            def __init__(self, ground_size, rank_fn, *rest, **native):
+                def guarded(s):
+                    if armed:
+                        raise AssertionError("rank asked while building a member table")
+                    return rank_fn(s)
+
+                super().__init__(ground_size, guarded, *rest, **native)
+
+        monkeypatch.setattr(matroids, "IndependenceOracle", Guarded)
+        cases = native_oracles()
+        references = [_member_masks(without_exchange(m)) for _, m in cases]
+        armed.append(True)
+        for (label, m), reference in zip(cases, references):
+            assert _member_masks(m) == reference, label
 
 
 def member_tables(seed: int, count: int):
