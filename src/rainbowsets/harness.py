@@ -38,6 +38,7 @@ from .matroids import (
     _cover,
     _meet,
     _member_masks,
+    _two_cover_settled,
     binary_matroid,
     check_two_cover,
     graphic_matroid,
@@ -458,6 +459,8 @@ def _rho_two_cover(spec: SweepSpec, on_record, ground: int,
 
     def check(pair) -> Optional[tuple[dict, dict]]:
         m1, m2 = pair
+        if _two_cover_settled(m1, m2):
+            return None
         report = check_two_cover(m1, m2)
         if report.holds:
             return None

@@ -109,6 +109,13 @@ class _RainbowSearch:
     vertex pairs as the branch class (orbital branching on the orbit of
     identical classes).
 
+    With a target, the search runs that bound only from its first dead end
+    (a node with no live class) on, and until then prunes by the number of
+    live classes alone. A prune never drops a strict improvement of the
+    best matching so far, so the best goes through the same values, and the
+    same witness comes out, either way; a first descent that reaches the
+    target makes no bound call.
+
     `run` walks that tree depth first on an explicit stack, so its depth is
     not bounded by the recursion limit, and leaves the object as set up.
     """
@@ -150,6 +157,7 @@ class _RainbowSearch:
         class) as (class, edge) pairs, or the first one found of size
         target."""
         best: list[tuple[int, int]] = []
+        bounding = target is None  # with a target, from the first dead end on
         # (killed edges, candidate classes, chosen pairs, the mask of the
         # class whose skip branch this is, or 0)
         stack = [(0, dict(enumerate(colors)), (), 0)]
@@ -170,11 +178,15 @@ class _RainbowSearch:
             if len(chosen) > len(best):
                 best = list(chosen)
             if not live:
+                bounding = True
                 continue
-            union = 0
-            for m in live.values():
-                union |= m
-            if len(chosen) + min(len(live), self._matching_bound(union)) <= len(best):
+            bound = len(live)
+            if bounding:
+                union = 0
+                for m in live.values():
+                    union |= m
+                bound = min(bound, self._matching_bound(union))
+            if len(chosen) + bound <= len(best):
                 continue
             branch_color = min(live, key=lambda c: (live[c].bit_count(), c))
             branch = rest = live.pop(branch_color)

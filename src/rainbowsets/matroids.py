@@ -89,10 +89,11 @@ class IndependenceOracle:
         By default I's mask is built and checked once, and each test is one
         rank_fn call on it with x cleared and y set (a y outside the ground
         raises InstanceError); a construction with a native exchange_fn
-        answers all of them from one pass over I. binary_matroid's native
-        test raises the same InstanceError for I or y outside the ground;
-        the incidence lifts inside transversals.rado_rainbow, which build
-        I and y themselves, do not check.
+        answers all of them from one pass over I. The native test of
+        binary_matroid and graphic_matroid (one GF(2) elimination of I)
+        raises the same InstanceError for I or y outside the ground; the
+        incidence lifts inside transversals.rado_rainbow, which build I and
+        y themselves, do not check.
         """
         s = frozenset(independent)
         if self._exchange_fn is not None:
@@ -180,32 +181,16 @@ def free_matroid(ground_size: int) -> IndependenceOracle:
 def graphic_matroid(g: Graph) -> IndependenceOracle:
     """Ground = edge ids of g; independent iff the edge set is acyclic.
 
-    A graphic matroid is binary on the incidence columns of its edges
-    (parallel edges get equal columns), which gives its member table."""
-
-    edges = g.edges
-
-    def rank(s: int) -> int:
-        """Number of union-find merges made by the edges of s."""
-        parent = list(range(g.n))
-        merges = 0
-        for e in _bits(s):
-            u, v = edges[e]
-            while parent[u] != u:  # path halving
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u != v:
-                parent[u] = v
-                merges += 1
-        return merges
-
+    A graphic matroid is binary on the incidence columns of its edges: a set
+    of edges is a forest iff their columns are independent over GF(2)
+    (parallel edges get equal columns, and a Graph has no self-loops, so no
+    column is zero). So it is the binary matroid on those columns, with its
+    rank, exchange test and member table."""
     desc = {
         "kind": "graphic",
         "graph": {"n": g.n, "edges": [list(e) for e in g.edges]},
     }
-    return IndependenceOracle(g.num_edges, rank, desc, members_fn=lambda: _binary_members(
-        [g.edge_mask(e) for e in range(g.num_edges)]))
+    return _binary([g.edge_mask(e) for e in range(g.num_edges)], desc)
 
 
 def binary_matroid(columns: list[int]) -> IndependenceOracle:
@@ -217,6 +202,11 @@ def binary_matroid(columns: list[int]) -> IndependenceOracle:
         "kind": "binary",
         "matrix": [[(c >> r) & 1 for c in cols] for r in range(max(nbits, 1))],
     }
+    return _binary(cols, desc)
+
+
+def _binary(cols: list[int], desc: dict) -> IndependenceOracle:
+    """The matroid of the GF(2) columns cols, described by desc."""
 
     def exchange(s: frozenset[int]) -> ExchangeTest:
         """One elimination of I, column i tagged by bit i below the column
@@ -525,24 +515,32 @@ def _maximal_members(m: int, members: bytes) -> list[int]:
     return found
 
 
-def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
-    """covering_number of the downward-closed family whose member subsets
-    of range(m) are marked in the byte mask."""
-    if m == 0:
-        return 0, []
+def _greedy_cover(m: int, members: bytes) -> tuple[list[int], list[int]]:
+    """The maximal members of the downward-closed family whose member
+    subsets of range(m) are marked in the byte mask, and a greedy cover by
+    them: each pick covers the most uncovered elements, the smallest mask
+    on ties. Raises InstanceError naming the smallest loop."""
     for x in range(m):
         if not members[1 << x]:
             raise InstanceError(f"element {x} is a loop: no finite cover exists")
     sets = _maximal_members(m, members)
-    full = (1 << m) - 1
-
-    # greedy start for the upper bound
     greedy: list[int] = []
-    uncovered = full
+    uncovered = (1 << m) - 1
     while uncovered:
         pick = max(sets, key=lambda s: ((s & uncovered).bit_count(), -s))
         greedy.append(pick)
         uncovered &= ~pick
+    return sets, greedy
+
+
+def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
+    """covering_number of the downward-closed family whose member subsets
+    of range(m) are marked in the byte mask: a branch and bound that starts
+    from the greedy cover."""
+    if m == 0:
+        return 0, []
+    sets, greedy = _greedy_cover(m, members)
+    full = (1 << m) - 1
     best: list[list[int]] = [greedy]
     max_size = max(s.bit_count() for s in sets)
 
@@ -592,8 +590,37 @@ class TwoCoverReport:
         return self.rho_meet <= 2 * max(self.rho_m, self.rho_n)
 
 
+def _edmonds_bound(g: int, members: bytes) -> int:
+    """ceil(g / r), where r is the size of the largest member of the byte
+    mask over the subsets of range(g): the S = E case of Edmonds' covering
+    theorem, a lower bound on the covering number of a loop-free matroid
+    (Edmonds 1965, J. Res. NBS 69B)."""
+    # times 0xFF, each member's byte keeps its size from the popcount table
+    sized = (int.from_bytes(members, "little") * 0xFF
+             & int.from_bytes(_popcounts(g), "little")).to_bytes(1 << g, "little")
+    r = next((k for k in range(g, 0, -1) if k in sized), 0)
+    return -(-g // r) if r else 0
+
+
+def _two_cover_settled(m1: IndependenceOracle, m2: IndependenceOracle) -> bool:
+    """True when the greedy cover of the meet (the one _cover starts from)
+    proves rho(M meet N) <= 2 max(rho(M), rho(N)): it has at most
+    2 max(ceil(g / r(M)), ceil(g / r(N))) sets, and each of those is a lower
+    bound on rho (_edmonds_bound). False when it does not, and for a pair
+    with a loop, which check_two_cover rejects. The grounds must agree."""
+    g = m1.ground_size
+    members_m, members_n = _member_masks(m1), _member_masks(m2)
+    try:
+        _, greedy = _greedy_cover(g, _meet(members_m, members_n))
+    except InstanceError:  # a loop: check_two_cover names the one it meets first
+        return False
+    return len(greedy) <= 2 * max(_edmonds_bound(g, members_m), _edmonds_bound(g, members_n))
+
+
 def check_two_cover(m1: IndependenceOracle, m2: IndependenceOracle) -> TwoCoverReport:
-    """Compute rho(M), rho(N), rho(M meet N) and check the 2-max inequality."""
+    """Compute rho(M), rho(N), rho(M meet N) and check the 2-max inequality,
+    by three exact covers. A sweep that needs only the verdict asks
+    _two_cover_settled first, and calls this for the pairs it leaves open."""
     if m1.ground_size != m2.ground_size:
         raise InstanceError("check_two_cover needs a shared ground set")
     g = m1.ground_size

@@ -33,7 +33,8 @@ from rainbowsets.harness import (
     run_sweep,
 )
 from rainbowsets.matching import EdgeFamily
-from rainbowsets.matroids import binary_matroid, covering_number, free_matroid, uniform_matroid
+from rainbowsets.matroids import (binary_matroid, check_two_cover, covering_number, free_matroid,
+                                  uniform_matroid)
 from rainbowsets.sweeps import SweepSpec
 
 from oracles import all_cycles, brute_latin_transversal, brute_max_rainbow, reference_independent
@@ -216,6 +217,9 @@ def sweep_through_cli(capsys, tag, params) -> tuple[list, int]:
 def test_first_candidate_hit_ends_the_sweep(monkeypatch, capsys, tag, params, module,
                                             name, stand_in, keys):
     monkeypatch.setattr(module, name, stand_in)
+    # rho-two-cover asks check_two_cover only about the pairs that the
+    # greedy cover of the meet leaves open: leave every pair open
+    monkeypatch.setattr(harness, "_two_cover_settled", lambda m1, m2: False)
     out, code = sweep_through_cli(capsys, tag, params)
     assert code == cli.EXIT_COUNTEREXAMPLE == 3
     assert {k: out[1][k] for k in ("instance", "verdict")} == {
@@ -223,6 +227,23 @@ def test_first_candidate_hit_ends_the_sweep(monkeypatch, capsys, tag, params, mo
     report = out[-1]
     assert (report["verdict"], report["instances_tested"]) == ("counterexample", 1)
     assert set(report["counterexample"]) == keys
+
+
+@pytest.mark.parametrize("m, n", [
+    pytest.param(binary_matroid([1, 0, 2]), free_matroid(3), id="loop-in-m"),
+    pytest.param(free_matroid(3), binary_matroid([1, 2, 0]), id="loop-in-n"),
+    pytest.param(binary_matroid([1, 2, 0]), binary_matroid([0, 1, 2]), id="loops-in-both"),
+])
+def test_rho_two_cover_loop_raises_as_check_two_cover(monkeypatch, m, n):
+    """A pair with a loop is left to check_two_cover, which names M's
+    smallest loop first, then N's."""
+    with pytest.raises(InstanceError) as direct:
+        check_two_cover(m, n)
+    draws = iter([m, n])
+    monkeypatch.setattr(harness, "random_matroid", lambda rng, ground: next(draws))
+    with pytest.raises(InstanceError) as swept:
+        run_sweep(SweepSpec("rho-two-cover", (("ground", 3), ("instances", 1))))
+    assert str(swept.value) == str(direct.value)
 
 
 def test_ab_counterexample_is_a_family_on_the_complete_bipartite_graph(
@@ -332,7 +353,7 @@ class TestRandomClaimSearch:
         assert len(records) == report.instances_tested == 1000
         assert [g.num_edges for g in made] == [self.N[tag] ** 2]
 
-    @pytest.mark.parametrize("tag, calls", [("drisko", 3371), ("stairs", 3602)])
+    @pytest.mark.parametrize("tag, calls", [("drisko", 619), ("stairs", 903)])
     def test_bound_calls_at_n3_seed0(self, monkeypatch, tag, calls):
         """Each class is a matching, so its edges on K_{3,3} are live
         exactly when its fresh edges were, in the same order."""

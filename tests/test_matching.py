@@ -303,16 +303,17 @@ def seeded_batch() -> list[tuple[EdgeFamily, int]]:
 
 
 class TestSearchTreePins:
-    """The search visits the same tree as the list-based search it
-    replaced: the same bound calls and the same witnesses."""
+    """The search gives the same witnesses as the list-based search it
+    replaced. It makes the same bound calls too, except that a search with
+    a target makes none before its first dead end."""
 
     # bound calls of max_rainbow_matching(drisko_sharpness(n), target=n)
-    DRISKO_BOUND_CALLS = {7: 65, 8: 88, 9: 116, 10: 150, 11: 188, 12: 232, 13: 283}
+    DRISKO_BOUND_CALLS = {7: 60, 8: 82, 9: 110, 10: 143, 11: 180, 12: 224, 13: 274}
     # bound calls of max_rainbow_matching(k5_family(k), target=2k+1)
-    K5_BOUND_CALLS = {3: 97, 4: 170}
+    K5_BOUND_CALLS = {3: 91, 4: 162}
     # sha256 of the repr of the batch's assignment list, and its bound calls
     BATCH_DIGEST = "c707facb47a827bdbcf0d977bcc8c22bdbaac9947b3a806607469d63a7a741f2"
-    BATCH_BOUND_CALLS = 4256
+    BATCH_BOUND_CALLS = 2461
 
     @pytest.mark.parametrize("n", sorted(DRISKO_WITNESSES))
     def test_drisko(self, n, bound_calls):
@@ -423,12 +424,12 @@ class TestBipartiteFamilies:
 
     def test_bound_calls_at_3_7(self, bound_calls):
         """Every family at (3, 7) has a rainbow matching of size 2, and the
-        sweep's check, one search per K_{nl,nr}, finds them in 76 bound
-        calls, as one search per family did, with fresh edge ids or those
-        of K_{nl,nr}."""
+        sweep's check, one search per K_{nl,nr}, finds each on its first
+        descent, so it makes no bound call (76 when every node was
+        bounded, with fresh edge ids or those of K_{nl,nr})."""
         check = matching._no_rainbow_matching(2)
         assert all(check(family) is None for family in matching._bipartite_families(3, 7))
-        assert len(bound_calls) == 76
+        assert len(bound_calls) == 0
 
 
 class TestCycleFamilies:
@@ -579,6 +580,39 @@ class TestRepeats:
             assert len(set(values)) == len(values)
             for c, e in rep.assignments:
                 assert e in fam.colors[c]
+
+    def test_first_descent_makes_no_bound_call(self, bound_calls):
+        """The search takes the lowest live edge of the class with the
+        fewest live edges (lowest class on ties) until no class is live.
+        When that first descent reaches size n, the search makes no bound
+        call; on these seeded instances most do."""
+
+        def first_descent(fam: EdgeFamily) -> int:
+            classes, used, size = dict(enumerate(fam.colors)), set(), 0
+            while True:
+                live = {c: sorted(e for e in m if not used & set(fam.graph.edges[e]))
+                        for c, m in classes.items()}
+                live = {c: edges for c, edges in live.items() if edges}
+                if not live:
+                    return size
+                c = min(live, key=lambda c: (len(live[c]), c))
+                used |= set(fam.graph.edges[live[c][0]])
+                del classes[c]
+                size += 1
+
+        rng = random.Random(23)
+        first = 0
+        for _ in range(60):
+            k = rng.choice([2, 3])
+            n = rng.randint(k, 4)
+            fam = random_matching_family(rng, [n] * (2 * k - 1))
+            union = frozenset().union(*fam.colors)
+            bound_calls.clear()
+            repeats_matching(fam.graph, list(fam.colors), k, n)
+            if first_descent(EdgeFamily(fam.graph, fam.colors + (union,) * (n - k))) == n:
+                assert bound_calls == []
+                first += 1
+        assert first > 30
 
     def test_agrees_with_brute_force(self):
         """Seeded instances for k = 1..4 on bipartite and general graphs,

@@ -15,6 +15,7 @@ from rainbowsets.matroids import (
     _maximal_members,
     _meet,
     _member_masks,
+    _two_cover_settled,
     binary_matroid,
     check_two_cover,
     covering_number,
@@ -587,6 +588,30 @@ class TestTwoCover:
                 random_matroid(rng, ground), random_matroid(rng, ground)
             )
             assert rep.holds
+
+
+    @pytest.mark.parametrize("ground, count, seed", [(8, 500, 0), (8, 500, 7),
+                                                     (16, 60, 0), (16, 60, 7)])
+    def test_settled_pairs_hold(self, ground, count, seed):
+        """The rho-two-cover sweep's draws: every pair that the greedy cover
+        of the meet settles holds by the three exact covers."""
+        rng = random.Random(seed)
+        settled = 0
+        for _ in range(count):
+            m, n = random_matroid(rng, ground), random_matroid(rng, ground)
+            if _two_cover_settled(m, n):
+                settled += 1
+                assert check_two_cover(m, n).holds
+        assert settled
+
+    def test_a_weak_edmonds_bound_leaves_the_pair_open(self):
+        """Five parallel elements beside three independent ones: rho(M) is
+        5, but ceil(8 / r(M)) is only 2, so the greedy cover of M (the meet
+        with the free matroid) has more than 2 * 2 sets."""
+        m = binary_matroid([1, 1, 1, 1, 1, 2, 4, 8])
+        assert not _two_cover_settled(m, free_matroid(8))
+        rep = check_two_cover(m, free_matroid(8))
+        assert (rep.rho_m, rep.rho_n, rep.rho_meet) == (5, 1, 5) and rep.holds
 
 
 # Member tables beyond RANK_CASES: direct sums (one nested), a truncation of
