@@ -159,7 +159,10 @@ def rota_scrambled_search(matroid: IndependenceOracle,
     """Partition the ground of a matroid with covering number n into the
     fewest sets that are independent and rainbow with respect to the given
     partition into n parts of size n; it succeeds when at most n+1 sets
-    suffice (for even n, ideally n)."""
+    suffice (for even n, ideally n). The meet with the parts' partition
+    matroid has covering number at least n, so a cover of it by at most n
+    sets, else by at most n + 1, is a minimum one; it is made disjoint in
+    order."""
     part_sets = [frozenset(int(x) for x in p) for p in parts]
     n = len(part_sets)
     ground = matroid.ground_size
@@ -170,27 +173,20 @@ def rota_scrambled_search(matroid: IndependenceOracle,
     ):
         raise InstanceError("parts must partition the ground set")
     members = _member_masks(matroid)
-    rho, _ = _cover(ground, members)
+    rho = len(_cover(ground, members))
     if rho != n:
         raise InstanceError(f"covering number is {rho}, expected n = {n}")
-    return _rota_partition(members, part_sets)
-
-
-def _rota_partition(members: bytes, part_sets: list[frozenset[int]]) -> RotaSearchResult:
-    """rota_scrambled_search on parts already known to partition the ground
-    of a matroid with covering number len(part_sets), given the matroid's
-    member masks (_member_masks): a minimum cover by rainbow independent
-    sets, made disjoint in order."""
-    n = len(part_sets)
-    parts = _member_masks(partition_matroid(n * n, part_sets))
-    rho, cover = _cover(n * n, _meet(members, parts))
-    if rho > n + 1:
+    meet = _meet(members, _member_masks(partition_matroid(ground, part_sets)))
+    cover = _cover(ground, meet, n)
+    if cover is None:
+        cover = _cover(ground, meet, n + 1)
+    if cover is None:
         return RotaSearchResult(n, None, None, False)
     classes, covered = [], frozenset()
     for member in cover:
         classes.append(member - covered)
         covered |= member
-    return RotaSearchResult(n, tuple(classes), rho, n % 2 == 0 and rho == n)
+    return RotaSearchResult(n, tuple(classes), len(cover), n % 2 == 0 and len(cover) == n)
 
 
 # ---------------------------------------------------------------------------
@@ -478,11 +474,13 @@ def _rota(spec: SweepSpec, on_record, n: int, instances: int) -> SweepReport:
 
     def candidates():
         for _ in range(instances):
-            while True:  # rejection sampling: need covering number exactly n
+            # rejection sampling: need covering number exactly n; columns of
+            # n bits have r <= n, so rho >= n and a cover by n sets decides it
+            while True:
                 cols = [rng.randint(1, (1 << n) - 1) for _ in range(n * n)]
                 matroid = binary_matroid(cols)
                 members = _member_masks(matroid)
-                if _cover(n * n, members)[0] == n:
+                if _cover(n * n, members, n) is not None:
                     break
             elements = list(range(n * n))
             rng.shuffle(elements)
@@ -490,8 +488,10 @@ def _rota(spec: SweepSpec, on_record, n: int, instances: int) -> SweepReport:
 
     def check(candidate) -> Optional[tuple[dict, dict]]:
         matroid, members, parts = candidate
-        # the rejection loop has fixed the covering number at n
-        if _rota_partition(members, [frozenset(p) for p in parts]).succeeded:
+        # the rejection loop has fixed the covering number at n, so
+        # rota_scrambled_search succeeds iff this cover exists
+        rainbow = _member_masks(partition_matroid(n * n, parts))
+        if _cover(n * n, _meet(members, rainbow), n + 1) is not None:
             return None
         return ({"matroid": matroid.descriptor, "parts": [list(p) for p in parts]},
                 {"n": n})

@@ -109,12 +109,12 @@ class _RainbowSearch:
     vertex pairs as the branch class (orbital branching on the orbit of
     identical classes).
 
-    With a target, the search runs that bound only from its first dead end
-    (a node with no live class) on, and until then prunes by the number of
-    live classes alone. A prune never drops a strict improvement of the
-    best matching so far, so the best goes through the same values, and the
-    same witness comes out, either way; a first descent that reaches the
-    target makes no bound call.
+    Every search runs that bound only from its first dead end (a node with
+    no live class) on, and until then prunes by the number of live classes
+    alone. Before that dead end every node lies on the first path of take
+    branches, where the best matching is the partial itself and the bound
+    of a nonempty live set is at least 1, so nothing is pruned there either
+    way: the tree is the same, and a first descent makes no bound call.
 
     `run` walks that tree depth first on an explicit stack, so its depth is
     not bounded by the recursion limit, and leaves the object as set up.
@@ -157,7 +157,7 @@ class _RainbowSearch:
         class) as (class, edge) pairs, or the first one found of size
         target."""
         best: list[tuple[int, int]] = []
-        bounding = target is None  # with a target, from the first dead end on
+        bounding = False  # from the first dead end on
         # (killed edges, candidate classes, chosen pairs, the mask of the
         # class whose skip branch this is, or 0)
         stack = [(0, dict(enumerate(colors)), (), 0)]
@@ -225,8 +225,10 @@ def _has_rainbow_matching(fam: EdgeFamily, min_sizes: Sequence[int], target: int
                           bipartite: bool) -> bool:
     """True iff the family, one matching of at least min_sizes[i] edges per
     class (on a bipartite graph if asked), has a rainbow matching of size
-    target; a family outside that hypothesis raises HypothesisViolation."""
-    if bipartite and find_bipartition(fam.graph) is None:
+    target; a family outside that hypothesis raises HypothesisViolation.
+    One search on the graph decides bipartiteness and finds the matching."""
+    search = _RainbowSearch(fam.graph)
+    if bipartite and not search.bipartite:
         raise HypothesisViolation("instance graph is not bipartite")
     if fam.num_colors != len(min_sizes):
         raise HypothesisViolation(
@@ -240,8 +242,7 @@ def _has_rainbow_matching(fam: EdgeFamily, min_sizes: Sequence[int], target: int
         if len(edges) < need:
             raise HypothesisViolation(f"color {i} has size {len(edges)} < required {need}",
                                       witness=i)
-    matching, _ = max_rainbow_matching(fam, target=target)
-    return len(matching) >= target
+    return len(search.run(list(map(_id_mask, fam.colors)), target)) >= target
 
 
 def check_arrow_instance(stmt: ArrowStatement, fam: EdgeFamily) -> bool:
@@ -290,10 +291,10 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
     # least k of the real matchings distinct edges, and a size-n matching
     # representing k of them sends its other n - k edges to the wildcards
     union = frozenset().union(*sets)
-    matching, function = max_rainbow_matching(
-        EdgeFamily(g, tuple(sets) + (union,) * (n - k)), target=n)
-    if len(matching) < n:
-        if find_bipartition(g) is None:
+    search = _RainbowSearch(g)
+    chosen = search.run(list(map(_id_mask, sets + [union] * (n - k))), n)
+    if len(chosen) < n:
+        if not search.bipartite:
             raise HypothesisViolation(
                 "graph is not bipartite, and no size-%d matching representing "
                 "%d of the matchings exists" % (n, k)
@@ -302,8 +303,8 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
             "no size-%d matching representing %d of the matchings exists; "
             "this contradicts the repeats theorem" % (n, k)
         )
-    return matching, ChoiceFunction(tuple(
-        (c, e) for c, e in function.assignments if c < len(sets)))
+    return (Matching(frozenset(e for _, e in chosen)),
+            ChoiceFunction(tuple((c, e) for c, e in chosen if c < len(sets))))
 
 
 # ---------------------------------------------------------------------------

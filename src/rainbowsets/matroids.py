@@ -476,9 +476,9 @@ def covering_number(matroid: IndependenceOracle, *more: IndependenceOracle
     their shared ground, with such sets as a witness.
 
     With one matroid this is its covering number rho(M); with more it is
-    the covering number of their meet. Exact branch-and-bound set cover
-    over the maximal members; the ground is capped at COVER_GROUND_CAP
-    elements.
+    the covering number of their meet. The least k for which _cover finds
+    a cover by at most k maximal members; the ground is capped at
+    COVER_GROUND_CAP elements.
     """
     g = matroid.ground_size
     if any(other.ground_size != g for other in more):
@@ -486,7 +486,8 @@ def covering_number(matroid: IndependenceOracle, *more: IndependenceOracle
     members = _member_masks(matroid)
     for other in more:
         members = _meet(members, _member_masks(other))
-    return _cover(g, members)
+    cover = _cover(g, members)
+    return len(cover), cover
 
 
 @lru_cache(maxsize=None)
@@ -533,44 +534,52 @@ def _greedy_cover(m: int, members: bytes) -> tuple[list[int], list[int]]:
     return sets, greedy
 
 
-def _cover(m: int, members: bytes) -> tuple[int, list[frozenset[int]]]:
-    """covering_number of the downward-closed family whose member subsets
-    of range(m) are marked in the byte mask: a branch and bound that starts
-    from the greedy cover."""
+def _cover(m: int, members: bytes, within: Optional[int] = None
+           ) -> Optional[list[frozenset[int]]]:
+    """A cover of range(m) by members of the downward-closed family marked
+    in the byte mask: by at most within sets, or None when there is none;
+    without within, by the fewest sets, so its length is the covering number.
+
+    A depth-first decision search with no incumbent: the greedy cover if it
+    is short enough, else the first cover found, branching on the uncovered
+    element with the fewest covering maximal members (ascending) and pruning
+    when the largest member cannot cover the rest in the sets left. Without
+    within it tries k = ceil(m / largest member), k + 1, ...; at k = rho no
+    node above the first minimum cover in depth-first order is pruned, so
+    that cover comes out unless the greedy cover is a minimum."""
     if m == 0:
-        return 0, []
+        return []
     sets, greedy = _greedy_cover(m, members)
-    full = (1 << m) - 1
-    best: list[list[int]] = [greedy]
     max_size = max(s.bit_count() for s in sets)
+    cover_sets_of = {x: [s for s in sets if s >> x & 1] for x in range(m)}
+    chosen: list[int] = []
 
-    cover_sets_of: dict[int, list[int]] = {
-        x: [s for s in sets if s >> x & 1] for x in range(m)
-    }
-
-    def bnb(uncovered: int, chosen: list[int]):
+    def fill(uncovered: int, room: int) -> bool:
+        """Extend chosen to a cover by at most room more sets."""
         if not uncovered:
-            if len(chosen) < len(best[0]):
-                best[0] = list(chosen)
-            return
-        need = uncovered.bit_count()
-        if len(chosen) + (need + max_size - 1) // max_size >= len(best[0]):
-            return
+            return True
+        if -(-uncovered.bit_count() // max_size) > room:
+            return False
         # branch on the uncovered element with the fewest covering sets
-        elt = min(
-            (x for x in range(m) if uncovered >> x & 1),
-            key=lambda x: (len(cover_sets_of[x]), x),
-        )
+        elt = min(_bits(uncovered), key=lambda x: (len(cover_sets_of[x]), x))
         for s in cover_sets_of[elt]:
             chosen.append(s)
-            bnb(uncovered & ~s, chosen)
+            if fill(uncovered & ~s, room - 1):
+                return True
             chosen.pop()
+        return False
 
-    bnb(full, [])
-    witness = [
-        frozenset(i for i in range(m) if s >> i & 1) for s in best[0]
-    ]
-    return len(best[0]), witness
+    def decide(k: int) -> Optional[list[int]]:
+        if len(greedy) <= k:
+            return greedy
+        return chosen if fill((1 << m) - 1, k) else None
+
+    k = -(-m // max_size) if within is None else within
+    found = decide(k)
+    while found is None and within is None:
+        k += 1
+        found = decide(k)
+    return None if found is None else [frozenset(_bits(s)) for s in found]
 
 
 @dataclass(frozen=True)
@@ -590,44 +599,32 @@ class TwoCoverReport:
         return self.rho_meet <= 2 * max(self.rho_m, self.rho_n)
 
 
-def _edmonds_bound(g: int, members: bytes) -> int:
-    """ceil(g / r), where r is the size of the largest member of the byte
-    mask over the subsets of range(g): the S = E case of Edmonds' covering
-    theorem, a lower bound on the covering number of a loop-free matroid
-    (Edmonds 1965, J. Res. NBS 69B)."""
-    # times 0xFF, each member's byte keeps its size from the popcount table
-    sized = (int.from_bytes(members, "little") * 0xFF
-             & int.from_bytes(_popcounts(g), "little")).to_bytes(1 << g, "little")
-    r = next((k for k in range(g, 0, -1) if k in sized), 0)
-    return -(-g // r) if r else 0
-
-
 def _two_cover_settled(m1: IndependenceOracle, m2: IndependenceOracle) -> bool:
-    """True when the greedy cover of the meet (the one _cover starts from)
-    proves rho(M meet N) <= 2 max(rho(M), rho(N)): it has at most
-    2 max(ceil(g / r(M)), ceil(g / r(N))) sets, and each of those is a lower
-    bound on rho (_edmonds_bound). False when it does not, and for a pair
-    with a loop, which check_two_cover rejects. The grounds must agree."""
+    """True when the greedy cover of the meet (the one _cover tries first)
+    proves rho(M meet N) <= 2 max(rho(M), rho(N)): it is empty or has at
+    most 2 max(ceil(g / r(M)), ceil(g / r(N))) sets, each a lower bound on
+    rho by Edmonds' covering theorem with S = E (Edmonds 1965, J. Res. NBS
+    69B). False otherwise, and for a pair with a loop, which
+    check_two_cover rejects. The grounds must agree."""
     g = m1.ground_size
-    members_m, members_n = _member_masks(m1), _member_masks(m2)
     try:
-        _, greedy = _greedy_cover(g, _meet(members_m, members_n))
+        _, greedy = _greedy_cover(g, _meet(_member_masks(m1), _member_masks(m2)))
     except InstanceError:  # a loop: check_two_cover names the one it meets first
         return False
-    return len(greedy) <= 2 * max(_edmonds_bound(g, members_m), _edmonds_bound(g, members_n))
+    return not greedy or len(greedy) <= 2 * max(-(-g // m1.rank()), -(-g // m2.rank()))
 
 
 def check_two_cover(m1: IndependenceOracle, m2: IndependenceOracle) -> TwoCoverReport:
-    """Compute rho(M), rho(N), rho(M meet N) and check the 2-max inequality,
-    by three exact covers. A sweep that needs only the verdict asks
-    _two_cover_settled first, and calls this for the pairs it leaves open."""
+    """Compute rho(M), rho(N), rho(M meet N) and check the 2-max inequality:
+    each covering number is the least k with a cover by at most k sets
+    (_cover without a limit), and its cover is the witness. A sweep that
+    needs only the verdict asks _two_cover_settled first, and calls this
+    for the pairs it leaves open."""
     if m1.ground_size != m2.ground_size:
         raise InstanceError("check_two_cover needs a shared ground set")
     g = m1.ground_size
     members_m, members_n = _member_masks(m1), _member_masks(m2)
-    rho_m, cov_m = _cover(g, members_m)
-    rho_n, cov_n = _cover(g, members_n)
-    rho_meet, cov_meet = _cover(g, _meet(members_m, members_n))
-    return TwoCoverReport(
-        rho_m, rho_n, rho_meet, tuple(cov_m), tuple(cov_n), tuple(cov_meet)
-    )
+    cov_m, cov_n = _cover(g, members_m), _cover(g, members_n)
+    cov_meet = _cover(g, _meet(members_m, members_n))
+    return TwoCoverReport(len(cov_m), len(cov_n), len(cov_meet),
+                          tuple(cov_m), tuple(cov_n), tuple(cov_meet))

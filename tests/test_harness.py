@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rainbowsets import cli, harness, matching, sweeps
+from rainbowsets import cli, harness, matching, matroids, sweeps
 from rainbowsets.core import (
     Graph,
     HypothesisViolation,
@@ -180,6 +180,12 @@ def no_rainbow_run(search, colors, target):
     return []
 
 
+def no_rota_cover(m, members, within=None):
+    """_cover, except that no meet has a cover by n + 1 = 3 sets: the rota
+    check's question at n = 2. The rejection loop asks within 2."""
+    return None if within == 3 else matroids._cover(m, members, within)
+
+
 # (tag, params, module or class, name of the search its check calls, a
 # stand-in that makes every candidate a hit, the keys of the serialized
 # counterexample)
@@ -195,8 +201,7 @@ HITS = [
     ("rho-two-cover", {"ground": 4, "instances": 3}, harness, "check_two_cover",
      lambda m1, m2: SimpleNamespace(holds=False, rho_m=1, rho_n=1, rho_meet=3),
      {"matroid", "matroid2"}),
-    ("rota", {"n": 2, "instances": 3}, harness, "_rota_partition",
-     lambda members, parts: harness.RotaSearchResult(len(parts), None, None, False),
+    ("rota", {"n": 2, "instances": 3}, harness, "_cover", no_rota_cover,
      {"matroid", "parts"}),
     ("short-cycle", {"n": 4, "r": 3, "instances": 3}, harness, "rainbow_short_cycle",
      lambda g, sets, r: None, {"graph", "families"}),
@@ -480,9 +485,14 @@ class TestRotaScrambledSearch:
         rainbow sets may overlap, and each class keeps only what the
         earlier ones left."""
         cover = [frozenset({0, 2}), frozenset({1, 2}), frozenset({1, 3})]
-        monkeypatch.setattr(harness, "_cover", lambda ground, members: (3, cover))
-        parts = [frozenset({0, 1}), frozenset({2, 3})]
-        result = harness._rota_partition(harness._member_masks(uniform_matroid(4, 2)), parts)
+
+        def overlapping(ground, members, within=None):
+            """rho(U_{2,4}) = 2 exactly; the meet has no cover by 2 sets,
+            and this overlapping one by 3."""
+            return {None: matroids._cover(ground, members), 2: None, 3: cover}[within]
+
+        monkeypatch.setattr(harness, "_cover", overlapping)
+        result = rota_scrambled_search(uniform_matroid(4, 2), [[0, 1], [2, 3]])
         assert result.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
         assert result.classes_used == 3 and not result.even_tight
 
@@ -493,6 +503,24 @@ class TestRotaScrambledSearch:
     def test_parts_must_partition_the_ground(self):
         with pytest.raises(InstanceError, match="partition the ground"):
             rota_scrambled_search(uniform_matroid(4, 2), [[0, 1], [0, 1]])
+
+    # sha256 of the stdout of `sweep --seed S --conjecture rota --params
+    # n=N`, taken when rota computed exact covering numbers
+    STDOUT = {
+        (2, 0): "f008b96d7dff2a08d472cb506f318ad5bc546debcf823698dda7a077589a653c",
+        (2, 7): "cafcefbd243a577e1331c789face53a4e1de018ffee9d27a5d56729b12da719e",
+        (2, 41): "b79099425242e32d607bd8ec9f8a0179d1533f6a1850a06793cbf2271b1e756f",
+        (3, 0): "394bc6cdcd215cf9c656621c2d51f9fcbee18e9ff9e592476180e2778dbe532a",
+        (3, 7): "3f61090fb0dfe34481663ed2438290c81f6e7d595423c013a0916e35e93450c7",
+        (3, 41): "16b2f4f2bdbe309f6c18c8f789c948cdb4fcbd028f62677c14bf0e945d2de3d9",
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(STDOUT))
+    def test_sweep_stdout_pinned(self, capsys, n, seed):
+        code = cli.main(["sweep", "--seed", str(seed), "--conjecture", "rota",
+                         "--params", f"n={n}"])
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.STDOUT[n, seed]
 
     def test_covering_number_must_be_n(self):
         with pytest.raises(InstanceError, match="covering number is 1, expected n = 2"):

@@ -304,8 +304,8 @@ def seeded_batch() -> list[tuple[EdgeFamily, int]]:
 
 class TestSearchTreePins:
     """The search gives the same witnesses as the list-based search it
-    replaced. It makes the same bound calls too, except that a search with
-    a target makes none before its first dead end."""
+    replaced. It makes the same bound calls too, except that it makes none
+    before its first dead end."""
 
     # bound calls of max_rainbow_matching(drisko_sharpness(n), target=n)
     DRISKO_BOUND_CALLS = {7: 60, 8: 82, 9: 110, 10: 143, 11: 180, 12: 224, 13: 274}
@@ -313,7 +313,7 @@ class TestSearchTreePins:
     K5_BOUND_CALLS = {3: 91, 4: 162}
     # sha256 of the repr of the batch's assignment list, and its bound calls
     BATCH_DIGEST = "c707facb47a827bdbcf0d977bcc8c22bdbaac9947b3a806607469d63a7a741f2"
-    BATCH_BOUND_CALLS = 2461
+    BATCH_BOUND_CALLS = 1531
 
     @pytest.mark.parametrize("n", sorted(DRISKO_WITNESSES))
     def test_drisko(self, n, bound_calls):
@@ -678,6 +678,44 @@ class TestRepeats:
             for c, e in rep.assignments:
                 assert e in ms[c] and e in matching.edges
         assert outcomes == {"witness", "not-bipartite"}
+
+
+# (a statement check, a builder of its arguments, its answer or the
+# exception it raises)
+ONE_SEARCH_CALLS = {
+    "arrow-bipartite": (check_arrow_instance, lambda: (
+        drisko_statement(3), random_matching_family(random.Random(13), [3] * 5)), True),
+    "arrow-general": (check_arrow_instance, lambda: (
+        ArrowStatement(3, 4, 3, "general"), eight_vertex_example()), False),
+    "sequence": (check_sequence_instance, lambda: (
+        SizeSequence((2, 4, 4), 3), two_c4_witness()), False),
+    "repeats": (lambda *args: len(repeats_matching(*args)[0]), lambda: (
+        Graph(6, ((0, 3), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0))),
+        [{0}, {1, 3, 5}, {2, 4, 6}], 2, 3), 3),
+    "repeats-failed": (repeats_matching, lambda: (
+        Graph(5, ((0, 1), (1, 2), (4, 0), (4, 1), (0, 2))), [[0], [1, 2], [3, 4]], 2, 2),
+        HypothesisViolation),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_SEARCH_CALLS))
+def test_one_bipartition_per_call(monkeypatch, name):
+    """One search on the instance graph decides bipartiteness and answers,
+    so each call finds the graph's bipartition once."""
+    check, build, answer = ONE_SEARCH_CALLS[name]
+    args, calls = build(), []
+
+    def counted(g):
+        calls.append(g)
+        return find_bipartition(g)
+
+    monkeypatch.setattr(matching, "find_bipartition", counted)
+    if answer is HypothesisViolation:
+        with pytest.raises(HypothesisViolation, match="not bipartite"):
+            check(*args)
+    else:
+        assert check(*args) == answer
+    assert len(calls) == 1
 
 
 class TestCooperativeDrisko:
