@@ -6,14 +6,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Protocol
 
 from ._gf2 import _basis, _reduce, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
 
 COVER_GROUND_CAP = 16
 
-ExchangeTest = Callable[[Optional[int], int], bool]  # see IndependenceOracle.exchange
+
+class ExchangeTest(Protocol):
+    """The exchange test of an independent set I; see IndependenceOracle.exchange."""
+
+    def __call__(self, x: Optional[int], y: int) -> bool: ...
+
+    def add(self, y: int) -> None: ...
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -84,16 +90,18 @@ class IndependenceOracle:
     def exchange(self, independent: Iterable[int]) -> ExchangeTest:
         """The exchange test of an independent set I: ok(x, y) is true iff
         I - x + y is independent (I + y when x is None), for x in I and y
-        outside I.
+        outside I. ok.add(y), for a y outside I with I + y independent,
+        makes ok the test of I + y, so a test grows with its set.
 
-        By default I's mask is built and checked once, and each test is one
+        By default I's mask is built and checked once, each test is one
         rank_fn call on it with x cleared and y set (a y outside the ground
-        raises InstanceError); a construction with a native exchange_fn
-        answers all of them from one pass over I. The native test of
-        binary_matroid and graphic_matroid (one GF(2) elimination of I)
-        raises the same InstanceError for I or y outside the ground; the
-        incidence lifts inside transversals.rado_rainbow, which build I and
-        y themselves, do not check.
+        raises InstanceError), and add sets y in the mask; a construction
+        with a native exchange_fn answers all of them from one pass over I,
+        and its test must provide add too. The native test of binary_matroid
+        and graphic_matroid (one GF(2) elimination of I, which add extends
+        by y's column) raises the same InstanceError for I or y outside the
+        ground; the incidence lifts inside transversals.rado_rainbow, which
+        build I and y themselves, do not check.
         """
         s = frozenset(independent)
         if self._exchange_fn is not None:
@@ -106,6 +114,11 @@ class IndependenceOracle:
             mask = (base if x is None else base & ~(1 << x)) | 1 << y
             return rank_fn(mask) == mask.bit_count()
 
+        def add(y: int) -> None:
+            nonlocal base
+            base |= 1 << y
+
+        ok.add = add
         return ok
 
     def __repr__(self) -> str:
@@ -212,7 +225,8 @@ def _binary(cols: list[int], desc: dict) -> IndependenceOracle:
         """One elimination of I, column i tagged by bit i below the column
         bits: y reduces to its fundamental circuit in I + y when its column
         part vanishes, so I - x + y is independent iff y's column part does
-        not vanish or x is in that circuit."""
+        not vanish or x is in that circuit. add(y) reduces y's one tagged
+        column into the basis instead of eliminating I + y again."""
         k = len(cols)
         try:  # an element outside the ground fails to index or to shift
             basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
@@ -230,6 +244,12 @@ def _binary(cols: list[int], desc: dict) -> IndependenceOracle:
                 c = circuits[y] = -1 if r >> k else r
             return c == -1 or (x is not None and c >> x & 1 == 1)
 
+        def add(y: int) -> None:
+            v = _reduce((cols[y] << k) | 1 << y, basis)
+            basis[v.bit_length() - 1] = v
+            circuits.clear()  # a cached -1 may no longer hold for I + y
+
+        ok.add = add
         return ok
 
     return IndependenceOracle(len(cols), lambda s: gf2_rank([cols[i] for i in _bits(s)]),
@@ -333,25 +353,29 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
 
     A length-1 path is the smallest source that is also a sink, and the
     BFS would take it first. So before each BFS an ascending scan from a
-    cursor adds the first y outside I with I + y independent in both, and
-    moves the cursor past it. Every element below the cursor is in I or
-    was rejected; while I only grows it stays rejected, since a superset
-    of a dependent set is dependent. The BFS runs only when the scan
-    reaches the end of the ground. A longer path removes elements from I,
-    but shortest augmenting paths never get shorter (Cunningham 1986), so
-    no length-1 path is left and the cursor stays at the end.
+    cursor adds the first y outside I with I + y independent in both,
+    grows both tests by it (ok.add(y)) and moves the cursor past it. Every
+    element below the cursor is in I or was rejected; while I only grows
+    it stays rejected, since a superset of a dependent set is dependent.
+    The BFS runs only when the scan reaches the end of the ground. A
+    longer path removes elements from I, so both tests are built again
+    for the new I; but shortest augmenting paths never get shorter
+    (Cunningham 1986), so no length-1 path is left and the cursor stays
+    at the end.
     """
     if m1.ground_size != m2.ground_size:
         raise InstanceError("matroid intersection needs a shared ground set")
     m = m1.ground_size
     current: set[int] = set()
     cursor = 0
+    ok1, ok2 = m1.exchange(current), m2.exchange(current)
     while True:
-        ok1, ok2 = m1.exchange(current), m2.exchange(current)
         y = next((y for y in range(cursor, m)
                   if y not in current and ok1(None, y) and ok2(None, y)), None)
         if y is not None:
             current.add(y)
+            ok1.add(y)
+            ok2.add(y)
             cursor = y + 1
             continue
         inside = sorted(current)
@@ -382,6 +406,7 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
         while found is not None:
             current ^= {found}
             found = parent[found]
+        ok1, ok2 = m1.exchange(current), m2.exchange(current)
 
 
 def matroid_intersection(m1: IndependenceOracle, m2: IndependenceOracle) -> frozenset[int]:
@@ -459,9 +484,15 @@ def _popcounts(g: int) -> bytes:
     return bytes(s.bit_count() for s in range(1 << g))
 
 
+@lru_cache(maxsize=None)
+def _sizes_at_most(k: int) -> bytes:
+    """The translation table of a size byte to 1 iff the size is at most k."""
+    return bytes(size <= k for size in range(256))
+
+
 def _at_most(g: int, k: int) -> bytes:
     """The member table of the subsets of range(g) with at most k elements."""
-    return _popcounts(g).translate(bytes(size <= k for size in range(256)))
+    return _popcounts(g).translate(_sizes_at_most(min(k, g)))
 
 
 def _meet(a: bytes, b: bytes) -> bytes:

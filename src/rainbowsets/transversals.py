@@ -94,7 +94,9 @@ def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
     element, with the color partition matroid and the given matroid lifted
     to them. A set of pairs is independent in the color lift iff its colors
     differ, and in the matroid lift iff its elements differ and are
-    independent in the matroid. Both lifts answer exchange tests natively."""
+    independent in the matroid. Both lifts answer exchange tests natively,
+    and grow them with I: the color lift marks y's color used, the matroid
+    lift adds y's element to the given matroid's own test."""
     incidences = [(c, x) for c in range(fam.num_colors) for x in sorted(fam.sets[c])]
     color = [c for c, _ in incidences]
     image = [x for _, x in incidences]
@@ -106,6 +108,7 @@ def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
             # y's color is unused by I - x
             return color[y] not in used or (x is not None and color[x] == color[y])
 
+        ok.add = lambda y: used.add(color[y])
         return ok
 
     def matroid_exchange(s: frozenset[int]) -> ExchangeTest:
@@ -118,6 +121,11 @@ def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
                 return x is not None and image[x] == image[y]
             return inner(None if x is None else image[x], image[y])
 
+        def add(y: int) -> None:
+            images.add(image[y])
+            inner.add(image[y])
+
+        ok.add = add
         return ok
 
     m = len(incidences)

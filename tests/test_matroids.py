@@ -292,13 +292,14 @@ class TestIntersection:
             assert len(common) == r1 + r2, (m1.descriptor, m2.descriptor, sorted(reach))
 
     def test_exchange_tests_and_augmentations_pinned(self):
-        # one search per augmentation plus the last, failed one; a search
-        # scans on from the last element it added for one with I + y
-        # independent in both matroids, and only a search whose scan finds
-        # none asks every element outside I whether it is a source, each
-        # candidate arc, and each outside element it reaches whether it is
-        # a sink; after a longer path the scan is skipped
-        searches, tests, augmentations = [0], [0], 0
+        # a search scans on from the last element it added for one with
+        # I + y independent in both matroids, and only a search whose scan
+        # finds none asks every element outside I whether it is a source,
+        # each candidate arc, and each outside element it reaches whether
+        # it is a sink; after a longer path the scan is skipped. A pair of
+        # exchange tests is built at the start and after each longer path
+        # only: a scan hit grows both tests by the element it adds
+        builds, tests, augmentations = [0], [0], 0
 
         def counted(m: IndependenceOracle) -> IndependenceOracle:
             """A copy of m whose exchange tests are counted; m itself, which
@@ -307,12 +308,13 @@ class TestIntersection:
 
             def exchange_counted(independent):
                 ok = exchange(independent)
-                searches[0] += 1
+                builds[0] += 1
 
                 def ok_counted(x, y):
                     tests[0] += 1
                     return ok(x, y)
 
+                ok_counted.add = ok.add
                 return ok_counted
 
             copied = copy.copy(m)
@@ -327,7 +329,7 @@ class TestIntersection:
             for m1, m2 in [(m, random_matroid(rng, ground)), (colors, lifted)]:
                 common, _ = _intersection_augment(counted(m1), counted(m2))
                 augmentations += len(common)
-        assert (searches[0] // 2, augmentations, tests[0]) == (240, 160, 1076)
+        assert (builds[0] // 2, augmentations, tests[0]) == (83, 160, 1076)
 
     def test_results_pinned_at_parent(self):
         # sha256 of the (common, reachable) pairs on a seeded batch, recorded
@@ -385,10 +387,13 @@ def without_exchange(m: IndependenceOracle) -> IndependenceOracle:
     return IndependenceOracle(m.ground_size, m._rank_fn, m.descriptor)
 
 
-def assert_exchange_matches(m: IndependenceOracle, independent: frozenset[int], label):
-    """exchange(I)(x, y) == is_independent(I - x + y) for every x in I or
-    None and every y outside I."""
-    ok = m.exchange(independent)
+def assert_exchange_matches(m: IndependenceOracle, independent: frozenset[int], label,
+                            ok=None):
+    """ok(x, y) == is_independent(I - x + y) for every x in I or None and
+    every y outside I, where ok is I's exchange test, by default a fresh
+    m.exchange(I)."""
+    if ok is None:
+        ok = m.exchange(independent)
     for y in range(m.ground_size):
         if y in independent:
             continue
@@ -416,6 +421,27 @@ class TestExchange:
         for label, m in exchange_cases(seed):
             for _ in range(4):
                 assert_exchange_matches(m, random_independent(rng, m), label)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_grown_test_matches_a_fresh_one(self, seed):
+        # grow a test from a random independent set to a basis, one random
+        # addable y at a time; before each add every y outside I is asked,
+        # so an answer cached for I that is stale for I + y would show
+        rng = random.Random(3000 + seed)
+        cases = exchange_cases(seed) + [(name, make()) for name, make in sorted(RANK_CASES.items())]
+        for label, m in cases:
+            independent = random_independent(rng, m)
+            ok = m.exchange(independent)
+            while True:
+                addable = [y for y in range(m.ground_size)
+                           if y not in independent and ok(None, y)]
+                if not addable:
+                    break
+                y = rng.choice(addable)
+                ok.add(y)
+                independent |= {y}
+                assert_exchange_matches(m, independent, label, ok)
+            assert len(independent) == m.rank(), label
 
     def test_binary_zero_and_parallel_columns(self):
         # 0 is a zero column, 1 and 3 are parallel, 2 is independent of both

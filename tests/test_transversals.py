@@ -289,17 +289,21 @@ class TestRado:
         # every augmentation on this family has length 1; asking every
         # element outside I whether it is a source and a sink before each
         # of the 200 made 201,000 exchange tests, where an ascending scan
-        # that goes on from the last element it took makes 1,600
-        calls = [0]
+        # that goes on from the last element it took makes 1,600; and
+        # building a new pair of tests for each of the 201 scans made 402
+        # builds, where growing the first pair by each element added makes 2
+        calls, builds = [0], [0]
 
         class Counted(IndependenceOracle):
             def exchange(self, independent):
                 ok = super().exchange(independent)
+                builds[0] += 1
 
                 def counted(x, y):
                     calls[0] += 1
                     return ok(x, y)
 
+                counted.add = ok.add
                 return counted
 
         monkeypatch.setattr(transversals, "IndependenceOracle", Counted)
@@ -308,6 +312,7 @@ class TestRado:
         out = rado_rainbow(fam, binary_matroid(cols))
         assert isinstance(out, ChoiceFunction) and len(out.assignments) == 200
         assert calls[0] < 201_000 // 50, calls[0]
+        assert builds[0] < 200 // 50, builds[0]
 
     def test_graphic_rado_keeps_no_rank_per_queried_subset(self):
         # 60 classes of 4 among 240 random edges on 60 vertices: keeping the
