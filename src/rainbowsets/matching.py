@@ -103,18 +103,34 @@ class _RainbowSearch:
 
     Branches on the color class with the fewest live edges, the edges that
     share no vertex with the partial (edges by ascending id within a class,
-    then the skip branch); prunes with the size of the partial plus a
-    maximum matching on the distinct vertex pairs of the live edges. The
+    then the skip branch); prunes a node when the size of the partial plus
+    a bound on what the live edges can add is at most the best found. The
     skip branch also drops every class whose live edges cover the same
     vertex pairs as the branch class (orbital branching on the orbit of
     identical classes).
 
-    Every search runs that bound only from its first dead end (a node with
-    no live class) on, and until then prunes by the number of live classes
-    alone. Before that dead end every node lies on the first path of take
-    branches, where the best matching is the partial itself and the bound
-    of a nonempty live set is at least 1, so nothing is pruned there either
-    way: the tree is the same, and a first descent makes no bound call.
+    The bound is the least of three values, asked cheapest first, and a
+    node is pruned as soon as one of them prunes it:
+    1. the number of live classes;
+    2. on a non-bipartite graph, the sum of floor(|V(C)| / 2) over the
+       components C of the live vertex pairs (`_component_bound`, the
+       Tutte-Berge bound with no vertex removed);
+    3. the matching number of the live vertex pairs (`_matching_bound`).
+    The component count is at least the matching number, so it prunes
+    only nodes that the matching number prunes too, and the tree is the
+    one that the class count and the matching number give. On disjoint
+    cliques, paths and odd cycles the component count is the matching
+    number, so Edmonds' blossom never runs there. Bipartite graphs skip
+    the component count: Kuhn's matching costs about what the count does,
+    and on random bipartite families the count rarely prunes.
+
+    Every search asks the second and third only from its first dead end (a
+    node with no live class) on, and until then prunes by the number of
+    live classes alone. Before that dead end every node lies on the first
+    path of take branches, where the best matching is the partial itself
+    and the bound of a nonempty live set is at least 1, so nothing is
+    pruned there either way: the tree is the same, and a first descent
+    makes no bound call.
 
     `run` walks that tree depth first on an explicit stack, so its depth is
     not bounded by the recursion limit, and leaves the object as set up.
@@ -151,6 +167,23 @@ class _RainbowSearch:
         return len(_max_matching_general(list(range(len(live))),
                                          [1 << l | 1 << r for _, l, r in live]))
 
+    def _component_bound(self, union: int) -> int:
+        """The sum of floor(|V(C)| / 2) over the components C of the vertex
+        pairs of the edges in union: at least their matching number."""
+        components: list[int] = []
+        for edges, u, v in self.pairs:
+            if edges & union:
+                merged = 1 << u | 1 << v
+                apart = []
+                for c in components:
+                    if c & merged:
+                        merged |= c
+                    else:
+                        apart.append(c)
+                apart.append(merged)
+                components = apart
+        return sum(c.bit_count() // 2 for c in components)
+
     def run(self, colors: Sequence[int], target: Optional[int]
             ) -> list[tuple[int, int]]:
         """A maximum rainbow matching of the classes (one edge-id mask per
@@ -180,14 +213,16 @@ class _RainbowSearch:
             if not live:
                 bounding = True
                 continue
-            bound = len(live)
+            slack = len(best) - len(chosen)
+            if len(live) <= slack:
+                continue
             if bounding:
                 union = 0
                 for m in live.values():
                     union |= m
-                bound = min(bound, self._matching_bound(union))
-            if len(chosen) + bound <= len(best):
-                continue
+                if (not self.bipartite and self._component_bound(union) <= slack
+                        or self._matching_bound(union) <= slack):
+                    continue
             branch_color = min(live, key=lambda c: (live[c].bit_count(), c))
             branch = rest = live.pop(branch_color)
             # the skip branch pops last, the take branches by ascending edge id

@@ -33,6 +33,7 @@ from rainbowsets.matching import (
 )
 
 from oracles import (
+    brute_max_matching,
     brute_max_rainbow,
     brute_repeats,
     first_seen_bipartite_families,
@@ -304,16 +305,17 @@ def seeded_batch() -> list[tuple[EdgeFamily, int]]:
 
 class TestSearchTreePins:
     """The search gives the same witnesses as the list-based search it
-    replaced. It makes the same bound calls too, except that it makes none
-    before its first dead end."""
+    replaced. It makes the exact bound call only at nodes past its first
+    dead end that neither the number of live classes nor, on a
+    non-bipartite graph, the component count prunes."""
 
     # bound calls of max_rainbow_matching(drisko_sharpness(n), target=n)
-    DRISKO_BOUND_CALLS = {7: 60, 8: 82, 9: 110, 10: 143, 11: 180, 12: 224, 13: 274}
+    DRISKO_BOUND_CALLS = {7: 52, 8: 73, 9: 100, 10: 132, 11: 168, 12: 211, 13: 260}
     # bound calls of max_rainbow_matching(k5_family(k), target=2k+1)
-    K5_BOUND_CALLS = {3: 91, 4: 162}
+    K5_BOUND_CALLS = {3: 0, 4: 0}
     # sha256 of the repr of the batch's assignment list, and its bound calls
     BATCH_DIGEST = "c707facb47a827bdbcf0d977bcc8c22bdbaac9947b3a806607469d63a7a741f2"
-    BATCH_BOUND_CALLS = 1531
+    BATCH_BOUND_CALLS = 627
 
     @pytest.mark.parametrize("n", sorted(DRISKO_WITNESSES))
     def test_drisko(self, n, bound_calls):
@@ -337,6 +339,70 @@ class TestSearchTreePins:
                 found.append(function.assignments)
         digest = hashlib.sha256(repr(found).encode()).hexdigest()
         assert (digest, len(bound_calls)) == (self.BATCH_DIGEST, self.BATCH_BOUND_CALLS)
+
+
+class TestComponentBound:
+    """The component count of the live vertex pairs is at least their
+    matching number, equal to it on disjoint cliques, paths and odd cycles,
+    and settles every bound of the K5 searches."""
+
+    def test_at_least_the_matching_number(self):
+        """On the general families of the seeded batch, each with four
+        random subsets of its edges live."""
+        rng = random.Random(34)
+        for fam, _ in seeded_batch()[300:]:
+            g = fam.graph
+            search = matching._RainbowSearch(g)
+            for _ in range(4):
+                union = matching._id_mask(e for e in range(g.num_edges) if rng.random() < 0.6)
+                live = Graph(g.n, tuple((l, r) for edges, l, r in search.pairs if edges & union))
+                nu = brute_max_matching(live)
+                assert search._component_bound(union) >= nu == search._matching_bound(union)
+
+    @pytest.mark.parametrize("pieces", [
+        [(1, "clique"), (2, "clique"), (3, "clique"), (4, "clique")],
+        [(5, "clique")],
+        [(6, "clique")],
+        [(2, "path"), (3, "path"), (4, "path"), (5, "path")],
+        [(6, "path"), (7, "path")],
+        [(3, "cycle"), (5, "cycle")],
+        [(7, "cycle"), (9, "cycle")],
+        [(4, "clique"), (4, "path"), (5, "cycle")],
+    ])
+    def test_equal_on_cliques_paths_and_odd_cycles(self, pieces):
+        edges, n = [], 0
+        for size, kind in pieces:
+            if kind == "clique":
+                edges += itertools.combinations(range(n, n + size), 2)
+            else:
+                edges += [(n + i, n + i + 1) for i in range(size - 1)]
+                if kind == "cycle":
+                    edges.append((n + size - 1, n))
+            n += size
+        g = Graph(n, tuple(edges))
+        search = matching._RainbowSearch(g)
+        union = (1 << g.num_edges) - 1
+        assert search._component_bound(union) == brute_max_matching(g)
+
+    @pytest.mark.parametrize("k, calls", [(3, 91), (4, 162)])
+    def test_k5_bounds_need_no_blossom(self, monkeypatch, k, calls):
+        counted, blossoms = [], []
+        bound = matching._RainbowSearch._component_bound
+        general = matching._max_matching_general
+
+        def counting(search, union):
+            counted.append(union)
+            return bound(search, union)
+
+        def blossom(*args):
+            blossoms.append(args)
+            return general(*args)
+
+        monkeypatch.setattr(matching._RainbowSearch, "_component_bound", counting)
+        monkeypatch.setattr(matching, "_max_matching_general", blossom)
+        got, _ = max_rainbow_matching(k5_family(k), target=2 * k + 1)
+        assert len(got) == 2 * k
+        assert (len(counted), len(blossoms)) == (calls, 0)
 
 
 def tiled(fam: EdgeFamily, k: int) -> EdgeFamily:
