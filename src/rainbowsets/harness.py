@@ -17,9 +17,9 @@ from .core import (
     LatinSquare,
     TheoremViolation,
     Transversal,
+    _as_graph,
 )
 from .matching import (
-    EdgeFamily,
     _RainbowSearch,
     _bipartite_families,
     _complete_bipartite,
@@ -29,7 +29,7 @@ from .matching import (
     _id_mask,
     _no_rainbow_matching,
     _serialize_family_instance,
-    max_rainbow_matching,
+    scrambled_matching_check,
     stairs_sequence,
 )
 from .matroids import (
@@ -348,15 +348,13 @@ def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
         instance = {**_serialize_family_instance(fam.graph, fam.colors),
                     "scrambling": [list(c) for c in classes]}
         # replay from the serialized instance to confirm
-        g2 = Graph(instance["graph"]["n"],
-                   tuple(tuple(e) for e in instance["graph"]["edges"]))
-        fam2 = EdgeFamily(g2, tuple(frozenset(c) for c in instance["scrambling"]))
-        again, _ = max_rainbow_matching(fam2, target=n)
-        if len(again) >= n:
+        report = scrambled_matching_check(_as_graph(instance["graph"], "graph"),
+                                          instance["colors"], instance["scrambling"], n)
+        if report.met:
             raise TheoremViolation(
                 f"the replayed sharpness witness has a rainbow matching of size {n}"
             )
-        return instance, {"meaning": "sharpness witness", "max_rainbow": len(again)}
+        return instance, {"meaning": "sharpness witness", "max_rainbow": len(report.matching)}
 
     return sweep(spec, candidates(), check, {"n": n}, on_record,
                  hit_verdict="sharpness-witness",

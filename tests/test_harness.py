@@ -289,11 +289,11 @@ def test_random_claim_counterexample_has_fresh_edge_ids(monkeypatch, capsys, tmp
 def sharpness_sweep(monkeypatch, capsys, replay_size):
     """The scrambled-sharpness sweep through the CLI, with a shared search
     whose answer on each candidate has n - 1 edges and a replay (through
-    max_rainbow_matching) whose answer has replay_size: the parsed stdout
-    lines and the exit code."""
+    scrambled_matching_check's max_rainbow_matching) whose answer has
+    replay_size: the parsed stdout lines and the exit code."""
     monkeypatch.setattr(matching._RainbowSearch, "run",
                         lambda search, colors, target: [None] * (target - 1))
-    monkeypatch.setattr(harness, "max_rainbow_matching",
+    monkeypatch.setattr(matching, "max_rainbow_matching",
                         lambda fam, target=None: (list(range(replay_size)), None))
     return sweep_through_cli(capsys, "scrambled-sharpness", {"n": 4, "instances": 3})
 

@@ -265,7 +265,9 @@ class TestOrbitPruning:
         assert len(calls) <= 8944 * 5 // 100
 
     def test_k5_family_6(self):
-        """The bound on k disjoint K5s is a general matching."""
+        """The bound on k disjoint K5s is settled by the component count of
+        the live vertex pairs (at most two pairs per K5), not by a general
+        matching."""
         got, _ = max_rainbow_matching(k5_family(6), target=13)
         assert len(got) == 12
 
