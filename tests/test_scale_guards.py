@@ -22,19 +22,33 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 
+# an exit code the CLI never uses: the child exits with it when the CLI
+# raises past its own handlers, since Python's exit code for an uncaught
+# exception, 1, is also the CLI's answer "no"
+CRASHED = 70
+
 # the CLI on the child's argv; then, whatever it did, its own peak RSS in KB
 # as the last line of stderr. That is VmHWM, the peak since exec: Linux
 # carries the parent's RSS at the fork into the child's ru_maxrss, and the
-# parent here is this test process, not a small shell
-CHILD = """\
-import sys
+# parent here is this test process, not a small shell. Without /proc the
+# peak goes unreported, which fails only the rows that bound it
+CHILD = f"""\
+import sys, traceback
 try:
     from rainbowsets import cli
-    sys.exit(cli.main(sys.argv[1:]))
-finally:
-    sys.stdout.flush()
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+except BaseException:
+    traceback.print_exc()
+    code = {CRASHED}
+sys.stdout.flush()
+try:
     with open("/proc/self/status") as status:
         print(status.read().split("VmHWM:")[1].split()[0], file=sys.stderr)
+except OSError:
+    pass
+sys.exit(code)
 """
 
 
@@ -138,8 +152,10 @@ GUARDS = [
     # graphic Rado answers exchange tests by one GF(2) elimination of I on
     # its incidence columns and keeps no rank per queried subset: a violator
     # (exit 1); at 300 vertices a rank per exchange test took minutes
-    Guard("rado-graphic-150", ("rado",), lambda: graphic_rado(150), code=1, timeout=20, rss_mb=60),
-    Guard("rado-graphic-300", ("rado",), lambda: graphic_rado(300), code=1, timeout=20, rss_mb=60),
+    Guard("rado-graphic-150", ("rado",), lambda: graphic_rado(150), code=1,
+          check=lambda r: r["status"] == "violator", timeout=20, rss_mb=60),
+    Guard("rado-graphic-300", ("rado",), lambda: graphic_rado(300), code=1,
+          check=lambda r: r["status"] == "violator", timeout=20, rss_mb=60),
     # Hall on the chain {0}, {0,1}, {1,2}, ...: linear in the classes
     Guard("hall-chain-20000", ("hall",), lambda: hall_chain(20000), timeout=20),
     # colors nested 5,000 deep overflow the JSON decoder's stack: an input
@@ -175,21 +191,21 @@ GUARDS = [
 ]
 
 
-def run_guard(guard: Guard) -> Optional[str]:
+def run_guard(guard: Guard, program: str = CHILD) -> Optional[str]:
     """Run one row in its child: None when it passes, else what went wrong,
     starting with the row's name."""
     stdin = guard.stdin()
     start = time.perf_counter()
     try:
-        child = subprocess.run([sys.executable, "-S", "-c", CHILD, *guard.argv], input=stdin,
+        child = subprocess.run([sys.executable, "-S", "-c", program, *guard.argv], input=stdin,
                                capture_output=True, text=True, cwd=ROOT, env=ENV,
                                timeout=guard.timeout)
     except subprocess.TimeoutExpired:
         return f"{guard.name}: no exit within its {guard.timeout:g} s"
     seconds = time.perf_counter() - start
     last = (child.stdout.splitlines() or [""])[-1]
-    *stderr, rss = child.stderr.splitlines() or [""]
-    rss_kb = int(rss) if rss.isdigit() else None
+    stderr = child.stderr.splitlines()
+    rss_kb = int(stderr.pop()) if stderr and stderr[-1].isdigit() else None
     peak = "not reported" if rss_kb is None else f"{rss_kb // 1024} MB"
     faults = []
     if child.returncode != guard.code:
@@ -240,3 +256,14 @@ BRS_3 = next(guard for guard in GUARDS if guard.name == "brs-3")
 def test_runner_reports_a_broken_row(row, fault):
     message = run_guard(row)
     assert message is not None and message.startswith(f"{row.name}: ") and fault in message
+
+
+def test_runner_reports_a_crashed_child():
+    """A CLI that raises after it printed its answer still fails a row whose
+    exit code and last line it matched: the child exits with CRASHED."""
+    row = next(guard for guard in GUARDS if guard.name == "rado-graphic-150")
+    crashing = CHILD.replace("cli.main(sys.argv[1:])", "cli.main(sys.argv[1:]) + [][0]")
+    assert crashing != CHILD
+    message = run_guard(row, crashing)
+    assert message is not None and message.startswith(f"{row.name}: ")
+    assert f"exit {CRASHED}, expected 1" in message and "IndexError" in message
