@@ -65,9 +65,10 @@ class ColoredFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+        size = self.ground.size  # the test of GroundSet.__contains__, inlined
         for i, s in enumerate(self.sets):
             for x in s:
-                if x not in self.ground:
+                if not (isinstance(x, int) and 0 <= x < size):
                     raise InstanceError(
                         f"colors[{i}]: element {x} outside ground of size {self.ground.size}"
                     )

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
 
 from ._gf2 import _basis, _reduce, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
@@ -38,16 +38,18 @@ class IndependenceOracle:
     exchange) takes element sets, checks that they lie in the ground and
     asks rank_fn on their masks; it keeps no memo. A subset is independent
     iff its rank equals its size. The descriptor records the construction
-    (kind + parameters) so oracles can be serialized. A construction may
-    also pass native forms that must agree with rank: exchange_fn, of
-    exchange(), and members_fn, which returns the member table that
-    _member_masks would build, one byte per subset of the ground, without
-    asking rank. members_fn is called only on grounds of at most
-    COVER_GROUND_CAP elements.
+    (kind + parameters) so oracles can be serialized. A construction passes
+    it as a dict or as a zero-argument callable that returns one; the
+    callable is called on the first read of descriptor, and every read
+    returns that one dict. A construction may also pass native forms that
+    must agree with rank: exchange_fn, of exchange(), and members_fn, which
+    returns the member table that _member_masks would build, one byte per
+    subset of the ground, without asking rank. members_fn is called only on
+    grounds of at most COVER_GROUND_CAP elements.
     """
 
     def __init__(self, ground_size: int, rank_fn: Callable[[int], int],
-                 descriptor: dict,
+                 descriptor: Union[dict, Callable[[], dict]],
                  exchange_fn: Optional[Callable[[frozenset[int]], ExchangeTest]] = None,
                  members_fn: Optional[Callable[[], bytes]] = None):
         if ground_size < 0:
@@ -56,7 +58,15 @@ class IndependenceOracle:
         self._rank_fn = rank_fn
         self._exchange_fn = exchange_fn
         self._members_fn = members_fn
-        self.descriptor = descriptor
+        self._descriptor = descriptor
+
+    @property
+    def descriptor(self) -> dict:
+        """The construction's descriptor, built on the first read when the
+        construction passed a callable."""
+        if callable(self._descriptor):
+            self._descriptor = self._descriptor()
+        return self._descriptor
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = frozenset(subset)
@@ -208,17 +218,26 @@ def graphic_matroid(g: Graph) -> IndependenceOracle:
 
 def binary_matroid(columns: list[int]) -> IndependenceOracle:
     """Ground = column indices; independent iff the columns (int bitsets
-    over GF(2)) are linearly independent."""
+    over GF(2)) are linearly independent. A negative column raises
+    InstanceError naming the first one. The descriptor's matrix, one row
+    per bit and at least one row, is built on the first read of
+    descriptor."""
     cols = [int(c) for c in columns]
-    nbits = max((c.bit_length() for c in cols), default=0)
-    desc = {
-        "kind": "binary",
-        "matrix": [[(c >> r) & 1 for c in cols] for r in range(max(nbits, 1))],
-    }
-    return _binary(cols, desc)
+    if min(cols, default=0) < 0:
+        j = next(j for j, c in enumerate(cols) if c < 0)
+        raise InstanceError(f"columns[{j}]: negative column {cols[j]}")
+
+    def describe() -> dict:
+        nbits = max((c.bit_length() for c in cols), default=0)
+        return {
+            "kind": "binary",
+            "matrix": [[(c >> r) & 1 for c in cols] for r in range(max(nbits, 1))],
+        }
+
+    return _binary(cols, describe)
 
 
-def _binary(cols: list[int], desc: dict) -> IndependenceOracle:
+def _binary(cols: list[int], desc: Union[dict, Callable[[], dict]]) -> IndependenceOracle:
     """The matroid of the GF(2) columns cols, described by desc."""
 
     def exchange(s: frozenset[int]) -> ExchangeTest:
@@ -260,9 +279,9 @@ def truncate(m: IndependenceOracle, k: int) -> IndependenceOracle:
     """Independent iff independent in m and of size at most k."""
     if k < 0:
         raise InstanceError("truncation needs k >= 0")
-    desc = {"kind": "truncation", "k": k, "inner": m.descriptor}
     return IndependenceOracle(
-        m.ground_size, lambda s: min(k, m._rank_fn(s)), desc,
+        m.ground_size, lambda s: min(k, m._rank_fn(s)),
+        lambda: {"kind": "truncation", "k": k, "inner": m.descriptor},
         members_fn=lambda: _meet(_member_masks(m), _at_most(m.ground_size, k)))
 
 
@@ -280,8 +299,10 @@ def direct_sum(m: IndependenceOracle, n: IndependenceOracle) -> IndependenceOrac
         absent = bytes(len(left))
         return b"".join(left if bit else absent for bit in _member_masks(n))
 
-    desc = {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor}
-    return IndependenceOracle(off + n.ground_size, rank, desc, members_fn=members)
+    return IndependenceOracle(
+        off + n.ground_size, rank,
+        lambda: {"kind": "direct-sum", "left": m.descriptor, "right": n.descriptor},
+        members_fn=members)
 
 
 def from_descriptor(desc: dict, default_ground: Optional[int] = None) -> IndependenceOracle:

@@ -188,6 +188,19 @@ def k5_family(k: int) -> EdgeFamily:
     return family_from_pairs(5 * k, *[blocks] * (2 * k + 1))
 
 
+def hub_family(k: int) -> EdgeFamily:
+    """8k+1 copies of the edge set of k blocks of 10 vertices, each a hub
+    joined to one vertex of each of three disjoint triangles; the optimum
+    is 4k. The component count is 5 per block, so every bound that prunes
+    needs the exact matching number of a non-bipartite host."""
+    edges = []
+    for b in range(k):
+        for t in range(3):
+            a, c, d = 10 * b + 1 + 3 * t, 10 * b + 2 + 3 * t, 10 * b + 3 + 3 * t
+            edges += [(a, c), (c, d), (a, d), (10 * b, a)]
+    return family_from_pairs(10 * k, *[edges] * (8 * k + 1))
+
+
 def repeated_class_family(rng: random.Random) -> EdgeFamily:
     """Colors drawn with repetition from a few base edge sets, each copy
     with fresh edge ids; bipartite matchings or arbitrary general edges."""
@@ -221,6 +234,11 @@ DRISKO_WITNESSES = {
 K5_WITNESSES = {
     3: ((0, 0), (1, 37), (2, 70), (3, 107), (4, 140), (5, 177)),
     4: ((0, 0), (1, 47), (2, 90), (3, 137), (4, 180), (5, 227), (6, 270), (7, 317)),
+}
+HUB_WITNESSES = {
+    2: ((0, 0), (1, 28), (2, 57), (3, 83), (4, 108), (5, 136), (6, 165), (7, 191)),
+    3: ((0, 0), (1, 40), (2, 81), (3, 119), (4, 156), (5, 196), (6, 237), (7, 275),
+        (8, 312), (9, 352), (10, 393), (11, 431)),
 }
 
 
@@ -315,6 +333,9 @@ class TestSearchTreePins:
     DRISKO_BOUND_CALLS = {7: 52, 8: 73, 9: 100, 10: 132, 11: 168, 12: 211, 13: 260}
     # bound calls of max_rainbow_matching(k5_family(k), target=2k+1)
     K5_BOUND_CALLS = {3: 0, 4: 0}
+    # bound calls of max_rainbow_matching(hub_family(k), target=4k+1); a
+    # weaker valid bound in place of the blossom shows here as more calls
+    HUB_BOUND_CALLS = {2: 52, 3: 221}
     # sha256 of the repr of the batch's assignment list, and its bound calls
     BATCH_DIGEST = "c707facb47a827bdbcf0d977bcc8c22bdbaac9947b3a806607469d63a7a741f2"
     BATCH_BOUND_CALLS = 627
@@ -330,6 +351,12 @@ class TestSearchTreePins:
         _, function = max_rainbow_matching(k5_family(k), target=2 * k + 1)
         assert function.assignments == K5_WITNESSES[k]
         assert len(bound_calls) == self.K5_BOUND_CALLS[k]
+
+    @pytest.mark.parametrize("k", sorted(HUB_WITNESSES))
+    def test_hub(self, k, bound_calls):
+        _, function = max_rainbow_matching(hub_family(k), target=4 * k + 1)
+        assert function.assignments == HUB_WITNESSES[k]
+        assert len(bound_calls) == self.HUB_BOUND_CALLS[k]
 
     def test_seeded_batch(self, bound_calls):
         found = []

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from rainbowsets import matroids
+from rainbowsets import matroids, spancycles
 from rainbowsets.core import ColoredFamily, Graph, GroundSet, InstanceError, ResourceCapError
 from rainbowsets.harness import random_matroid
 from rainbowsets.matroids import (
@@ -29,7 +29,7 @@ from rainbowsets.matroids import (
     truncate,
     uniform_matroid,
 )
-from rainbowsets.transversals import _rado_lifts
+from rainbowsets.transversals import _rado_lifts, rado_rainbow
 
 from oracles import (
     brute_covering_number,
@@ -175,6 +175,88 @@ class TestConstructions:
         with pytest.raises(InstanceError) as exc:
             from_descriptor(desc, 3)
         assert field in str(exc.value)
+
+    def test_binary_rejects_negative_columns(self):
+        # a negative int has no finite bit column: the columns -1, 1, 2
+        # have rank 3, but the matrix rows of their low bits give the
+        # columns (1, 1), (1, 0), (0, 1), of rank 2
+        with pytest.raises(InstanceError, match=r"columns\[1\]: negative column -1"):
+            binary_matroid([1, -1, 2, -4])
+
+
+def binary_4() -> IndependenceOracle:
+    return binary_matroid([0b101, 0b010, 0b011, 0])
+
+
+class TestLazyDescriptor:
+    """A construction may pass its descriptor as a callable: it is called on
+    the first read, and the dict it returns is the one every read gives."""
+
+    # json.dumps of each descriptor: the form that serialized instances carry
+    PINNED = {
+        "binary": (binary_4, '{"kind": "binary", "matrix": [[1, 0, 1, 0], [0, 1, 1, 0], '
+                             '[1, 0, 0, 0]]}'),
+        "binary-zero": (lambda: binary_matroid([0, 0]), '{"kind": "binary", "matrix": [[0, 0]]}'),
+        "binary-empty": (lambda: binary_matroid([]), '{"kind": "binary", "matrix": [[]]}'),
+        "graphic": (lambda: graphic_matroid(Graph(3, ((0, 1), (1, 2), (0, 2), (0, 1)))),
+                    '{"kind": "graphic", "graph": {"n": 3, "edges": [[0, 1], [1, 2], '
+                    '[0, 2], [0, 1]]}}'),
+        "truncation": (lambda: truncate(binary_4(), 2),
+                       '{"kind": "truncation", "k": 2, "inner": {"kind": "binary", '
+                       '"matrix": [[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]]}}'),
+        "direct-sum": (lambda: direct_sum(binary_4(), free_matroid(2)),
+                       '{"kind": "direct-sum", "left": {"kind": "binary", "matrix": '
+                       '[[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 0]]}, "right": '
+                       '{"kind": "free", "ground_size": 2}}'),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_and_round_trip(self, name):
+        make, pinned = self.PINNED[name]
+        m = make()
+        assert json.dumps(m.descriptor) == pinned
+        assert from_descriptor(m.descriptor).descriptor == m.descriptor
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_reads_return_one_dict(self, name):
+        m = self.PINNED[name][0]()
+        assert m.descriptor is m.descriptor
+
+    def test_callable_called_on_first_read_only(self):
+        calls = []
+
+        def describe():
+            calls.append(1)
+            return {"kind": "free", "ground_size": 2}
+
+        m = IndependenceOracle(2, int.bit_count, describe)
+        assert m.rank() == 2 and m.is_independent({0, 1}) and not calls
+        first = m.descriptor
+        assert first == {"kind": "free", "ground_size": 2} and m.descriptor is first
+        assert len(calls) == 1
+
+    def test_wrapping_builds_no_inner_descriptor(self):
+        inner = binary_4()
+        truncate(inner, 2), direct_sum(inner, inner)
+        assert callable(inner._descriptor)
+
+    def test_rado_leaves_the_descriptor_unbuilt(self):
+        m = binary_4()
+        fam = ColoredFamily(GroundSet(4), (frozenset({0, 1}), frozenset({1, 2})))
+        assert len(rado_rainbow(fam, m)) == 2
+        assert callable(m._descriptor)
+
+    def test_odd_cycle_leaves_the_descriptor_unbuilt(self, monkeypatch):
+        built = []
+
+        def recorded(columns):
+            built.append(binary_matroid(columns))
+            return built[-1]
+
+        monkeypatch.setattr(spancycles, "binary_matroid", recorded)
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        assert len(spancycles.rainbow_odd_cycle(g, [frozenset({0, 1, 2})] * 3)) == 3
+        assert built and all(callable(m._descriptor) for m in built)
 
 
 class TestRankAndSpan:
@@ -495,7 +577,7 @@ class TestExchange:
             m = make()
             fresh = dict(vars(m))
             assert fresh.keys() == {"ground_size", "_rank_fn", "_exchange_fn", "_members_fn",
-                                    "descriptor"}
+                                    "_descriptor"}
             for _ in range(10):
                 subset = random_independent(rng, m)
                 m.rank(subset), m.is_independent(subset), m.in_span(subset, 0)

@@ -105,6 +105,18 @@ def disjoint_k5s(k: int) -> str:
                        "colors": [list(range(10 * k))] * (2 * k + 1)})
 
 
+def hub_triangles(k: int) -> str:
+    """8k + 1 colors on k blocks, each a hub joined to one vertex of each of
+    three disjoint triangles, each color holding every edge."""
+    edges = []
+    for b in range(k):
+        for t in range(3):
+            a, c, d = 10 * b + 1 + 3 * t, 10 * b + 2 + 3 * t, 10 * b + 3 + 3 * t
+            edges += [[a, c], [c, d], [a, d], [10 * b, a]]
+    return json.dumps({"graph": {"n": 10 * k, "edges": edges},
+                       "colors": [list(range(12 * k))] * (8 * k + 1)})
+
+
 def disjoint_edges(n: int) -> str:
     return json.dumps({"graph": {"n": 2 * n, "edges": [[2 * i, 2 * i + 1] for i in range(n)]},
                        "colors": [[i] for i in range(n)]})
@@ -169,6 +181,10 @@ GUARDS = [
     # pairs each) prove 40 edges without running the blossom
     Guard("k5-20", ("rainbow-matching", "--target", "41"), lambda: disjoint_k5s(20),
           code=1, check=lambda r: r["size"] == 40, timeout=10),
+    # the component count (5 per block) exceeds the matching number (4 per
+    # block), so every bound past the first dead end runs the blossom: 1,934
+    Guard("hub-6", ("rainbow-matching", "--target", "25"), lambda: hub_triangles(6),
+          code=1, check=lambda r: r["size"] == 24, timeout=5),
     # the branch and bound keeps an explicit stack: 1,500 levels deep
     Guard("disjoint-edges-1500", ("rainbow-matching",), lambda: disjoint_edges(1500),
           check=lambda r: r["size"] == 1500, timeout=20),
