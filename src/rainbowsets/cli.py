@@ -61,8 +61,10 @@ def _sets(instance: dict, field: str) -> tuple[frozenset, ...]:
 
 
 def _as_network(obj) -> Network:
+    if not isinstance(obj, dict):
+        raise InstanceError("instance.network: expected an object")
     for field in ("n", "edges", "sources", "targets"):
-        if not isinstance(obj, dict) or field not in obj:
+        if field not in obj:
             raise InstanceError(f"instance.network.{field}: required field is missing")
     return Network(
         _int(obj["n"], "instance.network.n"),

@@ -137,6 +137,21 @@ def is_rainbow(fam: ColoredFamily, f: ChoiceFunction) -> bool:
 # graphs and matchings
 
 
+def _edge_list(n: int, edges, prefix: str) -> tuple[tuple[int, int], ...]:
+    """The edges of a graph or network on n >= 0 vertices as int pairs,
+    each joining two distinct vertices in range; errors name `prefix`.n
+    or `prefix`.edges[i]."""
+    if n < 0:
+        raise InstanceError(f"{prefix}.n: must be >= 0, got {n}")
+    edges = tuple((int(u), int(v)) for u, v in edges)
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
+            raise InstanceError(f"{prefix}.edges[{i}]: endpoint out of range")
+        if u == v:
+            raise InstanceError(f"{prefix}.edges[{i}]: loop at vertex {u}")
+    return edges
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected multigraph; edge identity is positional (by id)."""
@@ -146,16 +161,7 @@ class Graph:
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InstanceError(f"graph.n: must be >= 0, got {self.n}")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
-        for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InstanceError(f"graph.edges[{i}]: endpoint out of range")
-            if u == v:
-                raise InstanceError(f"graph.edges[{i}]: loop at vertex {u}")
+        object.__setattr__(self, "edges", _edge_list(self.n, self.edges, "graph"))
         if self.bipartition is not None:
             a, b = (frozenset(self.bipartition[0]), frozenset(self.bipartition[1]))
             object.__setattr__(self, "bipartition", (a, b))
@@ -491,11 +497,7 @@ class Network:
     targets: frozenset[int]
 
     def __post_init__(self):
-        if self.n < 0:
-            raise InstanceError(f"network.n: must be >= 0, got {self.n}")
-        object.__setattr__(
-            self, "edges", tuple((int(u), int(v)) for u, v in self.edges)
-        )
+        object.__setattr__(self, "edges", _edge_list(self.n, self.edges, "network"))
         object.__setattr__(self, "sources", frozenset(self.sources))
         object.__setattr__(self, "targets", frozenset(self.targets))
         for v in self.sources | self.targets:
@@ -504,10 +506,6 @@ class Network:
         if self.sources & self.targets:
             raise InstanceError("sources and targets must be disjoint")
         for i, (u, v) in enumerate(self.edges):
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InstanceError(f"network.edges[{i}]: endpoint out of range")
-            if u == v:
-                raise InstanceError(f"network.edges[{i}]: loop at vertex {u}")
             if v in self.sources:
                 raise InstanceError(
                     f"network.edges[{i}]: edge ({u},{v}) enters a source"

@@ -25,10 +25,9 @@ from .matching import (
     _complete_bipartite,
     _cycle_families,
     _draw_matchings,
-    _drawn_family,
+    _drawn_instance,
     _id_mask,
     _no_rainbow_matching,
-    _serialize_family_instance,
     scrambled_matching_check,
     stairs_sequence,
 )
@@ -238,9 +237,7 @@ def _weighted_drisko(spec: SweepSpec, on_record, n: int, wmax: int,
         budget = max(sum(weights[c * n:(c + 1) * n]) for c in range(len(draw)))
         if _weighted_rainbow_exists(n, draw, weights, n, budget):
             return None
-        fam = _drawn_family(n, draw)
-        return ({**_serialize_family_instance(fam.graph, fam.colors),
-                 "weights": weights, "budget": budget}, {"n": n})
+        return {**_drawn_instance(n, draw), "weights": weights, "budget": budget}, {"n": n}
 
     return sweep(spec, candidates(), check, {"n": n, "instances": instances},
                  on_record)
@@ -344,9 +341,7 @@ def _scrambled_sharpness(spec: SweepSpec, on_record, n: int,
         host = [e for edges in draw for e in edges]
         if len(search.run([_id_mask(host[e] for e in c) for c in classes], n)) >= n:
             return None
-        fam = _drawn_family(n, draw)
-        instance = {**_serialize_family_instance(fam.graph, fam.colors),
-                    "scrambling": [list(c) for c in classes]}
+        instance = {**_drawn_instance(n, draw), "scrambling": [list(c) for c in classes]}
         # replay from the serialized instance to confirm
         report = scrambled_matching_check(_as_graph(instance["graph"], "graph"),
                                           instance["colors"], instance["scrambling"], n)
@@ -421,8 +416,7 @@ def _random_claim(sizes_of: Callable[[int], tuple[int, ...]], spec: SweepSpec,
     def check(draw) -> Optional[tuple[dict, dict]]:
         if len(search.run(list(map(_id_mask, draw)), n)) >= n:
             return None
-        fam = _drawn_family(n, draw)
-        return _serialize_family_instance(fam.graph, fam.colors), {}
+        return _drawn_instance(n, draw), {}
 
     draws = (_draw_matchings(rng, sizes)[1] for _ in range(instances))
     return sweep(spec, draws, check, {"instances": instances}, on_record)

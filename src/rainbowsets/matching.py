@@ -256,6 +256,22 @@ def max_rainbow_matching(fam: EdgeFamily, target: Optional[int] = None
     return Matching(frozenset(e for _, e in chosen)), ChoiceFunction(tuple(chosen))
 
 
+def _check_matchings(g: Graph, classes: Sequence[frozenset[int]],
+                     min_sizes: Sequence[int], noun: str, plural: str) -> None:
+    """The hypothesis on a family of matchings of g: len(min_sizes) classes
+    (counted as `plural`), each a matching, class i (named `noun` i) with at
+    least min_sizes[i] edges. A failure raises HypothesisViolation."""
+    if len(classes) != len(min_sizes):
+        raise HypothesisViolation(f"expected {len(min_sizes)} {plural}, got {len(classes)}",
+                                  witness=len(classes))
+    for i, (edges, need) in enumerate(zip(classes, min_sizes)):
+        if not matching_check(g, edges):
+            raise HypothesisViolation(f"{noun} {i} is not a matching", witness=i)
+        if len(edges) < need:
+            raise HypothesisViolation(f"{noun} {i} has size {len(edges)} < required {need}",
+                                      witness=i)
+
+
 def _has_rainbow_matching(fam: EdgeFamily, min_sizes: Sequence[int], target: int,
                           bipartite: bool) -> bool:
     """True iff the family, one matching of at least min_sizes[i] edges per
@@ -265,18 +281,7 @@ def _has_rainbow_matching(fam: EdgeFamily, min_sizes: Sequence[int], target: int
     search = _RainbowSearch(fam.graph)
     if bipartite and not search.bipartite:
         raise HypothesisViolation("instance graph is not bipartite")
-    if fam.num_colors != len(min_sizes):
-        raise HypothesisViolation(
-            f"expected {len(min_sizes)} color classes, got {fam.num_colors}",
-            witness=fam.num_colors,
-        )
-    for i, need in enumerate(min_sizes):
-        edges = fam.colors[i]
-        if not matching_check(fam.graph, edges):
-            raise HypothesisViolation(f"color {i} is not a matching", witness=i)
-        if len(edges) < need:
-            raise HypothesisViolation(f"color {i} has size {len(edges)} < required {need}",
-                                      witness=i)
+    _check_matchings(fam.graph, fam.colors, min_sizes, "color", "color classes")
     return len(search.run(list(map(_id_mask, fam.colors)), target)) >= target
 
 
@@ -309,18 +314,8 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
     sets = [frozenset(int(e) for e in m) for m in matchings]
     if k < 1 or k > n:
         raise HypothesisViolation(f"need 1 <= k <= n, got k={k}, n={n}")
-    if len(sets) != 2 * k - 1:
-        raise HypothesisViolation(
-            f"expected {2 * k - 1} matchings, got {len(sets)}", witness=len(sets)
-        )
-    for i, m in enumerate(sets):
-        if not matching_check(g, m):
-            raise HypothesisViolation(f"matching {i} is not a matching", witness=i)
-        need = min(i + 1, k - 1) if i + 1 <= k - 1 else n
-        if len(m) < need:
-            raise HypothesisViolation(
-                f"matching {i} has size {len(m)} < required {need}", witness=i
-            )
+    _check_matchings(g, sets, [i + 1 if i + 1 < k else n for i in range(2 * k - 1)],
+                     "matching", "matchings")
 
     # n - k wildcard copies of the union: a size-n rainbow matching gives at
     # least k of the real matchings distinct edges, and a size-n matching
@@ -437,7 +432,8 @@ def scrambled_matching_check(g: Graph, original: Sequence[Iterable[int]],
     originals = [frozenset(int(e) for e in f) for f in original]
     for i, f in enumerate(originals):
         if not matching_check(g, f):
-            raise InstanceError(f"original family member {i} is not a matching")
+            raise HypothesisViolation(f"original family member {i} is not a matching",
+                                      witness=i)
     classes = validate_scrambling(originals, scrambling, n)
     fam = EdgeFamily(g, tuple(frozenset(c) for c in classes))
     matching, function = max_rainbow_matching(fam, target=n)
@@ -652,6 +648,12 @@ def _drawn_family(m: int, draw: Sequence[Sequence[int]]) -> EdgeFamily:
         edges += ((e // m, m + e % m) for e in host)
     sides = (frozenset(range(m)), frozenset(range(m, 2 * m)))
     return EdgeFamily(Graph(2 * m, tuple(edges), sides), tuple(colors))
+
+
+def _drawn_instance(m: int, draw: Sequence[Sequence[int]]) -> dict:
+    """The serialized form of _drawn_family(m, draw)."""
+    fam = _drawn_family(m, draw)
+    return _serialize_family_instance(fam.graph, fam.colors)
 
 
 def random_matching_family(rng, sizes: Sequence[int]) -> EdgeFamily:

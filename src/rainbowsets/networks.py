@@ -209,9 +209,6 @@ class RainbowPath:
     colors: tuple[int, ...]
     weight: int
 
-    def function(self) -> ChoiceFunction:
-        return ChoiceFunction(tuple(zip(self.colors, self.edges)))
-
 
 def validate_st_path(net: Network, path: Sequence[int], s: int, t: int):
     """Check the edge sequence is a simple directed s-t path."""

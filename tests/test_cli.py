@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rainbowsets import cli, core, spancycles, transversals
+from rainbowsets import cli, core, networks, spancycles, transversals
 from rainbowsets.harness import SWEEPS
 
 
@@ -38,6 +38,32 @@ SPAN_17 = {
     "colors": [[0], [0]] + [[1, c] for c in range(2, 17)],
     "target": [1],
 }
+
+
+# One s-t path 0 -> 3 -> 1 or 0 -> 2 -> 1 per color; q = 2 inner vertices.
+# In B(N), edges 0..4 are the network edges and 5, 6 the W edges of 2 and 3.
+DISJOINT = {"network": {"n": 4, "edges": [[0, 3], [3, 1], [0, 2], [2, 1], [3, 2]],
+                        "sources": [0], "targets": [1]},
+            "colors": [[0, 1], [2, 3], [0, 3, 4]]}
+# Two copies of the path 0 -> 1 -> 2 -> 3, scrambled into single edges.
+CHAIN = {"network": {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                     "sources": [0], "targets": [3]},
+         "paths": [[0, 1, 2], [0, 1, 2]], "scrambling": [[0], [0], [1], [1], [2], [2]]}
+# The paths 0 -> 1 -> 3 and 0 -> 2 -> 3.
+DIAMOND = {"network": {"n": 4, "edges": [[0, 1], [1, 3], [0, 2], [2, 3]],
+                       "sources": [0], "targets": [3]},
+           "paths": [[0, 1], [2, 3]], "scrambling": [[0], [1], [2], [3]]}
+
+
+def _no_op(*args, **kwargs):
+    return None
+
+
+def _rainbow(*pairs):
+    """A stand-in for max_rainbow_matching that answers the given (color,
+    edge) pairs."""
+    return lambda fam, target=None: (core.Matching(frozenset(e for _, e in pairs)),
+                                     core.ChoiceFunction(pairs))
 
 
 class TestInputErrors:
@@ -104,6 +130,22 @@ class TestInputErrors:
         pytest.param(["rainbow-matching", "--target", "-1"],
                      {"graph": {"n": 2, "edges": [[0, 1]]}, "colors": [[0]]},
                      "target must be nonnegative, got -1", id="target-negative"),
+        pytest.param(["rainbow-matching"],
+                     {"graph": {"n": 2, "edges": [[0, 1]], "bipartition": [[0, 1], [1]]},
+                      "colors": [[0]]},
+                     "bipartition classes overlap", id="bipartition-overlap"),
+        pytest.param(["rainbow-matching"],
+                     {"graph": {"n": 3, "edges": [[0, 1]], "bipartition": [[0], [1]]},
+                      "colors": [[0]]},
+                     "bipartition classes must cover all vertices",
+                     id="bipartition-misses-vertex"),
+        pytest.param(["rainbow-path"], {"network": 5, "paths": []},
+                     "instance.network: expected an object", id="network-scalar"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "0"],
+                     {"network": NET, "colors": [[0]]}, "need p >= 1, got 0", id="p-zero"),
+        pytest.param(["arrow-check", "--a", "-1", "--b", "1", "--c", "1"],
+                     {"graph": {"n": 2, "edges": [[0, 1]]}, "colors": []},
+                     "arrow parameters must be nonnegative", id="arrow-a-negative"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)
@@ -121,6 +163,28 @@ class TestInputErrors:
         assert code == cli.EXIT_INPUT == 2
         assert payload["status"] == "error"
         assert payload["error"] == "instance: nested too deeply to decode"
+
+    @pytest.mark.parametrize("raw, error", [
+        pytest.param(b"\xff\xfe", "instance: not UTF-8", id="not-utf8"),
+        pytest.param(b'{"ground_size": 1,', "instance: invalid JSON", id="invalid-json"),
+        pytest.param(b"[1, 2]", "instance: top level must be a JSON object",
+                     id="top-level-array"),
+    ])
+    def test_undecodable_instance_exits_2(self, tmp_path, capsys, raw, error):
+        path = tmp_path / "instance.json"
+        path.write_bytes(raw)
+        code = cli.main(["hall", "--input", str(path)])
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_INPUT == 2
+        assert payload["status"] == "error"
+        assert payload["error"].startswith(error)
+
+    def test_zero_cap_exits_2(self, capsys):
+        code = cli.main(["sweep", "--conjecture", "drisko", "--params", "n=3", "--cap", "0"])
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert code == cli.EXIT_INPUT == 2
+        assert payload["status"] == "error"
+        assert payload["error"] == "instance cap must be positive"
 
     @pytest.mark.parametrize("name", [None, "absent.json"], ids=["directory", "missing-file"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, name):
@@ -182,6 +246,86 @@ class TestSelfChecks:
         assert error in payload["error"]
 
 
+    @pytest.mark.parametrize("argv, instance, patches, error", [
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], DISJOINT,
+                     [(networks, "_follow", lambda step, cur: ())],
+                     "gives 0 S-T paths, not nu^P = 1", id="path-packing-walks"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], DISJOINT,
+                     [(networks, "_path_packing", lambda bn, f: (1, ((),)))],
+                     "family 0 maps to 2 B(N) edges, not 3", id="disjoint-image-size"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], DISJOINT,
+                     [(networks, "max_rainbow_matching", _rainbow())],
+                     "staircase rainbow matching of size 3 not found",
+                     id="disjoint-no-staircase"),
+        # colors 0 and 1 are the wildcards; color 2 is family 0
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], DISJOINT,
+                     [(networks, "max_rainbow_matching", _rainbow((0, 5), (1, 6), (2, 4)))],
+                     "edge 4 is not in family 0", id="disjoint-edge-outside-family"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], DISJOINT,
+                     [(networks, "max_rainbow_matching", _rainbow((0, 5), (1, 6), (2, 0)))],
+                     "rainbow set packs only 0 < 1 disjoint paths", id="disjoint-no-path"),
+        pytest.param(["rainbow-path"], {"network": PATH_NET, "paths": [[0], [0]]},
+                     [(networks, "validate_st_path", _no_op)],
+                     "no unrepresented path leaves the current tree", id="weighted-stuck"),
+        # the second "path" is the edge 2 -> 1 alone, so vertex 1 is at 0 along it
+        pytest.param(["rainbow-path", "--weights"],
+                     {"network": {"n": 4, "edges": [[0, 1], [2, 1], [1, 3]],
+                                  "sources": [0], "targets": [3]},
+                      "paths": [[0, 2], [1], [0, 2]], "weights": [5, 0, 0]},
+                     [(networks, "validate_st_path", _no_op)],
+                     "tree invariant", id="weighted-tree-invariant"),
+        pytest.param(["rainbow-path"], {"network": PATH_NET, "paths": [[0, 1], [0, 1]]},
+                     [(core.WeightMap, "weight", lambda self, e: self.weights[e] + 1)],
+                     "returned path weight 2 exceeds the bound 0", id="weighted-over-bound"),
+        pytest.param(["rainbow-path"], {"network": PATH_NET, "paths": [[0, 1], [0, 1]]},
+                     [(core.Network, "single_terminals", lambda self: (0, 3)),
+                      (networks, "validate_st_path", _no_op)],
+                     "all paths represented before reaching t", id="weighted-unreachable-t"),
+        pytest.param(["scrambled-path", "--n", "1"], CHAIN,
+                     [(networks, "build_towers",
+                       lambda net, n, weight=None: networks.TowerPair((0,), (), (3,), ()))],
+                     "heavy inner vertex misses one side", id="scrambled-heavy-one-sided"),
+        pytest.param(["scrambled-path", "--n", "1"], DIAMOND,
+                     [(networks, "build_towers",
+                       lambda net, n, weight=None: networks.TowerPair((1,), (), (2,), ()))],
+                     "no tower-to-tower edge", id="scrambled-no-bridge"),
+        pytest.param(["scrambled-path", "--n", "1"], CHAIN,
+                     [(networks, "enforcer_union_bounds", lambda *a, **k: False)],
+                     "enforcer union lower bounds fail", id="scrambled-union-bounds"),
+        pytest.param(["scrambled-path", "--n", "1"], CHAIN,
+                     [(networks, "enforcer_union_bounds", lambda *a, **k: True),
+                      (networks, "_kuhn_max_matching", lambda left, adj: {})],
+                     "no system of distinct scrambling classes", id="scrambled-no-sdr"),
+        pytest.param(["scrambled-path", "--n", "1"], CHAIN,
+                     [(networks, "_reach", lambda net, edges, s: {})],
+                     "contain no s-t path", id="scrambled-no-path"),
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[0], [1], [2]]},
+                     [(spancycles, "gf2_solve_subset", lambda vecs, target: None)],
+                     "cannot express the target", id="odd-cycle-no-subset"),
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[0], [1], [2]]},
+                     [(spancycles, "gf2_solve_subset", lambda vecs, target: [])],
+                     "target-summing subset has even size", id="odd-cycle-even-subset"),
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[0], [1], [2]]},
+                     [(spancycles, "_peel_cycles", lambda g, edges: [])],
+                     "no odd cycle in the target-summing subset", id="odd-cycle-no-cycle"),
+        pytest.param(["odd-cycle", "--cooperative"],
+                     {"graph": TRIANGLE, "families": [[0], [1], [2]]},
+                     [(spancycles, "_peel_cycles", lambda g, edges: [[0]])],
+                     "do not close into one cycle", id="odd-cycle-open-trail"),
+    ])
+    def test_wrong_network_or_cycle_step_exits_5(self, tmp_path, capsys, monkeypatch,
+                                                 argv, instance, patches, error):
+        for owner, name, value in patches:
+            monkeypatch.setattr(owner, name, value)
+        code, payload = run_cli(tmp_path, capsys, argv, instance)
+        assert code == cli.EXIT_THEOREM == 5
+        assert payload["status"] == "theorem-violation"
+        assert error in payload["error"]
+
+
 class TestSweepParams:
     @pytest.mark.parametrize("tag, params, name", [
         pytest.param("short-cycle", ["n=1", "r=2"], "'n'", id="short-cycle-n1"),
@@ -204,6 +348,10 @@ class TestSweepParams:
                      id="ab-max-vertices-below-2n"),
         pytest.param("ab", ["n=4", "max_vertices=7"], "'max_vertices' must be >= 2n = 8",
                      id="ab-n4-max-vertices-below-2n"),
+        pytest.param("drisko", ["n"], "--params entries must be KEY=VALUE, got 'n'",
+                     id="params-without-value"),
+        pytest.param("drisko", ["n=x"], "--params n: integer required, got 'x'",
+                     id="params-value-not-integer"),
     ])
     def test_bad_parameter_exits_2(self, capsys, tag, params, name):
         code = cli.main(["sweep", "--conjecture", tag, "--params", *params])
@@ -299,6 +447,30 @@ class TestOneParse:
         code, _ = run_cli(tmp_path, capsys, case["argv"], case["instance"])
         assert code == case["exit"]
         assert len(built) == 1
+
+
+class TestPayloads:
+    def test_span_rainbow_drops_a_deficient_color(self, tmp_path, capsys):
+        """Colors 0 and 1 both hold only e0, so {0, 1} is rank-deficient and
+        color 0 is dropped; color 1 alone spans the target e0."""
+        code, payload = run_cli(tmp_path, capsys, ["span-rainbow"], {
+            "ground_size": 3, "colors": [[0], [0], [1, 2]], "target": [0],
+            "matroid": {"kind": "binary", "matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}})
+        assert code == cli.EXIT_OK == 0
+        assert payload["status"] == "span-rainbow"
+        assert payload["assignment"] == {"1": 0}
+        assert payload["deficient_colors"] == [0, 1]
+        assert payload["dropped_color"] == 0
+
+    def test_declared_bipartition(self, tmp_path, capsys):
+        code, payload = run_cli(tmp_path, capsys, ["rainbow-matching"], {
+            "graph": {"n": 4, "edges": [[0, 2], [1, 3], [0, 3]],
+                      "bipartition": [[0, 1], [2, 3]]},
+            "colors": [[0, 2], [1]]})
+        assert code == cli.EXIT_OK == 0
+        assert payload["status"] == "rainbow-matching"
+        assert (payload["size"], payload["edges"]) == (2, [0, 1])
+        assert payload["assignment"] == {"0": 0, "1": 1}
 
 
 class TestScrambledPath:

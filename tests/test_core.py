@@ -312,6 +312,22 @@ class TestNetworkValidation:
         with pytest.raises(InstanceError, match=r"network\.n: must be >= 0"):
             Network(-1, (), frozenset(), frozenset())
 
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 3),), r"network\.edges\[0\]: endpoint out of range"),
+        (((0, 1), (1, 1)), r"network\.edges\[1\]: loop at vertex 1"),
+    ])
+    def test_edge_faults_named_like_graph_ones(self, edges, message):
+        """Graph and Network share one edge-list check; only the prefix
+        differs."""
+        with pytest.raises(InstanceError, match=message):
+            Network(3, edges, frozenset({0}), frozenset({2}))
+        with pytest.raises(InstanceError, match=message.replace("network", "graph")):
+            Graph(3, edges)
+
+    def test_edge_fault_reported_before_terminal_fault(self):
+        with pytest.raises(InstanceError, match="loop at vertex 1"):
+            Network(2, ((1, 1),), frozenset({5}), frozenset({1}))
+
     def test_terminals_disjoint(self):
         with pytest.raises(InstanceError):
             Network(2, (), frozenset({0}), frozenset({0}))

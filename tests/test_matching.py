@@ -600,6 +600,37 @@ class TestArrowAndSequences:
             SizeSequence((2, 1), 1)
 
 
+# the path 0 - 1 - 2 - 3: edges 0 and 2 form a matching, edges 0 and 1 do not
+P4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
+
+
+@pytest.mark.parametrize("call, message, witness", [
+    pytest.param(lambda: check_arrow_instance(ArrowStatement(2, 1, 1), EdgeFamily(P4, ({0},))),
+                 "expected 2 color classes, got 1", 1, id="arrow-count"),
+    pytest.param(lambda: check_arrow_instance(ArrowStatement(1, 1, 1),
+                                              EdgeFamily(P4, ({0, 1},))),
+                 "color 0 is not a matching", 0, id="arrow-not-matching"),
+    pytest.param(lambda: check_sequence_instance(SizeSequence((1, 2), 1),
+                                                 EdgeFamily(P4, ({0}, {1}))),
+                 "color 1 has size 1 < required 2", 1, id="sequence-size"),
+    pytest.param(lambda: repeats_matching(P4, [{0}], 2, 2),
+                 "expected 3 matchings, got 1", 1, id="repeats-count"),
+    pytest.param(lambda: repeats_matching(P4, [{0}, {0, 1}, {0, 2}], 2, 2),
+                 "matching 1 is not a matching", 1, id="repeats-not-matching"),
+    pytest.param(lambda: repeats_matching(P4, [{0}, {1}, {0, 2}], 2, 2),
+                 "matching 1 has size 1 < required 2", 1, id="repeats-size"),
+    pytest.param(lambda: scrambled_matching_check(P4, [[0, 2], [0, 1]], [[0], [0, 2], [1]], 2),
+                 "original family member 1 is not a matching", 1, id="scrambled-original"),
+])
+def test_matching_family_hypothesis(call, message, witness):
+    """The one hypothesis check on a family of matchings, as each verifier
+    words it."""
+    with pytest.raises(HypothesisViolation) as err:
+        call()
+    assert str(err.value) == message
+    assert err.value.witness == witness
+
+
 class TestRepeats:
     def test_k2_c6_with_chord(self):
         g = Graph(6, ((0, 3), (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
