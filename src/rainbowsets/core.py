@@ -52,9 +52,6 @@ class GroundSet:
         if self.size < 0:
             raise InstanceError(f"ground size must be >= 0, got {self.size}")
 
-    def __contains__(self, x) -> bool:
-        return isinstance(x, int) and 0 <= x < self.size
-
 
 @dataclass(frozen=True)
 class ColoredFamily:
@@ -65,7 +62,7 @@ class ColoredFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-        size = self.ground.size  # the test of GroundSet.__contains__, inlined
+        size = self.ground.size
         for i, s in enumerate(self.sets):
             for x in s:
                 if not (isinstance(x, int) and 0 <= x < size):
@@ -166,9 +163,9 @@ class Graph:
             a, b = (frozenset(self.bipartition[0]), frozenset(self.bipartition[1]))
             object.__setattr__(self, "bipartition", (a, b))
             if a & b:
-                raise InstanceError("bipartition classes overlap")
+                raise InstanceError("graph.bipartition: classes overlap")
             if a | b != frozenset(range(self.n)):
-                raise InstanceError("bipartition classes must cover all vertices")
+                raise InstanceError("graph.bipartition: classes must cover all vertices")
             for i, (u, v) in enumerate(self.edges):
                 if (u in a) == (v in a):
                     raise InstanceError(

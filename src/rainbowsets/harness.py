@@ -286,37 +286,35 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
         incident.setdefault(u, []).append(e)
         incident.setdefault(v, []).append(e)
 
-    best: list[Optional[OddCycleResult]] = [None]
-
     def dfs(start: int, cur: int, verts: list[int], edges: list[int],
-            colors_used: set[int]) -> bool:
+            colors_used: set[int]) -> Optional[OddCycleResult]:
         for e in incident.get(cur, ()):
             if e in edges or color_of[e] in colors_used:
                 continue
             u, v = g.edges[e]
             nxt = v if u == cur else u
-            if nxt == start and len(edges) >= 1:
-                best[0] = OddCycleResult(
-                    tuple(verts), tuple(edges + [e]),
-                    tuple(color_of[x] for x in edges + [e]),
-                )
-                return True
+            if nxt == start:  # edges is not empty: a Graph has no loops
+                edges.append(e)
+                return OddCycleResult(tuple(verts), tuple(edges),
+                                      tuple(color_of[x] for x in edges))
             if nxt in verts or nxt < start or len(edges) + 1 >= r:
                 continue
             verts.append(nxt)
             edges.append(e)
             colors_used.add(color_of[e])
-            if dfs(start, nxt, verts, edges, colors_used):
-                return True
+            found = dfs(start, nxt, verts, edges, colors_used)
+            if found is not None:
+                return found
             verts.pop()
             edges.pop()
             colors_used.discard(color_of[e])
-        return False
+        return None
 
     for start in range(g.n):
-        if dfs(start, start, [start], [], set()):
-            break
-    return best[0]
+        found = dfs(start, start, [start], [], set())
+        if found is not None:
+            return found
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -103,20 +103,23 @@ class IndependenceOracle:
         outside I. ok.add(y), for a y outside I with I + y independent,
         makes ok the test of I + y, so a test grows with its set.
 
-        By default I's mask is built and checked once, each test is one
-        rank_fn call on it with x cleared and y set (a y outside the ground
-        raises InstanceError), and add sets y in the mask; a construction
-        with a native exchange_fn answers all of them from one pass over I,
-        and its test must provide add too. The native test of binary_matroid
-        and graphic_matroid (one GF(2) elimination of I, which add extends
-        by y's column) raises the same InstanceError for I or y outside the
-        ground; the incidence lifts inside transversals.rado_rainbow, which
-        build I and y themselves, do not check.
+        I is checked against the ground here, once, for every construction
+        (InstanceError names its smallest element outside the ground); y is
+        checked by each test. By default each test is one rank_fn call on
+        I's mask with x cleared and y set (a y outside the ground raises
+        InstanceError), and add sets y in the mask; a construction with a
+        native exchange_fn answers all of them from one pass over I, and its
+        test must provide add too. The native test of binary_matroid and
+        graphic_matroid (one GF(2) elimination of I, which add extends by
+        y's column) raises the same InstanceError for y outside the ground;
+        the incidence lifts inside transversals.rado_rainbow, which build y
+        themselves, do not check it.
         """
         s = frozenset(independent)
+        base = self._mask(s)
         if self._exchange_fn is not None:
             return self._exchange_fn(s)
-        base, rank_fn, ground = self._mask(s), self._rank_fn, self.ground_size
+        rank_fn, ground = self._rank_fn, self.ground_size
 
         def ok(x: Optional[int], y: int) -> bool:
             if not 0 <= y < ground:
@@ -247,11 +250,7 @@ def _binary(cols: list[int], desc: Union[dict, Callable[[], dict]]) -> Independe
         not vanish or x is in that circuit. add(y) reduces y's one tagged
         column into the basis instead of eliminating I + y again."""
         k = len(cols)
-        try:  # an element outside the ground fails to index or to shift
-            basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
-        except (IndexError, ValueError):
-            outside = min(i for i in s if not 0 <= i < k)
-            raise InstanceError(f"element {outside} outside ground of size {k}") from None
+        basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
         circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
 
         def ok(x: Optional[int], y: int) -> bool:

@@ -278,17 +278,15 @@ def rainbow_path_weighted(net: Network, weights: WeightMap,
         unrep = [i for i in range(len(path_edges)) if i not in represented]
         if not unrep:
             raise TheoremViolation("all paths represented before reaching t")
-        candidates: list[tuple[int, int, int]] = []
-        pool = sorted({e for i in unrep for e in path_edges[i]})
-        for e in pool:
-            u, v = net.edges[e]
-            if u in dist and v not in dist:
-                candidates.append((dist[u] + weights.weight(e), u, e))
-        if not candidates:
+        step = min(((dist[u] + weights.weight(e), u, e)
+                    for i in unrep for e in path_edges[i]
+                    for u, v in [net.edges[e]] if u in dist and v not in dist),
+                   default=None)
+        if step is None:
             raise TheoremViolation(
                 "no unrepresented path leaves the current tree"
             )
-        w_new, u, e = min(candidates)
+        w_new, u, e = step
         v = net.edges[e][1]
         color = min(i for i in unrep if e in path_edges[i])
         dist[v] = w_new
@@ -349,41 +347,31 @@ def build_towers(net: Network, n: int,
     s, t = net.single_terminals()
     if n < 1:
         raise InstanceError("towers need n >= 1")
+    # side 0 is the source tower, grown by edges into a vertex; side 1 the
+    # target tower, grown by edges out of one: vertex -> (edge, other end, weight)
+    ends: tuple[dict[int, list[tuple[int, int, int]]], ...] = ({}, {})
+    for e, (a, b) in enumerate(net.edges):
+        w = 1 if weight is None else int(weight.get(e, 0))
+        if w > 0:
+            ends[0].setdefault(b, []).append((e, a, w))
+            ends[1].setdefault(a, []).append((e, b, w))
+    orders, sets = ([s], [t]), ([], [])
 
-    def wt(e: int) -> int:
-        return 1 if weight is None else int(weight.get(e, 0))
-
-    src_order, src_sets = [s], []
-    tgt_order, tgt_sets = [t], []
-
-    def try_extend(order: list[int], sets_acc: list[frozenset[int]],
-                   into: bool) -> bool:
-        members = set(src_order) | set(tgt_order)
-        own = set(order)
-        for w in range(net.n):
-            if w in members:
-                continue
-            if into:
-                es = [e for e, (a, b) in enumerate(net.edges)
-                      if b == w and a in own and wt(e) > 0]
-            else:
-                es = [e for e, (a, b) in enumerate(net.edges)
-                      if a == w and b in own and wt(e) > 0]
-            if sum(wt(e) for e in es) >= n:
-                order.append(w)
-                sets_acc.append(frozenset(es))
-                return True
+    def extend(side: int) -> bool:
+        own = set(orders[side])
+        taken = own.union(orders[1 - side])
+        for v in range(net.n):
+            if v not in taken:
+                es = [(e, w) for e, x, w in ends[side].get(v, ()) if x in own]
+                if sum(w for _, w in es) >= n:
+                    orders[side].append(v)
+                    sets[side].append(frozenset(e for e, _ in es))
+                    return True
         return False
 
-    while True:
-        if try_extend(src_order, src_sets, into=True):
-            continue
-        if try_extend(tgt_order, tgt_sets, into=False):
-            continue
-        break
-    return TowerPair(
-        tuple(src_order), tuple(src_sets), tuple(tgt_order), tuple(tgt_sets)
-    )
+    while extend(0) or extend(1):
+        pass
+    return TowerPair(tuple(orders[0]), tuple(sets[0]), tuple(orders[1]), tuple(sets[1]))
 
 
 @dataclass(frozen=True)
@@ -480,16 +468,18 @@ def scrambled_rainbow_path(net: Network, paths: Sequence[Sequence[int]],
     towers = build_towers(net, n, weight=mult)
     src, tgt = towers.source_vertices, towers.target_vertices
 
-    def live_edges(pred) -> list[int]:
-        return [e for e, (a, b) in enumerate(net.edges)
-                if mult.get(e, 0) > 0 and pred(a, b)]
+    into: dict[int, list[int]] = {}   # vertex -> its live in-edges, ascending
+    out: dict[int, list[int]] = {}    # vertex -> its live out-edges, ascending
+    for e in sorted(mult):
+        a, b = net.edges[e]
+        out.setdefault(a, []).append(e)
+        into.setdefault(b, []).append(e)
 
     pivot = None
-    heavy_sets: list[frozenset[int]] = []
     for w in sorted(set(range(net.n)) - src - tgt):
-        into_w = live_edges(lambda a, b, w=w: b == w and a in src)
-        from_w = live_edges(lambda a, b, w=w: a == w and b in tgt)
-        if sum(mult[e] for e in into_w) + sum(mult[e] for e in from_w) > n:
+        into_w = [e for e in into.get(w, ()) if net.edges[e][0] in src]
+        from_w = [e for e in out.get(w, ()) if net.edges[e][1] in tgt]
+        if sum(mult[e] for e in into_w + from_w) > n:
             if not into_w or not from_w:
                 raise TheoremViolation(
                     "a heavy inner vertex misses one side despite maximal towers"
@@ -497,8 +487,8 @@ def scrambled_rainbow_path(net: Network, paths: Sequence[Sequence[int]],
             pivot = w
             heavy_sets = [frozenset(into_w), frozenset(from_w)]
             break
-    if pivot is None:
-        bridges = live_edges(lambda a, b: a in src and b in tgt)
+    else:
+        bridges = [e for a in src for e in out.get(a, ()) if net.edges[e][1] in tgt]
         if not bridges:
             raise TheoremViolation(
                 "no tower-to-tower edge despite the double-count guarantee"

@@ -76,12 +76,9 @@ def rado_rainbow(fam: ColoredFamily, matroid: IndependenceOracle) -> HallResult:
             raise TheoremViolation("Rado rainbow set is not independent")
         return f
 
-    by_color: dict[int, list[int]] = {c: [] for c in range(k)}
-    for i, (c, _) in enumerate(incidences):
-        by_color[c].append(i)
-    deficient = frozenset(
-        c for c in range(k) if all(i in reachable for i in by_color[c])
-    )
+    # a color is deficient when no incidence of it is unreachable
+    deficient = frozenset(range(k)).difference(
+        c for i, (c, _) in enumerate(incidences) if i not in reachable)
     violator = Violator(deficient)
     if matroid.rank(family_union(fam, deficient)) >= len(deficient):
         raise TheoremViolation(f"Rado violator {sorted(deficient)} is not rank-deficient")

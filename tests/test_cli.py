@@ -133,11 +133,11 @@ class TestInputErrors:
         pytest.param(["rainbow-matching"],
                      {"graph": {"n": 2, "edges": [[0, 1]], "bipartition": [[0, 1], [1]]},
                       "colors": [[0]]},
-                     "bipartition classes overlap", id="bipartition-overlap"),
+                     "graph.bipartition: classes overlap", id="bipartition-overlap"),
         pytest.param(["rainbow-matching"],
                      {"graph": {"n": 3, "edges": [[0, 1]], "bipartition": [[0], [1]]},
                       "colors": [[0]]},
-                     "bipartition classes must cover all vertices",
+                     "graph.bipartition: classes must cover all vertices",
                      id="bipartition-misses-vertex"),
         pytest.param(["rainbow-path"], {"network": 5, "paths": []},
                      "instance.network: expected an object", id="network-scalar"),
@@ -146,6 +146,49 @@ class TestInputErrors:
         pytest.param(["arrow-check", "--a", "-1", "--b", "1", "--c", "1"],
                      {"graph": {"n": 2, "edges": [[0, 1]]}, "colors": []},
                      "arrow parameters must be nonnegative", id="arrow-a-negative"),
+        pytest.param(["hall"], {"ground_size": -1, "colors": []},
+                     "ground size must be >= 0, got -1", id="ground-size-negative"),
+        pytest.param(["rainbow-matching"],
+                     {"graph": {"n": 2, "edges": [[0, 1]], "bipartition": [[0, 1]]},
+                      "colors": [[0]]},
+                     "instance.graph.bipartition: expected a pair of vertex arrays",
+                     id="bipartition-one-class"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "partition", "ground_size": 2, "parts": [[0], [1]], "caps": [1]}},
+                     "parts and caps must have equal length", id="partition-caps-short"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "partition", "ground_size": 2, "parts": [[0, 5]]}},
+                     "parts[0]: element 5 out of range", id="partition-element-past-ground"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "partition", "ground_size": 2, "parts": [[0], [1]],
+                         "caps": [1, -1]}},
+                     "caps[1]: negative capacity", id="partition-cap-negative"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "uniform", "ground_size": 2, "k": -1}},
+                     "uniform matroid needs k >= 0", id="uniform-k-negative"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "truncation", "k": -1,
+                         "inner": {"kind": "free", "ground_size": 2}}},
+                     "truncation needs k >= 0", id="truncation-k-negative"),
+        pytest.param(["rainbow-path"],
+                     {"network": {"n": 3, "edges": [[0, 2], [1, 2]], "sources": [0, 1],
+                                  "targets": [2]},
+                      "paths": [[0]]},
+                     "operation requires a single source and target", id="two-sources"),
+        pytest.param(["rainbow-path"], {"network": NET, "paths": [[]]},
+                     "empty path", id="path-empty"),
+        # the first path goes 0 -> 1 -> 2 -> 1
+        pytest.param(["rainbow-path"],
+                     {"network": {"n": 4, "edges": [[0, 1], [1, 2], [2, 1], [1, 3]],
+                                  "sources": [0], "targets": [3]},
+                      "paths": [[0, 1, 2, 3], [0, 3], [0, 3]]},
+                     "path revisits vertex 1", id="path-revisits-vertex"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"], {"network": NET, "colors": [[9]]},
+                     "unknown edge id 9", id="disjoint-edge-id-past-edges"),
+        pytest.param(["span-rainbow"],
+                     {"ground_size": 3, "colors": [[0], [1], [2]], "target": [7],
+                      "matroid": {"kind": "binary", "matrix": [[1, 1, 0], [0, 0, 1]]}},
+                     "target element 7 outside the ground", id="span-target-past-ground"),
     ])
     def test_malformed_instance_exits_2(self, tmp_path, capsys, argv, instance, field):
         code, payload = run_cli(tmp_path, capsys, argv, instance)

@@ -369,3 +369,16 @@ class TestLatin:
         sq = LatinSquare(2, ((1, 2), (2, 1)))
         with pytest.raises(InstanceError):
             Transversal.of(sq, {(0, 0), (1, 1)})
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: LatinSquare(2, ((1, 2),)), r"^latin: expected 2 rows, got 1$",
+                 id="latin-rows"),
+    pytest.param(lambda: ChoiceFunction(((0, 1), (0, 2))),
+                 r"^choice function assigns a color twice$", id="choice-color-twice"),
+    pytest.param(lambda: transversal_check(LatinSquare(2, ((1, 2), (2, 1))), {(0, 2)}),
+                 r"^cell \(0,2\) out of range$", id="transversal-cell-out-of-range"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InstanceError, match=message):
+        call()

@@ -146,6 +146,14 @@ def test_time_cap_stops_the_sweep(monkeypatch):
     assert records == expected_records(["ok"] * 2)
 
 
+@pytest.mark.parametrize("caps, message", [
+    pytest.param({"time_cap": 0}, r"^time cap must be positive$", id="time-cap-zero"),
+])
+def test_sweep_spec_input_errors(caps, message):
+    with pytest.raises(InstanceError, match=message):
+        SweepSpec("short-cycle", (("n", 6), ("r", 3)), **caps)
+
+
 @pytest.mark.parametrize("tag", ["drisko", "stairs"])
 def test_random_claim_sweep_reproducible(tag):
     """One seed gives the same report and record stream."""
@@ -553,6 +561,17 @@ class TestRainbowShortCycle:
         g = Graph(3, ((0, 1), (1, 2), (0, 2)))
         with pytest.raises(InstanceError, match="edge 1 already in family 0"):
             rainbow_short_cycle(g, [[0, 1], [1], [2]], 3)
+
+    @pytest.mark.parametrize("classes, r, message", [
+        pytest.param([[0], [3], [2]], 3, r"^families\[1\]: unknown edge id 3$",
+                     id="unknown-edge-id"),
+        pytest.param([[0], [1], [2]], 1, r"^cycle length bound must be at least 2$",
+                     id="r-below-2"),
+    ])
+    def test_input_errors(self, classes, r, message):
+        g = Graph(3, ((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(InstanceError, match=message):
+            rainbow_short_cycle(g, classes, r)
 
     def test_none_when_every_short_cycle_repeats_a_color(self):
         # each class is a digon; the only rainbow cycle is the triangle

@@ -6,9 +6,11 @@ import random
 import pytest
 
 from rainbowsets.core import (
+    ChoiceFunction,
     Graph,
     HypothesisViolation,
     InstanceError,
+    Matching,
     TheoremViolation,
     find_bipartition,
     is_rainbow,
@@ -629,6 +631,52 @@ def test_matching_family_hypothesis(call, message, witness):
         call()
     assert str(err.value) == message
     assert err.value.witness == witness
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ArrowStatement(1, 1, 1, "planar"), InstanceError,
+                 r"^unknown graph class 'planar'$", id="arrow-graph-class"),
+    pytest.param(lambda: SizeSequence((1,), -1), InstanceError,
+                 r"^target must be nonnegative$", id="sequence-target-negative"),
+    pytest.param(lambda: repeats_matching(P4, [], 0, 2), HypothesisViolation,
+                 r"^need 1 <= k <= n, got k=0, n=2$", id="repeats-k-zero"),
+    pytest.param(lambda: repeats_matching(P4, [{0}] * 5, 3, 2), HypothesisViolation,
+                 r"^need 1 <= k <= n, got k=3, n=2$", id="repeats-k-past-n"),
+    pytest.param(lambda: cooperative_drisko_check(P4, [{0}], 2), HypothesisViolation,
+                 r"^expected 3 edge sets, got 1$", id="cooperative-count"),
+])
+def test_input_errors(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+# the 4-cycle 0 - 1 - 2 - 3 - 0: edges 0, 2 and edges 1, 3 are its perfect matchings
+C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+
+
+@pytest.mark.parametrize("owner, name, stub, call, message", [
+    pytest.param(matching._RainbowSearch, "run", lambda self, colors, target: [],
+                 lambda: repeats_matching(C4, [{0, 2}, {1, 3}, {0, 2}], 2, 2),
+                 "no size-2 matching representing 2 of the matchings exists; "
+                 "this contradicts the repeats theorem", id="repeats"),
+    pytest.param(matching._RainbowSearch, "run", lambda self, colors, target: [],
+                 lambda: cooperative_drisko_check(C4, [{0, 2}, {1, 3}, {0, 2}], 2),
+                 "no rainbow matching of size 2 despite pairwise unions of "
+                 "matching number >= 2", id="cooperative"),
+    # 3 >= n^2 - n/2 matchings of size n = 2, so the answer is guaranteed
+    pytest.param(matching, "max_rainbow_matching",
+                 lambda fam, target: (Matching(frozenset()), ChoiceFunction(())),
+                 lambda: scrambled_matching_check(C4, [[0, 2], [1, 3], [0, 2]],
+                                                  [[0, 2], [0, 2], [1, 3]], 2),
+                 "scrambled family of 3 matchings of size 2 has no rainbow "
+                 "matching of size 2", id="scrambled"),
+])
+def test_short_search_is_a_theorem_violation(monkeypatch, owner, name, stub, call, message):
+    """Each self-check fires when the search it trusts comes back short."""
+    monkeypatch.setattr(owner, name, stub)
+    with pytest.raises(TheoremViolation) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestRepeats:

@@ -108,6 +108,19 @@ class TestConstructions:
         with pytest.raises(InstanceError):
             partition_matroid(3, [[0, 1], [1, 2]])
 
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: IndependenceOracle(-1, int.bit_count, {"kind": "free"}),
+                     r"^ground size must be >= 0$", id="oracle-ground-negative"),
+        pytest.param(lambda: check_two_cover(free_matroid(2), free_matroid(3)),
+                     r"^check_two_cover needs a shared ground set$", id="two-cover-grounds"),
+        pytest.param(lambda: from_descriptor({"kind": "partition", "parts": [[0]]}),
+                     r"^matroid\.ground_size: required field is missing$",
+                     id="partition-without-ground-size"),
+    ])
+    def test_input_errors(self, call, message):
+        with pytest.raises(InstanceError, match=message):
+            call()
+
     def test_uniform_zero(self):
         m = uniform_matroid(3, 0)
         assert m.is_independent(set())

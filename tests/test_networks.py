@@ -83,6 +83,20 @@ def random_linearish(rng: random.Random, net: Network) -> LinearishArborescence:
     return LinearishArborescence(net, frozenset(take))
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: nu_p(net_sxt(), [0, 7]), r"^unknown edge id 7$", id="nu-p-edge-id"),
+    pytest.param(lambda: validate_st_path(net_sxt(), [0, 9], 0, 3), r"^unknown edge id 9$",
+                 id="path-edge-id"),
+    pytest.param(lambda: rainbow_path_weighted(net_sxt(), WeightMap((1,)),
+                                               [(0, 1), (2,), (3, 4)], 9),
+                 r"^weight map length differs from the edge count$", id="weights-length"),
+    pytest.param(lambda: build_towers(net_sxt(), 0), r"^towers need n >= 1$", id="towers-n-zero"),
+])
+def test_input_errors(call, message):
+    with pytest.raises(InstanceError, match=message):
+        call()
+
+
 class TestClassify:
     def test_empty(self):
         cls = classify(LinearishArborescence(net_sxt(), frozenset()))
