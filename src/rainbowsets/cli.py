@@ -24,6 +24,7 @@ from .core import (
     WeightMap,
     _as_edges,
     _as_graph,
+    _edge_id_sets,
     _int,
     _int_arrays,
     _ints,
@@ -77,11 +78,7 @@ def _as_network(obj) -> Network:
 def _as_paths(instance: dict, net: Network) -> list[tuple[int, ...]]:
     """instance.paths as edge-id tuples, each id an edge of the network."""
     paths = [tuple(p) for p in _int_arrays(_require(instance, "paths"), "instance.paths")]
-    for i, path in enumerate(paths):
-        for e in path:
-            if not 0 <= e < net.num_edges:
-                raise InstanceError(f"instance.paths[{i}]: edge id {e} is not one "
-                                    f"of the {net.num_edges} network edges")
+    _edge_id_sets(paths, net.num_edges, "instance.paths")
     return paths
 
 

@@ -288,6 +288,22 @@ def matching_check(g: Graph, edge_ids: Iterable[int]) -> bool:
     return True
 
 
+def _edge_id_sets(classes: Iterable[Iterable[int]], num_edges: int,
+                  field: str) -> list[frozenset[int]]:
+    """Each class as a set of int edge ids in 0..num_edges-1. One pass
+    checks the union; only when it fails is the first class with a bad id
+    looked up, and the error names it and its smallest bad id as
+    `field`[i]."""
+    sets = [frozenset(map(int, c)) for c in classes]
+    ids = frozenset().union(*sets)
+    if ids and (min(ids) < 0 or max(ids) >= num_edges):
+        for i, c in enumerate(sets):
+            bad = [e for e in c if not 0 <= e < num_edges]
+            if bad:
+                raise InstanceError(f"{field}[{i}]: unknown edge id {min(bad)}")
+    return sets
+
+
 def _trail(g: Graph, remaining: set[int], start: int) -> tuple[list[int], list[int]]:
     """Walk from start, leaving each vertex by its smallest-id edge still in
     remaining and removing that edge, until none is left at the current

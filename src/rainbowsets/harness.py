@@ -18,6 +18,7 @@ from .core import (
     TheoremViolation,
     Transversal,
     _as_graph,
+    _edge_id_sets,
 )
 from .matching import (
     _RainbowSearch,
@@ -255,12 +256,10 @@ def rainbow_short_cycle(g: Graph, edge_sets: Sequence[Iterable[int]], r: int
     The classes must number n (the vertex count) and each have size at
     least ceil(n/r).
     """
-    sets = [frozenset(int(e) for e in s) for s in edge_sets]
+    sets = _edge_id_sets(edge_sets, g.num_edges, "families")
     color_of: dict[int, int] = {}
     for i, s in enumerate(sets):
         for e in s:
-            if not 0 <= e < g.num_edges:
-                raise InstanceError(f"families[{i}]: unknown edge id {e}")
             if e in color_of:
                 raise InstanceError(
                     f"families[{i}]: edge {e} already in family {color_of[e]}"

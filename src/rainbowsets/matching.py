@@ -19,6 +19,7 @@ from .core import (
     TheoremViolation,
     find_bipartition,
     matching_check,
+    _edge_id_sets,
     _kuhn_max_matching,
     _max_matching_general,
 )
@@ -32,15 +33,8 @@ class EdgeFamily:
     colors: tuple[frozenset[int], ...]
 
     def __post_init__(self):
-        colors = tuple(frozenset(map(int, c)) for c in self.colors)
-        object.__setattr__(self, "colors", colors)
-        # one fast pass; the class to blame is looked up only when it fails
-        ids = frozenset().union(*colors)
-        if ids and (min(ids) < 0 or max(ids) >= self.graph.num_edges):
-            for i, c in enumerate(colors):
-                for e in c:
-                    if not 0 <= e < self.graph.num_edges:
-                        raise InstanceError(f"colors[{i}]: unknown edge id {e}")
+        object.__setattr__(self, "colors", tuple(
+            _edge_id_sets(self.colors, self.graph.num_edges, "colors")))
 
     @property
     def num_colors(self) -> int:
@@ -311,7 +305,7 @@ def repeats_matching(g: Graph, matchings: Sequence[Iterable[int]], k: int,
     theorem covers bipartite graphs: on any other graph the search is still
     tried, and its failure raises HypothesisViolation.
     """
-    sets = [frozenset(int(e) for e in m) for m in matchings]
+    sets = _edge_id_sets(matchings, g.num_edges, "matchings")
     if k < 1 or k > n:
         raise HypothesisViolation(f"need 1 <= k <= n, got k={k}, n={n}")
     _check_matchings(g, sets, [i + 1 if i + 1 < k else n for i in range(2 * k - 1)],
@@ -350,7 +344,7 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
     search = _RainbowSearch(g)
     if not search.bipartite:
         raise HypothesisViolation("graph is not bipartite")
-    sets = [frozenset(int(e) for e in f) for f in families]
+    sets = _edge_id_sets(families, g.num_edges, "families")
     if len(sets) != 2 * k - 1:
         raise HypothesisViolation(
             f"expected {2 * k - 1} edge sets, got {len(sets)}", witness=len(sets)
@@ -358,7 +352,6 @@ def cooperative_drisko_check(g: Graph, families: Sequence[Iterable[int]],
     for i, f in enumerate(sets):
         if not f:
             raise HypothesisViolation(f"edge set {i} is empty", witness=i)
-    EdgeFamily(g, tuple(sets))  # rejects an unknown edge id
     masks = list(map(_id_mask, sets))
     for i, j in itertools.combinations(range(len(sets)), 2):
         nu = search._matching_bound(masks[i] | masks[j])
@@ -429,7 +422,7 @@ def scrambled_matching_check(g: Graph, original: Sequence[Iterable[int]],
     n) the search is guaranteed to succeed; otherwise the best found is
     reported.
     """
-    originals = [frozenset(int(e) for e in f) for f in original]
+    originals = _edge_id_sets(original, g.num_edges, "original")
     for i, f in enumerate(originals):
         if not matching_check(g, f):
             raise HypothesisViolation(f"original family member {i} is not a matching",

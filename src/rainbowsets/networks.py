@@ -16,7 +16,9 @@ from .core import (
     Network,
     TheoremViolation,
     WeightMap,
+    _edge_id_sets,
     _kuhn_max_matching,
+    max_matching,
 )
 from .matching import EdgeFamily, max_rainbow_matching, validate_scrambling
 
@@ -82,14 +84,14 @@ def nu_p(net: Network, edge_ids: Iterable[int]
     edges, with witness paths.
 
     nu^P(F) = nu(B_F) - |inner|, where B_F is B(N) restricted to the images
-    of F plus W. The matching is Kuhn's over the sending vertices in
-    ascending order, each trying its B-edges by ascending id (of parallel
-    B-edges only the lowest). Each matched B-edge below m is a network
-    edge (u, v), a step from u to v; a source has no in-edge, so the walks
-    from the sources in ascending order that end in T are vertex-disjoint
-    S-T paths. By the counting identity a maximum matching's network
-    edges form no path that touches neither S nor T, so there are nu^P of
-    them: the witness.
+    of F plus W. The matching is core.max_matching's on B_F: Kuhn's over
+    the sending vertices in ascending order, each trying its B-edges by
+    ascending id (of parallel B-edges only the lowest). Each matched B-edge
+    below m is a network edge (u, v), a step from u to v; a source has no
+    in-edge, so the walks from the sources in ascending order that end in
+    T are vertex-disjoint S-T paths. By the counting identity a maximum
+    matching's network edges form no path that touches neither S nor T,
+    so there are nu^P of them: the witness.
     """
     return _path_packing(bipartify(net), edge_ids)
 
@@ -102,21 +104,16 @@ def _path_packing(bn: BipartifiedNetwork, edge_ids: Iterable[int]
     for e in ids:
         if not 0 <= e < net.num_edges:
             raise InstanceError(f"unknown edge id {e}")
-    lowest: dict[tuple[int, int], int] = {}  # B(N) vertex pair -> lowest B-edge
-    for b in ids + [b for _, b in bn.w_edge_of]:
-        lowest.setdefault(bn.graph.edges[b], b)
-    adj: dict[int, list[int]] = {}
-    for u, v in lowest:
-        adj.setdefault(u, []).append(v)
-    match = _kuhn_max_matching(range(len(bn.graph.bipartition[0])), lambda u: adj.get(u, ()))
+    chosen = ids + [b for _, b in bn.w_edge_of]
+    g = bn.graph
+    matched = max_matching(Graph(g.n, tuple(g.edges[b] for b in chosen), g.bipartition))
     step: dict[int, tuple[int, int]] = {}
-    for v, u in match.items():
-        e = lowest[u, v]
+    for e in (chosen[i] for i in matched.edges):
         if e < net.num_edges:
             step[net.edges[e][0]] = (e, net.edges[e][1])
     walks = (_follow(step, s) for s in sorted(net.sources))
     paths = tuple(w for w in walks if w and net.edges[w[-1]][1] in net.targets)
-    value = len(match) - len(net.inner)
+    value = len(matched) - len(net.inner)
     if len(paths) != value:
         raise TheoremViolation(f"a maximum B(N) matching gives {len(paths)} S-T paths, "
                                f"not nu^P = {value}")
@@ -152,7 +149,7 @@ def rainbow_disjoint_paths(net: Network, families: Sequence[Iterable[int]],
     if p < 1:
         raise HypothesisViolation(f"need p >= 1, got {p}")
     q = len(net.inner)
-    sets = [frozenset(int(e) for e in f) for f in families]
+    sets = _edge_id_sets(families, net.num_edges, "colors")
     if len(sets) != 2 * p - 1 + q:
         raise HypothesisViolation(
             f"expected {2 * p - 1 + q} edge sets for p={p}, q={q}, got {len(sets)}",

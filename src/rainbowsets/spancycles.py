@@ -16,6 +16,7 @@ from .core import (
     HypothesisViolation,
     InstanceError,
     TheoremViolation,
+    _edge_id_sets,
     _trail,
 )
 from .matroids import IndependenceOracle, binary_matroid
@@ -186,18 +187,12 @@ def _edge_classes(g: Graph, families: Sequence[Iterable[int]]
                   ) -> list[frozenset[int]]:
     """The families as edge-id sets, one per vertex of g, each id an edge
     of g (so never the adjoined target element)."""
-    a_sets = [frozenset(int(e) for e in f) for f in families]
+    a_sets = _edge_id_sets(families, g.num_edges, "families")
     if len(a_sets) != g.n:
         raise HypothesisViolation(
             f"expected {g.n} color classes (one per vertex), got {len(a_sets)}",
             witness=len(a_sets),
         )
-    for i, f in enumerate(a_sets):
-        for e in sorted(f):
-            if not 0 <= e < g.num_edges:
-                raise InstanceError(
-                    f"families[{i}]: edge id {e} is not one of the "
-                    f"{g.num_edges} graph edges")
     return a_sets
 
 

@@ -185,6 +185,11 @@ class TestInputErrors:
                      "path revisits vertex 1", id="path-revisits-vertex"),
         pytest.param(["rainbow-paths-disjoint", "--p", "1"], {"network": NET, "colors": [[9]]},
                      "unknown edge id 9", id="disjoint-edge-id-past-edges"),
+        pytest.param(["rainbow-paths-disjoint", "--p", "1"],
+                     {"network": NET, "colors": [[12, 0, 9], [7]]},
+                     "colors[0]: unknown edge id 9", id="disjoint-edge-ids-name-the-class"),
+        pytest.param(["rainbow-path"], {"network": PATH_NET, "paths": [[0, 7, 5], [0, 1]]},
+                     "instance.paths[0]: unknown edge id 5", id="path-edge-ids-name-the-smallest"),
         pytest.param(["span-rainbow"],
                      {"ground_size": 3, "colors": [[0], [1], [2]], "target": [7],
                       "matroid": {"kind": "binary", "matrix": [[1, 1, 0], [0, 0, 1]]}},

@@ -25,6 +25,15 @@ from rainbowsets.core import (
     _kuhn_max_matching,
     _max_matching_general,
 )
+from rainbowsets.harness import rainbow_short_cycle
+from rainbowsets.matching import (
+    EdgeFamily,
+    cooperative_drisko_check,
+    repeats_matching,
+    scrambled_matching_check,
+)
+from rainbowsets.networks import rainbow_disjoint_paths
+from rainbowsets.spancycles import cooperative_odd_cycle_check, rainbow_odd_cycle
 
 from oracles import brute_max_matching, kuhn_reference, random_bipartite
 
@@ -109,6 +118,39 @@ class TestMatching:
         g = Graph(3, ((0, 1), (1, 2)))
         with pytest.raises(InstanceError):
             Matching.of(g, {0, 1})
+
+    def test_matching_of_keeps_a_matching(self):
+        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        assert Matching.of(g, [0, 2]) == Matching(frozenset({0, 2}))
+
+
+# C4, bipartite, with edge ids 0..3; a network with edge ids 0..1
+C4 = Graph(4, ((0, 1), (1, 2), (2, 3), (3, 0)))
+SXT = Network(3, ((0, 1), (1, 2)), frozenset({0}), frozenset({2}))
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda classes: EdgeFamily(C4, classes), "colors", id="edge-family"),
+    pytest.param(lambda classes: cooperative_drisko_check(C4, classes, 2), "families",
+                 id="cooperative-drisko"),
+    pytest.param(lambda classes: repeats_matching(C4, classes, 2, 2), "matchings",
+                 id="repeats"),
+    pytest.param(lambda classes: scrambled_matching_check(C4, classes, [], 2), "original",
+                 id="scrambled-matching"),
+    pytest.param(lambda classes: rainbow_odd_cycle(C4, classes), "families",
+                 id="odd-cycle"),
+    pytest.param(lambda classes: cooperative_odd_cycle_check(C4, classes), "families",
+                 id="cooperative-odd-cycle"),
+    pytest.param(lambda classes: rainbow_short_cycle(C4, classes, 3), "families",
+                 id="short-cycle"),
+    pytest.param(lambda classes: rainbow_disjoint_paths(SXT, classes, 1), "colors",
+                 id="disjoint-paths"),
+])
+def test_unknown_edge_id_names_the_first_bad_class_and_its_smallest_bad_id(call, field):
+    """Class 1 is the first with unknown ids, 5 and -1; class 2's -7 is
+    smaller but comes later."""
+    with pytest.raises(InstanceError, match=rf"^{field}\[1\]: unknown edge id -1$"):
+        call([[0], [5, 0, -1], [-7]])
 
 
 class TestMaxMatching:
@@ -369,6 +411,10 @@ class TestLatin:
         sq = LatinSquare(2, ((1, 2), (2, 1)))
         with pytest.raises(InstanceError):
             Transversal.of(sq, {(0, 0), (1, 1)})
+
+    def test_transversal_of_keeps_a_transversal(self):
+        sq = LatinSquare(3, ((1, 2, 3), (2, 3, 1), (3, 1, 2)))
+        assert Transversal.of(sq, [(0, 0), (1, 1), (2, 2)]).cells == {(0, 0), (1, 1), (2, 2)}
 
 
 @pytest.mark.parametrize("call, message", [

@@ -161,6 +161,27 @@ def test_random_claim_sweep_reproducible(tag):
     assert sweep(tag, params) == sweep(tag, params)
 
 
+def test_unknown_sweep_tag():
+    with pytest.raises(InstanceError, match=r"^unknown sweep conjecture 'nope'$"):
+        run_sweep(SweepSpec("nope"))
+
+
+def test_rho_two_cover_exact_check_agrees_where_the_greedy_cover_settles(monkeypatch):
+    """Forcing the exact check_two_cover on every pair, also those that the
+    greedy cover settles, changes neither the report nor the record stream."""
+    params = {"ground": 6, "instances": 30}
+    settled = []
+
+    def counted(m1, m2, settle=harness._two_cover_settled):
+        settled.append(settle(m1, m2))
+        return settled[-1]
+    monkeypatch.setattr(harness, "_two_cover_settled", counted)
+    greedy = sweep("rho-two-cover", params)
+    assert any(settled)
+    monkeypatch.setattr(harness, "_two_cover_settled", lambda m1, m2: False)
+    assert sweep("rho-two-cover", params) == greedy
+
+
 def test_ab_cap_at_full_count():
     """Skipped candidates are never counted, so a cap equal to the whole
     range lets the sweep finish."""
@@ -504,6 +525,13 @@ class TestRotaScrambledSearch:
         assert result.classes == (frozenset({0, 2}), frozenset({1}), frozenset({3}))
         assert result.classes_used == 3 and not result.even_tight
 
+    def test_no_cover_by_n_plus_one_sets_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cover", lambda ground, members, within=None: (
+            None if within else matroids._cover(ground, members)))
+        result = rota_scrambled_search(uniform_matroid(4, 2), [[0, 1], [2, 3]])
+        assert result == harness.RotaSearchResult(2, None, None, False)
+        assert not result.succeeded
+
     def test_part_sizes(self):
         with pytest.raises(InstanceError, match="n parts of size n"):
             rota_scrambled_search(uniform_matroid(4, 2), [[0], [1, 2, 3]])
@@ -624,6 +652,9 @@ class TestLatinTransversal:
     def test_every_reduced_square_up_to_order_4(self, n):
         for square in enumerate_latin_squares(n):
             self.check(square)
+
+    def test_order_zero_has_no_square(self):
+        assert list(enumerate_latin_squares(0)) == []
 
     def test_reduced_square_counts(self):
         assert [sum(1 for _ in enumerate_latin_squares(n)) for n in range(1, 7)] == [

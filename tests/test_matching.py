@@ -543,6 +543,13 @@ class TestCycleFamilies:
         assert yielded == first_seen_cycle_families(sizes, lengths)
         assert len(yielded) == count
 
+    def test_cycles_of_different_lengths_are_never_exchanged(self):
+        """C3 + C4 has the 6 x 8 dihedral moves of its cycles and nothing
+        else: each automorphism keeps edges 0..2 on the triangle."""
+        perms = list(matching._cycle_automorphisms((3, 4)))
+        assert len(perms) == len({tuple(p) for p in perms}) == 48
+        assert all(sorted(p[:3]) == [0, 1, 2] for p in perms)
+
 
 class TestArrowAndSequences:
     def test_drisko_random_instance(self):

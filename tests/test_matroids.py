@@ -99,6 +99,10 @@ class TestConstructions:
         m2 = partition_matroid(3, [[0, 1], [2]], [2, 1])
         assert m2.is_independent({0, 1, 2})
 
+    def test_repr_names_kind_and_ground(self):
+        assert repr(partition_matroid(3, [[0, 1], [2]], [1, 1])) == (
+            "IndependenceOracle(partition, m=3)")
+
     def test_partition_free_elements(self):
         # elements in no part never count against a capacity
         m = partition_matroid(4, [[0, 1]], [1])

@@ -213,9 +213,11 @@ def run_guard(guard: Guard, program: str = CHILD) -> Optional[str]:
     stdin = guard.stdin()
     start = time.perf_counter()
     try:
-        child = subprocess.run([sys.executable, "-S", "-c", program, *guard.argv], input=stdin,
-                               capture_output=True, text=True, cwd=ROOT, env=ENV,
-                               timeout=guard.timeout)
+        # a child does not inherit -O: pass it on, so that under python -O
+        # the rows run the CLI's self-checks with asserts off
+        child = subprocess.run([sys.executable, "-S", *["-O"] * sys.flags.optimize, "-c",
+                                program, *guard.argv], input=stdin, capture_output=True,
+                               text=True, cwd=ROOT, env=ENV, timeout=guard.timeout)
     except subprocess.TimeoutExpired:
         return f"{guard.name}: no exit within its {guard.timeout:g} s"
     seconds = time.perf_counter() - start
@@ -272,6 +274,12 @@ BRS_3 = next(guard for guard in GUARDS if guard.name == "brs-3")
 def test_runner_reports_a_broken_row(row, fault):
     message = run_guard(row)
     assert message is not None and message.startswith(f"{row.name}: ") and fault in message
+
+
+def test_child_runs_with_the_parents_optimize_flag():
+    program = CHILD.replace("cli.main(sys.argv[1:])", "sys.flags.optimize")
+    assert program != CHILD
+    assert run_guard(BRS_3._replace(code=sys.flags.optimize, check=None), program) is None
 
 
 def test_runner_reports_a_crashed_child():
