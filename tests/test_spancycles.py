@@ -1,11 +1,14 @@
+import collections
 import itertools
+import json
 import random
 
 import pytest
 
+from rainbowsets import transversals
 from rainbowsets._gf2 import gf2_in_span, gf2_rank, gf2_solve_subset
 from rainbowsets.core import Graph, HypothesisViolation, InstanceError
-from rainbowsets.matroids import binary_matroid, free_matroid, uniform_matroid
+from rainbowsets.matroids import IndependenceOracle, binary_matroid, free_matroid, uniform_matroid
 from rainbowsets.spancycles import (
     augmented_vector,
     cooperative_odd_cycle_check,
@@ -21,6 +24,7 @@ from oracles import (
     brute_rainbow_odd_cycle_exists,
     brute_rank,
 )
+from test_scale_guards import odd_cycles
 
 
 def cycle_graph(n: int) -> Graph:
@@ -279,6 +283,35 @@ class TestRainbowOddCycle:
             g, fams = odd_cycle_instance(rng, n)
             assert brute_rainbow_odd_cycle_exists(g, fams)
             check_result(g, fams, rainbow_odd_cycle(g, fams))
+
+    def test_each_search_asks_each_m1_circuit_once(self, monkeypatch):
+        # every search reads its m1 arcs (the color lift's) off the circuits
+        # of the outside elements that are not sources, inverted once when
+        # it first dequeues an element of I: 3,940 circuits over the 5
+        # searches, where asking the test per arc made 26,960 queries
+        asked: list[collections.Counter] = []  # one per color-lift test
+
+        class Counted(IndependenceOracle):
+            def exchange(self, independent):
+                ok = super().exchange(independent)
+                if self.descriptor["kind"] != "internal-color-partition":
+                    return ok
+                counts, uncounted = collections.Counter(), ok.circuit
+                asked.append(counts)
+
+                def circuit(y):
+                    counts[y] += 1
+                    return uncounted(y)
+
+                ok.circuit = circuit
+                return ok
+
+        monkeypatch.setattr(transversals, "IndependenceOracle", Counted)
+        instance = json.loads(odd_cycles(101))
+        g = Graph(101, tuple(map(tuple, instance["graph"]["edges"])))
+        check_result(g, instance["families"], rainbow_odd_cycle(g, instance["families"]))
+        assert max(max(counts.values(), default=0) for counts in asked) == 1
+        assert (len(asked), sum(sum(counts.values()) for counts in asked)) == (5, 3940)
 
 
 class TestCooperativeOddCycle:

@@ -289,10 +289,12 @@ class TestRado:
         # every augmentation on this family has length 1; asking every
         # element outside I whether it is a source and a sink before each
         # of the 200 made 201,000 exchange tests, where an ascending scan
-        # that goes on from the last element it took makes 1,600; and
+        # that goes on from the last element it took makes 1,200; and
         # building a new pair of tests for each of the 201 scans made 402
-        # builds, where growing the first pair by each element added makes 2
-        calls, builds = [0], [0]
+        # builds, where growing the first pair by each element added makes 2.
+        # The last scan finds no element, and the search after it finds no
+        # source (every color is used), so no circuit is asked
+        calls, circuits, builds = [0], [0], [0]
 
         class Counted(IndependenceOracle):
             def exchange(self, independent):
@@ -303,6 +305,11 @@ class TestRado:
                     calls[0] += 1
                     return ok(x, y)
 
+                def circuit(y):
+                    circuits[0] += 1
+                    return ok.circuit(y)
+
+                counted.circuit = circuit
                 counted.add = ok.add
                 return counted
 
@@ -311,7 +318,8 @@ class TestRado:
         fam = ColoredFamily(GroundSet(len(cols)), tuple(map(frozenset, sets)))
         out = rado_rainbow(fam, binary_matroid(cols))
         assert isinstance(out, ChoiceFunction) and len(out.assignments) == 200
-        assert calls[0] < 201_000 // 50, calls[0]
+        assert (calls[0], circuits[0], builds[0]) == (1200, 0, 2)
+        assert calls[0] + circuits[0] < 201_000 // 50, calls[0]
         assert builds[0] < 200 // 50, builds[0]
 
     def test_graphic_rado_keeps_no_rank_per_queried_subset(self):
